@@ -247,21 +247,35 @@ def read_trace(path) -> List[IterationRecord]:
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 10:
-            raise ConfigError(f"{path}: malformed trace row: {line!r}")
-        out.append(IterationRecord(
-            r=int(parts[0]), alpha=float(parts[1]), beta=float(parts[2]),
-            gamma=float(parts[3]), f_value=float(parts[4]),
-            F_beta_value=float(parts[5]), stationarity_sq=float(parts[6]),
-            feasibility=float(parts[7]), slackness=float(parts[8]),
-            lambda_norm=float(parts[9])))
+        try:
+            if len(parts) != 10:
+                raise ValueError(f"{len(parts)} fields, expected 10")
+            out.append(IterationRecord(int(parts[0]), *map(float, parts[1:])))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed trace row {line!r}: {exc}") from exc
     return out
 
 
+def _null_non_finite(value, key: str, flagged: List[str]):
+    """Copy of ``value`` with every non-finite float replaced by None, so it
+    dumps as strict JSON; the key of each replaced value is appended to ``flagged``."""
+    if isinstance(value, dict):
+        return {k: _null_non_finite(v, f"{key}.{k}" if key else k, flagged)
+                for k, v in value.items()}
+    if isinstance(value, list):
+        return [_null_non_finite(v, f"{key}[{i}]", flagged) for i, v in enumerate(value)]
+    if isinstance(value, float) and not math.isfinite(value):
+        flagged.append(key)
+        return None
+    return value
+
+
 def _summary(problem, result, kind, wall_seconds, alpha_last) -> dict:
-    kkt_final = kkt_residual(problem, result.x_final, result.lambda_final, alpha_last)
-    kkt_avg = kkt_residual(problem, result.x_avg, result.lambda_avg, alpha_last)
-    return {
+    # after a numerical failure the residuals may overflow: report, don't warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        kkt_final = kkt_residual(problem, result.x_final, result.lambda_final, alpha_last)
+        kkt_avg = kkt_residual(problem, result.x_avg, result.lambda_avg, alpha_last)
+    summary = {
         "solver": kind,
         "termination": result.termination,
         "T_eps": result.T_eps,
@@ -278,6 +292,8 @@ def _summary(problem, result, kind, wall_seconds, alpha_last) -> dict:
         "wall_seconds": wall_seconds,
         "failure_message": result.failure_message,
     }
+    non_finite: List[str] = []
+    return {**_null_non_finite(summary, "", non_finite), "non_finite": non_finite}
 
 
 # --------------------------------------------------------------------------
@@ -328,7 +344,7 @@ def cmd_solve(args) -> int:
     else:
         alpha_last = solver_cfg.inner_step
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(_summary(problem, result, kind, wall, alpha_last), fh, indent=2)
+        json.dump(_summary(problem, result, kind, wall, alpha_last), fh, indent=2, allow_nan=False)
         fh.write("\n")
     log.info("solve finished: %s in %.3fs, outputs in %s", result.termination, wall, out_dir)
     if result.termination == TERM_NUMERICAL:
@@ -347,13 +363,12 @@ class _CountingProblem(ConstrainedProblem):
     def __init__(self, inner: ConstrainedProblem):
         self.grad_calls = 0
         self.jac_calls = 0
-        self.g_calls = 0
         super().__init__(
             dim=inner.dim,
             num_constraints=inner.num_constraints,
             eval_f=inner.eval_f,
             eval_grad_f=self._count_grad(inner.eval_grad_f),
-            eval_g=self._count_g(inner.eval_g) if inner.eval_g else None,
+            eval_g=inner.eval_g,
             eval_jacobian=self._count_jac(inner.eval_jacobian) if inner.eval_jacobian else None,
             projection=inner.projection,
             constants=inner.constants,
@@ -369,12 +384,6 @@ class _CountingProblem(ConstrainedProblem):
     def _count_jac(self, fn):
         def wrapped(x):
             self.jac_calls += 1
-            return fn(x)
-        return wrapped
-
-    def _count_g(self, fn):
-        def wrapped(x):
-            self.g_calls += 1
             return fn(x)
         return wrapped
 

@@ -13,6 +13,12 @@ g(theta) <= 0 with
 
 Gradients use the exact policy-gradient formula with exact Q-values and the
 softmax Jacobian.
+
+Each callback evaluates all of its reward tables (one for f, m for g) under
+one policy: one softmax, one P_pi and one multi-RHS solve for the value
+functions. ``eval_f`` and ``eval_g`` stop there. ``eval_grad_f`` and
+``eval_jacobian`` add one occupancy solve, shared by every table, and one
+(S*A, S) @ (S, k) product for the Q-values of all k tables.
 """
 
 from __future__ import annotations
@@ -100,23 +106,6 @@ def policy_evaluation(model: TabularCmdp, policy: np.ndarray, table: np.ndarray)
     return v, q, p_pi
 
 
-def _occupancy(model: TabularCmdp, p_pi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    # Normalized discounted state-visitation measure; sums to one.
-    eye = np.eye(model.num_states)
-    return (1.0 - model.discount) * np.linalg.solve(eye - model.discount * p_pi.T, rho)
-
-
-def _return_and_grad(model: TabularCmdp, theta: np.ndarray, table: np.ndarray,
-                     rho: np.ndarray):
-    policy = softmax_policy(theta, model.num_states, model.num_actions)
-    v, q, p_pi = policy_evaluation(model, policy, table)
-    value = (1.0 - model.discount) * float(rho @ v)
-    d = _occupancy(model, p_pi, rho)
-    advantage = q - v[:, None]
-    grad = (d[:, None] * policy * advantage).ravel()
-    return value, grad
-
-
 def discounted_return(model: TabularCmdp, theta: np.ndarray, table: np.ndarray) -> float:
     """Normalized return (1 - discount) * E_{s0~uniform}[v(s0)] under ``table``."""
     rho = np.full(model.num_states, 1.0 / model.num_states)
@@ -143,36 +132,45 @@ def optimal_return(model: TabularCmdp, table: np.ndarray,
 
 def build_cmdp(model: TabularCmdp) -> ConstrainedProblem:
     """Wrap the model as a smooth constrained problem over policy logits."""
-    rho = np.full(model.num_states, 1.0 / model.num_states)
-    dim = model.num_states * model.num_actions
-    m = model.num_constraints
+    s, a, discount = model.num_states, model.num_actions, model.discount
+    rho = np.full(s, 1.0 / s)
+    dim = s * a
     thresholds = model.thresholds.copy()
+    rewards = model.rewards[None]
+    flat_transitions = model.transitions.reshape(dim, s)
+
+    def values(theta, tables):
+        # One softmax, one P_pi and one multi-RHS solve for the (S, k) value
+        # functions of all k stacked reward tables (k, S, A).
+        policy = softmax_policy(theta, s, a)
+        system = np.eye(s) - discount * (policy[:, None, :] @ model.transitions)[:, 0]
+        return policy, system, np.linalg.solve(system, np.einsum("sa,ksa->sk", policy, tables))
+
+    def returns(theta, tables):
+        return (1.0 - discount) * (rho @ values(theta, tables)[2])
+
+    def return_grads(theta, tables):
+        policy, system, v = values(theta, tables)
+        # Normalized discounted state-visitation measure, shared by every table.
+        d = (1.0 - discount) * np.linalg.solve(system.T, rho)
+        q = tables + discount * (flat_transitions @ v).T.reshape(tables.shape)
+        return (d[:, None] * policy * (q - v.T[:, :, None])).reshape(len(tables), dim)
 
     def eval_f(theta):
-        value, _ = _return_and_grad(model, theta, model.rewards, rho)
-        return -value
+        return -float(returns(theta, rewards)[0])
 
     def eval_grad_f(theta):
-        _, grad = _return_and_grad(model, theta, model.rewards, rho)
-        return -grad
+        return -return_grads(theta, rewards)[0]
 
     def eval_g(theta):
-        out = np.empty(m)
-        for i in range(m):
-            value, _ = _return_and_grad(model, theta, model.constraint_rewards[i], rho)
-            out[i] = thresholds[i] - value
-        return out
+        return thresholds - returns(theta, model.constraint_rewards)
 
     def eval_jacobian(theta):
-        jac = np.empty((m, dim))
-        for i in range(m):
-            _, grad = _return_and_grad(model, theta, model.constraint_rewards[i], rho)
-            jac[i] = -grad
-        return jac
+        return -return_grads(theta, model.constraint_rewards)
 
     return ConstrainedProblem(
         dim=dim,
-        num_constraints=m,
+        num_constraints=model.num_constraints,
         eval_f=eval_f,
         eval_grad_f=eval_grad_f,
         eval_g=eval_g,

@@ -14,15 +14,7 @@ import numpy as np
 from ..problem import ConstrainedProblem
 from ..vec import ProjectionSpec, as_vector
 from .datasets import MnpcDataset
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+from .mnpc import _logistic
 
 
 def _split_weights(x: np.ndarray, d_in: int, hidden: int, num_out: int):
@@ -32,8 +24,8 @@ def _split_weights(x: np.ndarray, d_in: int, hidden: int, num_out: int):
 
 
 def _forward(w1, w2, samples):
-    h = _sigmoid(samples @ w1)
-    o = _sigmoid(h @ w2)
+    h = _logistic(samples @ w1)
+    o = _logistic(h @ w2)
     return h, o
 
 

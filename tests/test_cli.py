@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -95,8 +96,18 @@ class TestSolveCommand:
             "solver": {"kind": "gdpa", "alpha": [1e6, 1.0, 1.0], "max_iters": 100},
             "out_dir": str(out),
         })
-        assert cli.main(["solve", "--config", cfg]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["solve", "--config", cfg]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert (out / "trace.csv").exists()
+
+        def reject(token):
+            raise ValueError(f"summary.json is not strict JSON: {token}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["non_finite"] == ["kkt_final.stationarity", "kkt_avg.stationarity"]
+        assert summary["kkt_final"]["stationarity"] is None
 
     def test_runconfig_round_trip(self):
         raw = {"problem": {"kind": "analytic", "id": "scaled-1d"},
@@ -245,6 +256,13 @@ class TestRateReportCommand:
         assert rate["columns"]["stationarity_sq"]["slope"] == pytest.approx(0.0, abs=1e-9)
         assert rate["columns"]["stationarity_sq"]["pass"] is False
         assert "FAIL" in capsys.readouterr().out
+
+    def test_non_numeric_field_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(cli.TRACE_HEADER + "\n1,a,1,1,0,0,1,1,1,0\n")
+        assert cli.main(["rate-report", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(trace) in err and "1,a,1" in err
 
     def test_insufficient_points_exits_4(self, tmp_path):
         trace = self.synthetic_trace(tmp_path, lambda r: 1.0 / r, n=5)

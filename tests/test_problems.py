@@ -191,6 +191,35 @@ class TestCmdp:
         rep = check_gradients(problem, seeded_check_points(problem, 10, 7), h=1e-6)
         assert rep.passed(1e-5)
 
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_batched_oracles_match_per_table_reference(self, m):
+        # Each oracle evaluates all of its reward tables in one pass; the
+        # reference evaluates one table at a time with policy_evaluation and
+        # the occupancy measure (1 - discount) (I - discount P_pi^T)^-1 rho.
+        s, a, discount = 12, 5, 0.9
+        model = random_cmdp(30 + m, s, a, m, discount, thresholds=np.full(m, 0.4))
+        problem = build_cmdp(model)
+        theta = 2.0 * np.random.default_rng(m).standard_normal(s * a)
+        policy = softmax_policy(theta, s, a)
+        rho = np.full(s, 1.0 / s)
+
+        def reference(table):
+            v, q, p_pi = policy_evaluation(model, policy, table)
+            d = (1.0 - discount) * np.linalg.solve(np.eye(s) - discount * p_pi.T, rho)
+            grad = (d[:, None] * policy * (q - v[:, None])).ravel()
+            return (1.0 - discount) * float(rho @ v), grad
+
+        value, grad = reference(model.rewards)
+        refs = [reference(table) for table in model.constraint_rewards]
+        assert abs(problem.eval_f(theta) + value) <= 1e-12
+        np.testing.assert_allclose(problem.eval_grad_f(theta), -grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(problem.eval_g(theta),
+                                   [t - v for t, (v, _) in zip(model.thresholds, refs)],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(problem.eval_jacobian(theta),
+                                   np.reshape([-g for _, g in refs], (m, s * a)),
+                                   rtol=0, atol=1e-12)
+
     def test_gamma_near_zero_reduces_to_immediate_reward(self):
         model = random_cmdp(12, 4, 3, 1, 1e-9, thresholds=[0.0])
         theta = np.random.default_rng(3).standard_normal(12)
