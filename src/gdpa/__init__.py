@@ -27,7 +27,6 @@ from .solver import (
     GdpaConfig,
     NumericalFailure,
     SolveResult,
-    SolverState,
     ValidationReport,
     active_set,
     dual_step,
@@ -41,9 +40,6 @@ from .vec import (
     DimensionMismatchError,
     NonFiniteError,
     ProjectionSpec,
-    axpy,
-    dot,
-    norm2,
     positive_part,
     project,
 )

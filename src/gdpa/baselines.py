@@ -23,6 +23,8 @@ from .solver import (
     TERM_NUMERICAL,
     NumericalFailure,
     SolveResult,
+    _initial_multiplier,
+    _primal_step_raw,
 )
 from .vec import NonFiniteError, as_vector, project
 
@@ -58,71 +60,28 @@ class AlmConfig(PenaltyConfig):
     stall_factor: float = 0.9
 
 
-def _record_due(step: int, cfg) -> bool:
-    return step % cfg.record_every == 0 or step <= cfg.dense_until
-
-
 def solve_penalty(problem: ConstrainedProblem, cfg: PenaltyConfig, x0) -> SolveResult:
     """Outer loop over growing penalties, inner projected-gradient descent on
     f(x) + (rho/2)||g_+(x)||^2. The trace carries a zero multiplier."""
-    m = problem.num_constraints
-    x = project(problem.projection, as_vector(x0, "x0"))
-    lam0 = np.zeros(m)
-    trace: List[IterationRecord] = []
-    termination = TERM_BUDGET
-    failure = ""
-    T_eps: Optional[int] = None
-    step = 0
-    weight_sum = 0.0
-    x_accum = np.zeros_like(x)
-    rho = cfg.rho0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _outer in range(cfg.outer_iters):
-                for _ in range(cfg.inner_iters):
-                    step += 1
-                    gx = problem.g(x)
-                    grad = problem.grad_f(x)
-                    jac = problem.jacobian(x) if m else None
-                    weight_sum += 1.0 / rho
-                    x_accum += x / rho
-                    if _record_due(step, cfg):
-                        trace.append(make_record(problem, x, lam0, gx, grad, jac,
-                                                 step, cfg.inner_step, rho, 0.0, 0.0))
-                    gp = np.maximum(gx, 0.0) if m else gx
-                    if T_eps is None and m and float(np.linalg.norm(gp)) <= cfg.feas_tol:
-                        T_eps = step
-                    direction = grad if not m else grad + rho * (jac.T @ gp)
-                    x = project(problem.projection, x - cfg.inner_step * direction)
-                    if not np.all(np.isfinite(x)):
-                        raise NumericalFailure(
-                            f"penalty inner step diverged at step {step}", step)
-                viol = float(np.linalg.norm(np.maximum(problem.g(x), 0.0))) if m else 0.0
-                if viol <= cfg.feas_tol:
-                    termination = TERM_FEASIBILITY
-                    if T_eps is None:
-                        T_eps = step
-                    break
-                rho *= cfg.rho_growth
-    except (NumericalFailure, NonFiniteError) as exc:
-        termination = TERM_NUMERICAL
-        failure = str(exc)
-    x_avg = x_accum / weight_sum if weight_sum > 0 else x.copy()
-    return SolveResult(x, lam0.copy(), x_avg, lam0.copy(), termination, T_eps,
-                       trace, None, failure)
+    return _inner_outer(problem, cfg, x0, np.zeros(problem.num_constraints), frozen=True)
 
 
 def solve_alm(problem: ConstrainedProblem, cfg: AlmConfig, x0, lambda0=None) -> SolveResult:
     """Inexact augmented Lagrangian: inner projected-gradient minimization of
     f + (rho/2)||[g + lam/rho]_+||^2 - ||lam||^2/(2*rho), then the classical
     multiplier update."""
-    m = problem.num_constraints
+    lam = _initial_multiplier(lambda0, problem.num_constraints)
+    return _inner_outer(problem, cfg, x0, lam, frozen=False)
+
+
+def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.ndarray,
+                 frozen: bool) -> SolveResult:
+    """Inner/outer loop shared by both baselines. Each inner step is the GDPA
+    primal step with tau=0 and beta=rho: projected gradient descent on the
+    augmented Lagrangian. ``frozen`` keeps the multipliers at their start
+    (zero for the penalty method) and grows rho after every outer round
+    instead of only when feasibility stalls."""
     x = project(problem.projection, as_vector(x0, "x0"))
-    lam = np.zeros(m) if lambda0 is None else as_vector(lambda0, "lambda0").copy()
-    if lam.size != m:
-        raise ValueError(f"lambda0 must have length {m}")
-    if np.any(lam < 0):
-        raise ValueError("lambda0 must be componentwise nonnegative")
     trace: List[IterationRecord] = []
     termination = TERM_BUDGET
     failure = ""
@@ -140,43 +99,32 @@ def solve_alm(problem: ConstrainedProblem, cfg: AlmConfig, x0, lambda0=None) -> 
                     step += 1
                     gx = problem.g(x)
                     grad = problem.grad_f(x)
-                    jac = problem.jacobian(x) if m else None
+                    jac = problem.jacobian(x)
                     weight_sum += 1.0 / rho
                     x_accum += x / rho
                     lam_accum += lam / rho
-                    if _record_due(step, cfg):
+                    if step % cfg.record_every == 0 or step <= cfg.dense_until:
                         # tau=0 turns the merit value into the classic
                         # augmented Lagrangian this method actually minimizes.
                         trace.append(make_record(problem, x, lam, gx, grad, jac,
                                                  step, cfg.inner_step, rho, 0.0, 0.0))
-                    if m:
-                        shifted = np.maximum(rho * gx + lam, 0.0)
-                        direction = grad + jac.T @ shifted
-                        gp = np.maximum(gx, 0.0)
-                        if T_eps is None and float(np.linalg.norm(gp)) <= cfg.feas_tol:
-                            T_eps = step
-                    else:
-                        direction = grad
-                        if T_eps is None:
-                            T_eps = step
-                    x = project(problem.projection, x - cfg.inner_step * direction)
-                    if not np.all(np.isfinite(x)):
-                        raise NumericalFailure(f"ALM inner step diverged at step {step}", step)
-                if m:
-                    gx = problem.g(x)
+                    if T_eps is None and \
+                            float(np.linalg.norm(np.maximum(gx, 0.0))) <= cfg.feas_tol:
+                        T_eps = step
+                    x = _primal_step_raw(problem.projection, x, lam, grad, jac, gx,
+                                         cfg.inner_step, rho, 0.0, step)
+                gx = problem.g(x)
+                if not frozen:
                     lam = np.maximum(lam + rho * gx, 0.0)
-                    viol = float(np.linalg.norm(np.maximum(gx, 0.0)))
-                    if viol <= cfg.feas_tol:
-                        termination = TERM_FEASIBILITY
-                        if T_eps is None:
-                            T_eps = step
-                        break
-                    if viol > cfg.stall_factor * prev_viol:
-                        rho *= cfg.rho_growth
-                    prev_viol = viol
-                else:
+                viol = float(np.linalg.norm(np.maximum(gx, 0.0)))
+                if viol <= cfg.feas_tol:
                     termination = TERM_FEASIBILITY
+                    if T_eps is None:
+                        T_eps = step
                     break
+                if frozen or viol > cfg.stall_factor * prev_viol:
+                    rho *= cfg.rho_growth
+                prev_viol = viol
     except (NumericalFailure, NonFiniteError) as exc:
         termination = TERM_NUMERICAL
         failure = str(exc)

@@ -238,8 +238,11 @@ def write_trace(path, records: Sequence[IterationRecord]) -> None:
 
 
 def read_trace(path) -> List[IterationRecord]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
     if not lines or lines[0] != TRACE_HEADER:
         raise ConfigError(f"{path}: not a trace file (bad header)")
     out = []

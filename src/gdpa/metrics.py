@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,8 +68,6 @@ def perturbed_lagrangian(problem: ConstrainedProblem, x, lam, beta: float, tau: 
 
 def _perturbed_value(f_val: float, gx: np.ndarray, lam: np.ndarray,
                      beta: float, tau: float) -> float:
-    if gx.size == 0:
-        return f_val
     shifted = np.maximum(gx + (1.0 - tau) * lam / beta, 0.0)
     damped = (1.0 - tau) * lam
     return f_val + 0.5 * beta * float(shifted @ shifted) \
@@ -88,13 +86,10 @@ def _stationarity_from_evals(
 ) -> Tuple[np.ndarray, float]:
     # Stacked proximal-gradient residual of the plain (unperturbed)
     # Lagrangian: grad_x L = grad f + J^T lam, grad_lam L = g.
-    grad_l = grad_fx if lam.size == 0 else grad_fx + jac.T @ lam
+    grad_l = grad_fx + jac.T @ lam
     primal = (x - project(projection, x - alpha * grad_l)) / alpha
-    if lam.size:
-        dual = (lam - np.maximum(lam + beta * gx, 0.0)) / beta
-        stacked = np.concatenate([primal, dual])
-    else:
-        stacked = primal
+    dual = (lam - np.maximum(lam + beta * gx, 0.0)) / beta
+    stacked = np.concatenate([primal, dual])
     return stacked, float(stacked @ stacked)
 
 
@@ -121,14 +116,14 @@ def kkt_residual(problem: ConstrainedProblem, x, lam, alpha: float = 1.0) -> Kkt
     xv = as_vector(x, "x")
     lv = as_vector(lam, "lambda")
     gx = problem.g(xv)
-    grad_l = problem.grad_f(xv)
-    if lv.size:
-        grad_l = grad_l + problem.jacobian(xv).T @ lv
-    primal = (xv - project(problem.projection, xv - alpha * grad_l)) / alpha
+    # the dual half of the stacked residual is discarded, so its scaling
+    # (beta=1) does not matter
+    stacked, _ = _stationarity_from_evals(
+        xv, lv, gx, problem.grad_f(xv), problem.jacobian(xv), alpha, 1.0, problem.projection)
     return KktResidual(
-        stationarity=float(np.linalg.norm(primal)),
-        feasibility=float(np.linalg.norm(positive_part(gx))) if gx.size else 0.0,
-        slackness=float(np.abs(lv * gx).sum()) if gx.size else 0.0,
+        stationarity=float(np.linalg.norm(stacked[:xv.size])),
+        feasibility=float(np.linalg.norm(positive_part(gx))),
+        slackness=float(np.abs(lv * gx).sum()),
     )
 
 
@@ -198,7 +193,7 @@ def make_record(
     lam: np.ndarray,
     gx: np.ndarray,
     grad_fx: np.ndarray,
-    jac: Optional[np.ndarray],
+    jac: np.ndarray,
     r: int,
     alpha: float,
     beta: float,
@@ -207,10 +202,8 @@ def make_record(
 ) -> IterationRecord:
     """Build a trace row from already-evaluated callbacks (one extra f eval)."""
     f_val = problem.f(x)
-    jmat = jac if jac is not None else np.zeros((0, x.size))
     _, stat_sq = _stationarity_from_evals(
-        x, lam, gx, grad_fx, jmat, alpha, beta, problem.projection)
-    gp = positive_part(gx) if gx.size else gx
+        x, lam, gx, grad_fx, jac, alpha, beta, problem.projection)
     return IterationRecord(
         r=r,
         alpha=alpha,
@@ -219,7 +212,7 @@ def make_record(
         f_value=f_val,
         F_beta_value=_perturbed_value(f_val, gx, lam, beta, tau),
         stationarity_sq=stat_sq,
-        feasibility=float(np.linalg.norm(gp)) if gx.size else 0.0,
-        slackness=float(np.abs(lam * gx).sum()) if gx.size else 0.0,
-        lambda_norm=float(np.linalg.norm(lam)) if lam.size else 0.0,
+        feasibility=float(np.linalg.norm(positive_part(gx))),
+        slackness=float(np.abs(lam * gx).sum()),
+        lambda_norm=float(np.linalg.norm(lam)),
     )

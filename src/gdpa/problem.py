@@ -38,8 +38,6 @@ class ProblemConstants:
 
     L_f: gradient-Lipschitz constant of f.
     L_g: function-Lipschitz constant of g; L_J: Jacobian-Lipschitz constant.
-    M: bound on the gradient norm of f.
-    G_bound: bound on the squared positive constraint violation;
     U_J: bound on the Jacobian spectral norm.
     sigma: regularity constant relating violation to its Jacobian-weighted
     direction; may be ``math.inf`` when no sampled point was infeasible.
@@ -48,13 +46,11 @@ class ProblemConstants:
     L_f: Optional[float] = None
     L_g: Optional[float] = None
     L_J: Optional[float] = None
-    M: Optional[float] = None
-    G_bound: Optional[float] = None
     U_J: Optional[float] = None
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("L_f", "L_g", "L_J", "M", "G_bound", "U_J"):
+        for name in ("L_f", "L_g", "L_J", "U_J"):
             val = getattr(self, name)
             if val is not None and val < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -290,24 +286,21 @@ def effective_constants(
 
     est = ProblemConstants()
     est.L_f = _SAFETY * pair_quotient(grads, np.linalg.norm)
-    est.M = _SAFETY * max(float(np.linalg.norm(gv)) for gv in grads)
     if m:
         est.L_g = _SAFETY * pair_quotient(gs, np.linalg.norm)
         est.L_J = _SAFETY * pair_quotient(jacs, lambda A: float(np.linalg.norm(A, 2)))
         est.U_J = _SAFETY * max(float(np.linalg.norm(J, 2)) for J in jacs)
-        est.G_bound = _SAFETY * max(
-            float(np.dot(positive_part(gv), positive_part(gv))) for gv in gs)
         try:
             sig = estimate_sigma(problem, pts)
             est.sigma = sig if math.isinf(sig) else sig / _SAFETY
         except UnsupportedProjectionError:
             est.sigma = None
     else:
-        est.L_g, est.L_J, est.U_J, est.G_bound = 0.0, 0.0, 0.0, 0.0
+        est.L_g, est.L_J, est.U_J = 0.0, 0.0, 0.0
         est.sigma = math.inf
 
     merged = {}
-    for name in ("L_f", "L_g", "L_J", "M", "G_bound", "U_J", "sigma"):
+    for name in ("L_f", "L_g", "L_J", "U_J", "sigma"):
         have = getattr(supplied, name)
         merged[name] = have if have is not None else getattr(est, name)
     return replace(supplied, **merged)

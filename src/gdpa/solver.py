@@ -99,24 +99,6 @@ class ValidationReport:
 
 
 @dataclass
-class SolverState:
-    """Mutable per-solve state: current iterates and the running averages."""
-
-    r: int
-    x: np.ndarray
-    lam: np.ndarray
-    weight_sum: float = 0.0
-    x_avg_accum: np.ndarray = None
-    lambda_avg_accum: np.ndarray = None
-
-    def __post_init__(self):
-        if self.x_avg_accum is None:
-            self.x_avg_accum = np.zeros_like(self.x)
-        if self.lambda_avg_accum is None:
-            self.lambda_avg_accum = np.zeros_like(self.lam)
-
-
-@dataclass
 class SolveResult:
     x_final: np.ndarray
     lambda_final: np.ndarray
@@ -154,12 +136,8 @@ def active_set(g_x: np.ndarray, lam: np.ndarray, beta_r: float, tau: float) -> n
 
 
 def _primal_step_raw(projection, x, lam, grad_fx, jac, gx, alpha_r, beta_r, tau, r=None):
-    if lam.size:
-        shifted = np.maximum((1.0 - tau) * lam + beta_r * gx, 0.0)
-        direction = grad_fx + jac.T @ shifted
-    else:
-        direction = grad_fx
-    x_next = _project_raw(projection, x - alpha_r * direction)
+    shifted = np.maximum((1.0 - tau) * lam + beta_r * gx, 0.0)
+    x_next = _project_raw(projection, x - alpha_r * (grad_fx + jac.T @ shifted))
     if not np.all(np.isfinite(x_next)):
         raise NumericalFailure(f"primal step produced non-finite iterate at r={r}", r)
     return x_next
@@ -188,7 +166,11 @@ def dual_step(g_next, lam, mask, beta_r: float, tau: float) -> np.ndarray:
     m = np.asarray(mask, dtype=bool)
     if not (gv.size == lv.size == m.size):
         raise ValueError("g_next, lambda, and mask must have equal length")
-    return np.where(m, np.maximum((1.0 - tau) * lv + beta_r * gv, 0.0), 0.0)
+    return _dual_step_raw(gv, lv, m, beta_r, tau)
+
+
+def _dual_step_raw(g_next, lam, mask, beta_r, tau):
+    return np.where(mask, np.maximum((1.0 - tau) * lam + beta_r * g_next, 0.0), 0.0)
 
 
 def validate_tau(cfg: GdpaConfig, constants: ProblemConstants) -> ValidationReport:
@@ -228,6 +210,23 @@ def validate_alpha(cfg: GdpaConfig, constants: ProblemConstants,
     return ValidationReport(ok, required, msg)
 
 
+def _initial_multiplier(lambda0, m: int) -> np.ndarray:
+    """Validated copy of a user-supplied multiplier start; zeros when None."""
+    if lambda0 is None:
+        return np.zeros(m)
+    lam = as_vector(lambda0, "lambda0").copy()
+    if lam.size != m:
+        raise ValueError(f"lambda0 must have length {m}")
+    if np.any(lam < 0):
+        raise ValueError("lambda0 must be componentwise nonnegative")
+    return lam
+
+
+def _violation_sq(gx: np.ndarray) -> float:
+    gp = np.maximum(gx, 0.0)
+    return float(gp @ gp)
+
+
 def solve(
     problem: ConstrainedProblem,
     cfg: GdpaConfig,
@@ -250,130 +249,74 @@ def solve(
     after every dual update; intended for diagnostics and invariant checks.
     """
     tau = cfg.tau
-    m = problem.num_constraints
     x = project(problem.projection, as_vector(x0, "x0"))
-    if lambda0 is None:
-        lam = np.zeros(m)
-    else:
-        lam = as_vector(lambda0, "lambda0").copy()
-        if lam.size != m:
-            raise ValueError(f"lambda0 must have length {m}")
-        if np.any(lam < 0):
-            raise ValueError("lambda0 must be componentwise nonnegative")
-
-    state = SolverState(r=0, x=x, lam=lam)
+    lam = _initial_multiplier(lambda0, problem.num_constraints)
+    projection = problem.projection
     trace: List[IterationRecord] = []
     iterates: Optional[List[Tuple[np.ndarray, np.ndarray]]] = [] if capture_iterates else None
     T_eps: Optional[int] = None
     termination = TERM_BUDGET
     failure_message = ""
-    eps_feas = cfg.eps_feas
     eps_stat_sq = cfg.eps_stat ** 2
-    record_every = cfg.record_every
-    dense_until = cfg.dense_until
-    max_iters = cfg.max_iters
-
-    try:
-        gx = problem.g(x)
-    except NonFiniteError as exc:
-        return SolveResult(x, lam, x.copy(), lam.copy(), TERM_NUMERICAL, None,
-                           trace, iterates, f"initial evaluation: {exc}")
-
-    eval_grad = problem.grad_f
-    eval_jac = problem.jacobian
-    eval_g = problem.g
-    projection = problem.projection
-    one_minus_tau = 1.0 - tau
-    beta0 = cfg.beta0
-    a01, a02, a03 = cfg.alpha01, cfg.alpha02, cfg.alpha03
+    weight_sum = 0.0
+    x_sum = np.zeros_like(x)
+    lam_sum = np.zeros_like(lam)
 
     r = 0
-    # overflow in a diverging run must surface as a checked numerical
-    # failure, not a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(1, max_iters + 1):
-            # keep bit-identical to schedule(cfg, r)
-            cube = r ** (1.0 / 3.0)
-            beta = beta0 * cube
-            gamma = tau / beta
-            alpha = a01 / (a02 + a03 * cube)
-            try:
-                grad = eval_grad(x)
-                jac = eval_jac(x) if m else None
+    try:
+        # overflow in a diverging run must surface as a checked numerical
+        # failure, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            gx = problem.g(x)
+            for r in range(1, cfg.max_iters + 1):
+                alpha, beta, gamma = schedule(cfg, r)
+                grad = problem.grad_f(x)
+                jac = problem.jacobian(x)
 
-                state.weight_sum += 1.0 / beta
-                state.x_avg_accum += x / beta
-                state.lambda_avg_accum += lam / beta
+                weight_sum += 1.0 / beta
+                x_sum += x / beta
+                lam_sum += lam / beta
                 if capture_iterates:
                     iterates.append((x.copy(), lam.copy()))
 
                 stopping = False
-                if T_eps is not None:
-                    gp = np.maximum(gx, 0.0)
-                    if float(gp @ gp) <= eps_feas:
-                        _, stat_sq = _stationarity_from_evals(
-                            x, lam, gx, grad,
-                            jac if jac is not None else np.zeros((0, x.size)),
-                            alpha, beta, projection)
-                        stopping = stat_sq <= eps_stat_sq
-
-                if stopping or r <= dense_until or r % record_every == 0 or r == max_iters:
+                if T_eps is not None and _violation_sq(gx) <= cfg.eps_feas:
+                    _, stat_sq = _stationarity_from_evals(
+                        x, lam, gx, grad, jac, alpha, beta, projection)
+                    stopping = stat_sq <= eps_stat_sq
+                if (stopping or r <= cfg.dense_until or r % cfg.record_every == 0
+                        or r == cfg.max_iters):
                     trace.append(make_record(problem, x, lam, gx, grad, jac,
                                              r, alpha, beta, gamma, tau))
                 if stopping:
                     termination = TERM_FEASIBILITY
                     break
 
-                if m:
-                    mask = gx + one_minus_tau * lam / beta > 0.0
-                    x_next = _primal_step_raw(projection, x, lam, grad, jac, gx,
-                                              alpha, beta, tau, r)
-                    g_next = eval_g(x_next)
-                    lam_next = np.where(
-                        mask, np.maximum(one_minus_tau * lam + beta * g_next, 0.0), 0.0)
-                    if __debug__:
-                        shrunk = mask & (g_next <= 0.0)
-                        assert np.all(lam_next[shrunk]
-                                      <= one_minus_tau * lam[shrunk] + 1e-15), \
-                            f"dual contraction violated at r={r}"
-                        assert np.all(lam_next[~mask] == 0.0), \
-                            f"inactive multiplier not zeroed at r={r}"
-                    if on_iteration is not None:
-                        on_iteration(r, x_next, lam, lam_next, mask, g_next)
-                    if T_eps is None:
-                        gp = np.maximum(g_next, 0.0)
-                        if float(gp @ gp) <= eps_feas:
-                            T_eps = r
-                    x, lam, gx = x_next, lam_next, g_next
-                else:
-                    x_next = _primal_step_raw(projection, x, lam, grad, None, gx,
-                                              alpha, beta, tau, r)
-                    if on_iteration is not None:
-                        on_iteration(r, x_next, lam, lam, np.zeros(0, dtype=bool), gx)
-                    if T_eps is None:
-                        T_eps = r
-                    x = x_next
-            except (NumericalFailure, NonFiniteError) as exc:
-                termination = TERM_NUMERICAL
-                failure_message = f"iteration {r}: {exc}"
-                break
+                mask = active_set(gx, lam, beta, tau)
+                x_next = _primal_step_raw(projection, x, lam, grad, jac, gx,
+                                          alpha, beta, tau, r)
+                g_next = problem.g(x_next)
+                lam_next = _dual_step_raw(g_next, lam, mask, beta, tau)
+                if __debug__:
+                    shrunk = mask & (g_next <= 0.0)
+                    assert np.all(lam_next[shrunk]
+                                  <= (1.0 - tau) * lam[shrunk] + 1e-15), \
+                        f"dual contraction violated at r={r}"
+                    assert np.all(lam_next[~mask] == 0.0), \
+                        f"inactive multiplier not zeroed at r={r}"
+                if on_iteration is not None:
+                    on_iteration(r, x_next, lam, lam_next, mask, g_next)
+                if T_eps is None and _violation_sq(g_next) <= cfg.eps_feas:
+                    T_eps = r
+                x, lam, gx = x_next, lam_next, g_next
+    except (NumericalFailure, NonFiniteError) as exc:
+        termination = TERM_NUMERICAL
+        where = f"iteration {r}" if r else "initial evaluation"
+        failure_message = f"{where}: {exc}"
 
-    state.r = r
-    state.x, state.lam = x, lam
-    if state.weight_sum > 0:
-        x_avg = state.x_avg_accum / state.weight_sum
-        lam_avg = state.lambda_avg_accum / state.weight_sum
+    if weight_sum > 0:
+        x_avg, lam_avg = x_sum / weight_sum, lam_sum / weight_sum
     else:
         x_avg, lam_avg = x.copy(), lam.copy()
-
-    return SolveResult(
-        x_final=x,
-        lambda_final=lam,
-        x_avg=x_avg,
-        lambda_avg=lam_avg,
-        termination=termination,
-        T_eps=T_eps,
-        trace=trace,
-        iterates=iterates,
-        failure_message=failure_message,
-    )
+    return SolveResult(x, lam, x_avg, lam_avg, termination, T_eps, trace, iterates,
+                       failure_message)

@@ -104,8 +104,10 @@ def _project_simplex_block(v: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     j = np.arange(1, u.size + 1)
-    mask = u - (css - 1.0) / j > 0.0
-    k = int(np.nonzero(mask)[0][-1]) + 1
+    hits = np.flatnonzero(u - (css - 1.0) / j > 0.0)
+    if hits.size == 0:  # NaN/Inf or overflow: the caller's finiteness check fires
+        return np.full_like(v, np.nan)
+    k = int(hits[-1]) + 1
     theta = (css[k - 1] - 1.0) / k
     return np.maximum(v - theta, 0.0)
 
@@ -149,31 +151,3 @@ def positive_part(v) -> np.ndarray:
     """Componentwise max(v_i, 0)."""
     x = as_vector(v, "v")
     return np.maximum(x, 0.0)
-
-
-def axpy(a: float, x, y) -> np.ndarray:
-    """a*x + y."""
-    xv = as_vector(x, "x")
-    yv = as_vector(y, "y")
-    if xv.size != yv.size:
-        raise DimensionMismatchError("axpy operands differ in length")
-    return require_finite(float(a) * xv + yv, "axpy output")
-
-
-def dot(x, y) -> float:
-    xv = as_vector(x, "x")
-    yv = as_vector(y, "y")
-    if xv.size != yv.size:
-        raise DimensionMismatchError("dot operands differ in length")
-    out = float(np.dot(xv, yv))
-    if not np.isfinite(out):
-        raise NonFiniteError("dot product overflowed")
-    return out
-
-
-def norm2(v) -> float:
-    """Euclidean norm."""
-    out = float(np.linalg.norm(as_vector(v, "v")))
-    if not np.isfinite(out):
-        raise NonFiniteError("norm overflowed")
-    return out

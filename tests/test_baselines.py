@@ -40,6 +40,7 @@ class TestPenalty:
             x = x - 0.2 * p.grad_f(x)
         assert np.array_equal(res.x_final, x)
         assert res.termination == "feasibility-stop"
+        assert res.T_eps == 1
 
     def test_feasible_stationary_start_is_fixed_point(self):
         # strictly feasible x0 with zero objective gradient: nothing moves

@@ -264,6 +264,17 @@ class TestRateReportCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(trace) in err and "1,a,1" in err
 
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_trace_exits_2(self, tmp_path, capsys, kind):
+        trace = tmp_path / "trace.csv"
+        if kind == "directory":
+            trace.mkdir()
+        else:
+            trace.write_bytes(b"\xff\xfe\x00")
+        assert cli.main(["rate-report", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(trace) in err
+
     def test_insufficient_points_exits_4(self, tmp_path):
         trace = self.synthetic_trace(tmp_path, lambda r: 1.0 / r, n=5)
         assert cli.main(["rate-report", trace, "--window-lo", "1",

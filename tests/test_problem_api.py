@@ -119,13 +119,13 @@ class TestEffectiveConstants:
         consts = effective_constants(p, sample_budget=8, seed=0)
         assert consts.L_f == 7.0
         assert consts.sigma == 0.5
-        assert consts.M is not None  # the missing ones are estimated
+        assert consts.U_J is not None  # the missing ones are estimated
 
     def test_no_constraints_zeroes_constraint_constants(self):
         p = scalar_problem(lambda x: x * x, lambda x: 2 * x)
         consts = effective_constants(p, sample_budget=8, seed=0)
         assert consts.U_J == 0.0
-        assert consts.G_bound == 0.0
+        assert consts.L_J == 0.0
         assert math.isinf(consts.sigma)
 
     def test_deterministic_given_seed(self):

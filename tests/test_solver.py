@@ -6,6 +6,7 @@ import pytest
 from gdpa import (
     ConstrainedProblem,
     GdpaConfig,
+    PenaltyConfig,
     ProblemConstants,
     ProjectionSpec,
     active_set,
@@ -13,6 +14,7 @@ from gdpa import (
     primal_step,
     schedule,
     solve,
+    solve_penalty,
     validate_alpha,
     validate_tau,
     weighted_average,
@@ -248,6 +250,23 @@ class TestSolve:
         assert len(res.trace) >= 1
         assert np.all(np.isfinite(res.x_final))
 
+    def test_simplex_overflow_is_a_numerical_failure(self):
+        # x - alpha*grad overflows to +-Inf, which the simplex projection
+        # cannot threshold; the run must end as a numerical failure for
+        # GDPA and for the baselines, which share its primal step.
+        p = ConstrainedProblem(dim=2, num_constraints=0,
+                               eval_f=lambda x: 0.0,
+                               eval_grad_f=lambda x: np.array([1e308, -1e308]),
+                               projection=ProjectionSpec.simplex_blocks(2))
+        x0 = np.array([0.5, 0.5])
+        # no trace row before the step: the record's own projection would
+        # catch the overflow first
+        results = [solve(p, GdpaConfig(alpha01=10.0, dense_until=0), x0),
+                   solve_penalty(p, PenaltyConfig(inner_step=10.0, dense_until=0), x0)]
+        for res in results:
+            assert res.termination == "numerical-failure"
+            assert "non-finite" in res.failure_message
+
     def test_reduction_to_projected_gradient_descent(self):
         # With no constraints, iterates must be bit-identical to plain PGD.
         rng = np.random.default_rng(5)
@@ -268,6 +287,31 @@ class TestSolve:
             else:
                 # stopped at an exactly stationary iterate; final == last captured
                 assert np.array_equal(res.x_final, res.iterates[-1][0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, "unconstrained"])
+    def test_solve_matches_public_step_functions(self, seed):
+        # solve() and the public step functions share one step kernel, so a
+        # loop over the public functions must reproduce solve() bit for bit.
+        if seed == "unconstrained":
+            p = make_unconstrained([0.6, -1.2, 0.3])
+        else:
+            p = random_quadratic_problem(seed)
+        x0 = np.random.default_rng(200 + p.dim).uniform(-2, 2, p.dim)
+        cfg = GdpaConfig(tau=0.25, beta0=0.5, alpha01=0.5, max_iters=200,
+                         eps_feas=1e-30, eps_stat=1e-30)
+        res = solve(p, cfg, x0, capture_iterates=True)
+        assert res.termination == "budget-exhausted"
+        x = project(p.projection, x0)
+        lam = np.zeros(p.num_constraints)
+        gx = p.g(x)
+        for r, (x_r, lam_r) in enumerate(res.iterates, start=1):
+            assert np.array_equal(x_r, x) and np.array_equal(lam_r, lam), r
+            alpha, beta, _ = schedule(cfg, r)
+            mask = active_set(gx, lam, beta, cfg.tau)
+            x = primal_step(p, x, lam, alpha, beta, cfg.tau)
+            gx = p.g(x)
+            lam = dual_step(gx, lam, mask, beta, cfg.tau)
+        assert np.array_equal(res.x_final, x) and np.array_equal(res.lambda_final, lam)
 
     def test_dual_properties_on_random_problems(self):
         stats = {"contraction": 0, "zeroing": 0, "negative": 0}

@@ -8,9 +8,6 @@ from gdpa.vec import (
     DimensionMismatchError,
     NonFiniteError,
     ProjectionSpec,
-    axpy,
-    dot,
-    norm2,
     positive_part,
     project,
 )
@@ -110,20 +107,3 @@ class TestKernels:
         out = positive_part(v)
         assert np.all(out >= 0)
         np.testing.assert_array_equal(positive_part(out), out)
-
-    def test_dot_norm_axpy_examples(self):
-        assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-        assert norm2([3.0, 4.0]) == 5.0
-        np.testing.assert_array_equal(axpy(2.0, [1.0, 0.0], [0.0, 1.0]), [2.0, 1.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            dot([1.0], [1.0, 2.0])
-        with pytest.raises(DimensionMismatchError):
-            axpy(1.0, [1.0], [1.0, 2.0])
-
-    def test_nan_input_fails_fast(self):
-        with pytest.raises(NonFiniteError):
-            norm2([np.inf])
-        with pytest.raises(NonFiniteError):
-            dot([np.nan], [1.0])
