@@ -10,12 +10,13 @@ solver, with ``r`` counting cumulative inner steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .metrics import IterationRecord, make_record
+from .metrics import IterationRecord, _violation_sq, make_record
 from .problem import ConstrainedProblem
 from .solver import (
     TERM_BUDGET,
@@ -23,6 +24,7 @@ from .solver import (
     TERM_NUMERICAL,
     NumericalFailure,
     SolveResult,
+    _check_integers,
     _initial_multiplier,
     _primal_step_raw,
 )
@@ -45,6 +47,7 @@ class PenaltyConfig:
             raise ValueError("rho0, inner_step, and feas_tol must be positive")
         if not self.rho_growth > 1:
             raise ValueError("rho_growth must exceed 1")
+        _check_integers(self, ("inner_iters", "outer_iters", "record_every", "dense_until"))
         if self.inner_iters < 1 or self.outer_iters < 1 or self.record_every < 1:
             raise ValueError("iteration counts must be positive")
 
@@ -108,15 +111,14 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
                         # augmented Lagrangian this method actually minimizes.
                         trace.append(make_record(problem, x, lam, gx, grad, jac,
                                                  step, cfg.inner_step, rho, 0.0, 0.0))
-                    if T_eps is None and \
-                            float(np.linalg.norm(np.maximum(gx, 0.0))) <= cfg.feas_tol:
+                    if T_eps is None and math.sqrt(_violation_sq(gx)) <= cfg.feas_tol:
                         T_eps = step
                     x = _primal_step_raw(problem.projection, x, lam, grad, jac, gx,
-                                         cfg.inner_step, rho, 0.0, step)
+                                         cfg.inner_step, rho, step)
                 gx = problem.g(x)
                 if not frozen:
                     lam = np.maximum(lam + rho * gx, 0.0)
-                viol = float(np.linalg.norm(np.maximum(gx, 0.0)))
+                viol = math.sqrt(_violation_sq(gx))
                 if viol <= cfg.feas_tol:
                     termination = TERM_FEASIBILITY
                     if T_eps is None:

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .baselines import AlmConfig, PenaltyConfig, solve_alm, solve_penalty
-from .metrics import InsufficientDataError, IterationRecord, fit_rate, kkt_residual
+from .metrics import InsufficientDataError, IterationRecord, KktResidual, fit_rate, kkt_residual
 from .problem import (
     ConstrainedProblem,
     UnsupportedProjectionError,
@@ -42,6 +42,7 @@ from .problems import (
     load_csv_dataset,
     random_cmdp,
 )
+from .vec import NonFiniteError
 
 log = logging.getLogger("gdpa")
 
@@ -73,8 +74,11 @@ def _setup_logging() -> None:
 # Run configuration
 
 
-_RUNCONFIG_KEYS = {"problem", "solver", "solvers", "out_dir", "record_every",
-                   "seed", "budget_grad_evals", "grid_points"}
+# JSON type of each config key; every key but "problem" and "seed" may be null
+_RUNCONFIG_TYPES = {"problem": dict, "solver": dict, "solvers": list, "out_dir": str,
+                    "record_every": int, "seed": int, "budget_grad_evals": int,
+                    "grid_points": int}
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer"}
 
 
 @dataclass
@@ -92,11 +96,19 @@ class RunConfig:
     def from_dict(raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        unknown = set(raw) - _RUNCONFIG_KEYS
+        unknown = set(raw) - _RUNCONFIG_TYPES.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "problem" not in raw:
             raise ConfigError("config requires a 'problem' section")
+        for key, val in raw.items():
+            want = _RUNCONFIG_TYPES[key]
+            if val is None and key not in ("problem", "seed"):
+                continue
+            if not isinstance(val, want) or isinstance(val, bool):
+                raise ConfigError(f"'{key}' must be a JSON {_JSON_NAMES[want]}, got {val!r}")
+        if not all(isinstance(spec, dict) for spec in raw.get("solvers") or []):
+            raise ConfigError("every entry of 'solvers' must be a JSON object")
         return RunConfig(**raw)
 
     def to_dict(self) -> dict:
@@ -124,14 +136,23 @@ def load_config(path) -> RunConfig:
 # Problem construction
 
 
+def _integer(spec: dict, key: str, *default) -> int:
+    """Integer field of a problem section (KeyError when required and missing);
+    a JSON float such as 2.5 or 1e300 is rejected, not truncated."""
+    val = spec.get(key, *default) if default else spec[key]
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"bad problem section: '{key}' must be a JSON integer, got {val!r}")
+    return val
+
+
 def _build_dataset(spec: dict, default_seed: int):
     source = spec.get("source", "synthetic")
     if source == "synthetic":
         return generate_synthetic_mnpc(
-            seed=int(spec.get("dataset_seed", default_seed)),
-            num_classes=int(spec["num_classes"]),
-            d_in=int(spec["d_in"]),
-            per_class=int(spec.get("per_class", 20)),
+            seed=_integer(spec, "dataset_seed", default_seed),
+            num_classes=_integer(spec, "num_classes"),
+            d_in=_integer(spec, "d_in"),
+            per_class=_integer(spec, "per_class", 20),
             noise_std=float(spec.get("noise_std", 0.5)),
         )
     if source == "csv":
@@ -154,14 +175,14 @@ def build_problem(spec: dict, seed: int) -> Tuple[ConstrainedProblem, np.ndarray
             default_x0 = None
         elif kind == "nn":
             data = _build_dataset(spec, seed)
-            problem = build_nn_budget(data, int(spec["hidden"]), spec["budgets"])
+            problem = build_nn_budget(data, _integer(spec, "hidden"), spec["budgets"])
             default_x0 = None
         elif kind == "cmdp":
             model = random_cmdp(
-                seed=int(spec.get("dataset_seed", seed)),
-                num_states=int(spec["num_states"]),
-                num_actions=int(spec["num_actions"]),
-                num_constraints=int(spec.get("num_constraints", 1)),
+                seed=_integer(spec, "dataset_seed", seed),
+                num_states=_integer(spec, "num_states"),
+                num_actions=_integer(spec, "num_actions"),
+                num_constraints=_integer(spec, "num_constraints", 1),
                 discount=float(spec.get("discount", 0.9)),
                 thresholds=spec.get("thresholds"),
             )
@@ -169,25 +190,28 @@ def build_problem(spec: dict, seed: int) -> Tuple[ConstrainedProblem, np.ndarray
             default_x0 = np.zeros(problem.dim)
         else:
             raise ConfigError(f"unknown problem kind {kind!r}")
+        if "x0" in spec:
+            x0 = np.asarray(spec["x0"], dtype=np.float64)
+            if x0.shape != (problem.dim,):
+                raise ConfigError(f"x0 must have length {problem.dim}")
+        elif default_x0 is not None:
+            x0 = default_x0
+        else:
+            scale = float(spec.get("x0_scale", 1e-3))
+            x0 = scale * np.random.default_rng(seed).standard_normal(problem.dim)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, NonFiniteError) as exc:
         raise ConfigError(f"bad problem section: {exc}") from exc
-
-    if "x0" in spec:
-        x0 = np.asarray(spec["x0"], dtype=np.float64)
-        if x0.shape != (problem.dim,):
-            raise ConfigError(f"x0 must have length {problem.dim}")
-    elif default_x0 is not None:
-        x0 = default_x0
-    else:
-        scale = float(spec.get("x0_scale", 1e-3))
-        x0 = scale * np.random.default_rng(seed).standard_normal(problem.dim)
+    if not np.isfinite(x0).all():
+        raise ConfigError("bad problem section: the start point is not finite")
     return problem, x0
 
 
 def build_solver_config(spec: dict, record_every: Optional[int]):
     """Parse a solver section into (kind, config object)."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"a solver section must be a JSON object, got {spec!r}")
     spec = dict(spec)
     spec.pop("name", None)
     kind = spec.pop("kind", "gdpa")
@@ -274,10 +298,17 @@ def _null_non_finite(value, key: str, flagged: List[str]):
 
 
 def _summary(problem, result, kind, wall_seconds, alpha_last) -> dict:
-    # after a numerical failure the residuals may overflow: report, don't warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        kkt_final = kkt_residual(problem, result.x_final, result.lambda_final, alpha_last)
-        kkt_avg = kkt_residual(problem, result.x_avg, result.lambda_avg, alpha_last)
+    # after a numerical failure the residuals may overflow (report, don't warn)
+    # or a callback may fail at the reported point (NaN, written as null)
+    def residuals(x, lam):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return kkt_residual(problem, x, lam, alpha_last)
+        except NonFiniteError:
+            return KktResidual(math.nan, math.nan, math.nan)
+
+    kkt_final = residuals(result.x_final, result.lambda_final)
+    kkt_avg = residuals(result.x_avg, result.lambda_avg)
     summary = {
         "solver": kind,
         "termination": result.termination,
@@ -409,10 +440,12 @@ def cmd_benchmark(args) -> int:
         raise ConfigError("benchmark requires at least two entries in 'solvers'")
     if not cfg.budget_grad_evals or cfg.budget_grad_evals <= 0:
         raise ConfigError("benchmark requires a positive 'budget_grad_evals'")
+    if cfg.grid_points is not None and cfg.grid_points < 1:
+        raise ConfigError("'grid_points' must be positive")
     out_dir = Path(args.out or cfg.out_dir or "gdpa-benchmark")
     out_dir.mkdir(parents=True, exist_ok=True)
-    budget = int(cfg.budget_grad_evals)
-    grid_n = int(cfg.grid_points or 50)
+    budget = cfg.budget_grad_evals
+    grid_n = cfg.grid_points or 50
 
     runs = []
     for idx, solver_spec in enumerate(cfg.solvers):
@@ -469,6 +502,8 @@ def cmd_rate_report(args) -> int:
         "feasibility_sq": args.max_slope_feasibility_sq,
         "slackness": args.max_slope_slackness,
     }
+    if not all(map(math.isfinite, (*window, *ceilings.values()))):
+        raise ConfigError("the window bounds and slope ceilings must be finite")
     report = {}
     try:
         fit_stat = fit_rate(records, "stationarity_sq", window)
@@ -499,7 +534,7 @@ def cmd_rate_report(args) -> int:
     out_dir = Path(args.out) if args.out else Path(args.trace).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "rate.json", "w") as fh:
-        json.dump({"window": list(window), "columns": report}, fh, indent=2)
+        json.dump({"window": list(window), "columns": report}, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return 0
 

@@ -10,7 +10,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .problem import ConstrainedProblem
-from .vec import ProjectionSpec, as_vector, positive_part, project
+from .vec import ProjectionSpec, _project_raw, as_vector, positive_part, require_finite
 
 
 class InsufficientDataError(ValueError):
@@ -68,8 +68,8 @@ def perturbed_lagrangian(problem: ConstrainedProblem, x, lam, beta: float, tau: 
 
 def _perturbed_value(f_val: float, gx: np.ndarray, lam: np.ndarray,
                      beta: float, tau: float) -> float:
-    shifted = np.maximum(gx + (1.0 - tau) * lam / beta, 0.0)
     damped = (1.0 - tau) * lam
+    shifted = np.maximum(gx + damped / beta, 0.0)
     return f_val + 0.5 * beta * float(shifted @ shifted) \
         - float(damped @ damped) / (2.0 * beta)
 
@@ -86,11 +86,17 @@ def _stationarity_from_evals(
 ) -> Tuple[np.ndarray, float]:
     # Stacked proximal-gradient residual of the plain (unperturbed)
     # Lagrangian: grad_x L = grad f + J^T lam, grad_lam L = g.
-    grad_l = grad_fx + jac.T @ lam
-    primal = (x - project(projection, x - alpha * grad_l)) / alpha
+    # project()'s two checks; the input one catches an Inf step a box clips to finite
+    step = require_finite(x - alpha * (grad_fx + jac.T @ lam), "v")
+    primal = (x - require_finite(_project_raw(projection, step), "projection output")) / alpha
     dual = (lam - np.maximum(lam + beta * gx, 0.0)) / beta
     stacked = np.concatenate([primal, dual])
     return stacked, float(stacked @ stacked)
+
+
+def _violation_sq(gx: np.ndarray) -> float:
+    gp = np.maximum(gx, 0.0)
+    return float(gp @ gp)  # math.sqrt of this equals np.linalg.norm(gp) bit for bit
 
 
 def stationarity_measure(problem: ConstrainedProblem, x, lam,
@@ -156,8 +162,8 @@ def fit_rate(
 
     Raw per-iteration metrics oscillate; the monotone envelope tracks the
     best-so-far behavior the convergence guarantees bound. Only records with
-    ``window[0] <= r <= window[1]`` and a positive envelope value are used,
-    and at least 10 such points are required.
+    ``window[0] <= r <= window[1]``, a positive ``r`` and a positive, finite
+    envelope value are used, and at least 10 such points are required.
     """
     if column not in _FIT_COLUMNS:
         raise ValueError(f"column must be one of {_FIT_COLUMNS}, got {column!r}")
@@ -172,10 +178,10 @@ def fit_rate(
             f"only {len(rs)} records in window [{lo}, {hi}]; need at least 10")
     env = np.minimum.accumulate(np.asarray(vals, dtype=float))
     rs = np.asarray(rs, dtype=float)
-    keep = env > 0.0
+    keep = (env > 0.0) & np.isfinite(env) & (rs > 0.0)
     if int(keep.sum()) < 10:
         raise InsufficientDataError(
-            f"only {int(keep.sum())} positive envelope points in window; need at least 10")
+            f"only {int(keep.sum())} positive finite envelope points in window; need at least 10")
     lx = np.log(rs[keep])
     ly = np.log(env[keep])
     design = np.column_stack([lx, np.ones_like(lx)])
@@ -205,14 +211,11 @@ def make_record(
     _, stat_sq = _stationarity_from_evals(
         x, lam, gx, grad_fx, jac, alpha, beta, problem.projection)
     return IterationRecord(
-        r=r,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
+        r=r, alpha=alpha, beta=beta, gamma=gamma,
         f_value=f_val,
         F_beta_value=_perturbed_value(f_val, gx, lam, beta, tau),
         stationarity_sq=stat_sq,
-        feasibility=float(np.linalg.norm(positive_part(gx))),
+        feasibility=math.sqrt(_violation_sq(gx)),
         slackness=float(np.abs(lam * gx).sum()),
-        lambda_norm=float(np.linalg.norm(lam)),
+        lambda_norm=math.sqrt(float(lam @ lam)),
     )

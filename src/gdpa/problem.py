@@ -99,7 +99,7 @@ class ConstrainedProblem:
         if out.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"grad f must have shape ({self.dim},), got {out.shape}")
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NonFiniteError(f"grad f(x) is not finite at x={x!r}")
         return out
 
@@ -110,7 +110,7 @@ class ConstrainedProblem:
         if out.shape != (self.num_constraints,):
             raise DimensionMismatchError(
                 f"g must have shape ({self.num_constraints},), got {out.shape}")
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NonFiniteError(f"g(x) is not finite at x={x!r}")
         return out
 
@@ -121,7 +121,7 @@ class ConstrainedProblem:
         if out.shape != (self.num_constraints, self.dim):
             raise DimensionMismatchError(
                 f"jacobian must have shape ({self.num_constraints}, {self.dim}), got {out.shape}")
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NonFiniteError(f"jacobian(x) is not finite at x={x!r}")
         return out
 

@@ -13,12 +13,13 @@ reused by the following iteration).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .metrics import IterationRecord, _stationarity_from_evals, make_record
+from .metrics import IterationRecord, _stationarity_from_evals, _violation_sq, make_record
 from .problem import ConstrainedProblem, ProblemConstants
 from .vec import NonFiniteError, _project_raw, as_vector, project
 
@@ -69,10 +70,14 @@ class GdpaConfig:
         for name in ("beta0", "alpha01", "alpha02", "alpha03", "eps_feas", "eps_stat"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_iters < 1 or self.record_every < 1:
-            raise ValueError("max_iters and record_every must be positive integers")
+        _check_integers(self, ("max_iters", "record_every", "dense_until", "seed"))
+        if not 1 <= self.max_iters <= 2 ** 62 or self.record_every < 1:
+            raise ValueError("max_iters must lie in [1, 2**62] and record_every be positive")
         if self.dense_until < 0:
             raise ValueError("dense_until must be nonnegative")
+        # alpha_r decreases in r; the residuals need it positive to the end
+        if not schedule(self, self.max_iters)[0] > 0:
+            raise ValueError("alpha_r underflows to 0 before r reaches max_iters")
 
     def validate(self, constants: Optional[ProblemConstants] = None) -> List[str]:
         """Non-fatal sanity warnings (empty list when everything looks fine)."""
@@ -89,6 +94,13 @@ class GdpaConfig:
             if not rep.ok:
                 notes.append(rep.message)
         return notes
+
+
+def _check_integers(cfg, names) -> None:
+    for name in names:
+        val = getattr(cfg, name)
+        if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {val!r}")
 
 
 @dataclass
@@ -132,13 +144,18 @@ def active_set(g_x: np.ndarray, lam: np.ndarray, beta_r: float, tau: float) -> n
     The inequality is strict, so a constraint sitting exactly on the boundary
     with a zero multiplier stays inactive.
     """
-    return g_x + (1.0 - tau) * lam / beta_r > 0.0
+    return _active_raw(g_x, (1.0 - tau) * lam, beta_r)
 
 
-def _primal_step_raw(projection, x, lam, grad_fx, jac, gx, alpha_r, beta_r, tau, r=None):
-    shifted = np.maximum((1.0 - tau) * lam + beta_r * gx, 0.0)
+# Raw kernels take damped = (1-tau)*lam, computed once per step (lam itself when tau=0).
+def _active_raw(g_x, damped, beta_r):
+    return g_x + damped / beta_r > 0.0
+
+
+def _primal_step_raw(projection, x, damped, grad_fx, jac, gx, alpha_r, beta_r, r=None):
+    shifted = np.maximum(damped + beta_r * gx, 0.0)
     x_next = _project_raw(projection, x - alpha_r * (grad_fx + jac.T @ shifted))
-    if not np.all(np.isfinite(x_next)):
+    if not np.isfinite(x_next).all():
         raise NumericalFailure(f"primal step produced non-finite iterate at r={r}", r)
     return x_next
 
@@ -150,9 +167,8 @@ def primal_step(problem: ConstrainedProblem, x, lam,
         raise ValueError("alpha_r and beta_r must be positive")
     xv = as_vector(x, "x")
     lv = as_vector(lam, "lambda")
-    return _primal_step_raw(problem.projection, xv, lv, problem.grad_f(xv),
-                            problem.jacobian(xv), problem.g(xv),
-                            alpha_r, beta_r, tau)
+    return _primal_step_raw(problem.projection, xv, (1.0 - tau) * lv, problem.grad_f(xv),
+                            problem.jacobian(xv), problem.g(xv), alpha_r, beta_r)
 
 
 def dual_step(g_next, lam, mask, beta_r: float, tau: float) -> np.ndarray:
@@ -166,11 +182,11 @@ def dual_step(g_next, lam, mask, beta_r: float, tau: float) -> np.ndarray:
     m = np.asarray(mask, dtype=bool)
     if not (gv.size == lv.size == m.size):
         raise ValueError("g_next, lambda, and mask must have equal length")
-    return _dual_step_raw(gv, lv, m, beta_r, tau)
+    return _dual_step_raw(gv, (1.0 - tau) * lv, m, beta_r)
 
 
-def _dual_step_raw(g_next, lam, mask, beta_r, tau):
-    return np.where(mask, np.maximum((1.0 - tau) * lam + beta_r * g_next, 0.0), 0.0)
+def _dual_step_raw(g_next, damped, mask, beta_r):
+    return np.where(mask, np.maximum(damped + beta_r * g_next, 0.0), 0.0)
 
 
 def validate_tau(cfg: GdpaConfig, constants: ProblemConstants) -> ValidationReport:
@@ -222,11 +238,6 @@ def _initial_multiplier(lambda0, m: int) -> np.ndarray:
     return lam
 
 
-def _violation_sq(gx: np.ndarray) -> float:
-    gp = np.maximum(gx, 0.0)
-    return float(gp @ gp)
-
-
 def solve(
     problem: ConstrainedProblem,
     cfg: GdpaConfig,
@@ -257,7 +268,7 @@ def solve(
     T_eps: Optional[int] = None
     termination = TERM_BUDGET
     failure_message = ""
-    eps_stat_sq = cfg.eps_stat ** 2
+    eps_stat_sq = cfg.eps_stat ** 2 if cfg.eps_stat < 1e154 else math.inf  # ** can overflow
     weight_sum = 0.0
     x_sum = np.zeros_like(x)
     lam_sum = np.zeros_like(lam)
@@ -292,18 +303,16 @@ def solve(
                     termination = TERM_FEASIBILITY
                     break
 
-                mask = active_set(gx, lam, beta, tau)
-                x_next = _primal_step_raw(projection, x, lam, grad, jac, gx,
-                                          alpha, beta, tau, r)
+                damped = (1.0 - tau) * lam
+                mask = _active_raw(gx, damped, beta)
+                x_next = _primal_step_raw(projection, x, damped, grad, jac, gx, alpha, beta, r)
                 g_next = problem.g(x_next)
-                lam_next = _dual_step_raw(g_next, lam, mask, beta, tau)
-                if __debug__:
-                    shrunk = mask & (g_next <= 0.0)
-                    assert np.all(lam_next[shrunk]
-                                  <= (1.0 - tau) * lam[shrunk] + 1e-15), \
-                        f"dual contraction violated at r={r}"
-                    assert np.all(lam_next[~mask] == 0.0), \
-                        f"inactive multiplier not zeroed at r={r}"
+                lam_next = _dual_step_raw(g_next, damped, mask, beta)
+                if __debug__:  # active and still feasible: contracted; inactive: zeroed
+                    ok = np.where(mask, (g_next > 0.0) | (lam_next <= damped + 1e-15),
+                                  lam_next == 0.0)
+                    assert ok.all(), ("inactive multiplier not zeroed" if ok[mask].all()
+                                      else "dual contraction violated") + f" at r={r}"
                 if on_iteration is not None:
                     on_iteration(r, x_next, lam, lam_next, mask, g_next)
                 if T_eps is None and _violation_sq(g_next) <= cfg.eps_feas:

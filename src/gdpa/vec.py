@@ -22,7 +22,7 @@ class NonFiniteError(ArithmeticError):
 
 
 def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{what} contains NaN or Inf")
     return arr
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -66,6 +67,51 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, {"problem": {"kind": "analytic", "id": "scaled-1d"},
                                       "sover": {}})
         assert cli.main(["solve", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command, override, says", [
+        ("solve", {"problem": {"kind": "analytic", "id": "scaled-1d", "x0": ["a"]}},
+         "could not convert string to float"),
+        ("solve", {"problem": {"kind": "analytic", "id": "scaled-1d", "x0": [math.nan]}},
+         "start point is not finite"),
+        ("solve", {"problem": {"kind": "mnpc", "num_classes": 1e300, "d_in": 2,
+                               "thresholds": [1.0]}}, "'num_classes' must be a JSON integer"),
+        ("solve", {"solver": [1]}, "'solver' must be a JSON object"),
+        ("solve", {"solver": {"max_iters": 2.5}}, "max_iters must be an integer"),
+        ("solve", {"solver": {"max_iters": math.inf}}, "max_iters must be an integer"),
+        ("solve", {"solver": {"alpha": [1.0, 1e308, 1e308]}}, "alpha_r underflows"),
+        ("benchmark", {"solvers": [1, 2]}, "every entry of 'solvers'"),
+        ("benchmark", {"budget_grad_evals": "a"}, "'budget_grad_evals' must be"),
+        ("benchmark", {"grid_points": "a"}, "'grid_points' must be"),
+    ])
+    def test_malformed_section_exits_2(self, tmp_path, capsys, command, override, says):
+        # each of these ended in a traceback (exit 1) before the section checks
+        config = {"problem": {"kind": "analytic", "id": "scaled-1d"},
+                  "solver": {"kind": "gdpa", "max_iters": 10}}
+        if command == "benchmark":
+            config = {"problem": config["problem"], "budget_grad_evals": 20,
+                      "solvers": [{"kind": "gdpa"}, {"kind": "alm"}]}
+        config.update(override)
+        cfg = write_config(tmp_path, config)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and says in err
+
+    def test_start_point_where_a_callback_overflows_gives_null_residuals(self, tmp_path):
+        # grad f overflows at x0, so the summary's residuals at x_final = x0
+        # cannot be evaluated: they are written as null, not raised
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "analytic", "id": "scaled-1d", "x0": [1e308]},
+            "solver": {"kind": "gdpa", "max_iters": 10}})
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 3
+
+        def reject(token):
+            raise ValueError(f"summary.json is not strict JSON: {token}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["kkt_final"] == {"stationarity": None, "feasibility": None,
+                                        "slackness": None}
+        assert "kkt_final.stationarity" in summary["non_finite"]
 
     def test_unconstrained_problem_has_zero_lambda_column(self, tmp_path):
         out = tmp_path / "run"
@@ -274,6 +320,23 @@ class TestRateReportCommand:
         assert cli.main(["rate-report", str(trace)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(trace) in err
+
+    def test_diverged_first_row_gives_strict_json(self, tmp_path):
+        # an Inf first row in the window used to give "slope": NaN
+        trace = self.synthetic_trace(tmp_path, lambda r: math.inf if r == 10 else r ** -0.5)
+        assert cli.main(["rate-report", trace, "--window-lo", "10",
+                         "--window-hi", "2000"]) == 0
+
+        def reject(token):
+            raise ValueError(f"rate.json is not strict JSON: {token}")
+
+        rate = json.loads((tmp_path / "rate.json").read_text(), parse_constant=reject)
+        assert rate["columns"]["stationarity_sq"]["slope"] == pytest.approx(-0.5, abs=1e-9)
+
+    def test_non_finite_window_exits_2(self, tmp_path, capsys):
+        trace = self.synthetic_trace(tmp_path, lambda r: r ** -0.5)
+        assert cli.main(["rate-report", trace, "--window-lo=-inf", "--window-hi=inf"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_insufficient_points_exits_4(self, tmp_path):
         trace = self.synthetic_trace(tmp_path, lambda r: 1.0 / r, n=5)

@@ -5,12 +5,15 @@ import pytest
 
 from gdpa import (
     ConstrainedProblem,
+    GdpaConfig,
     InsufficientDataError,
     IterationRecord,
     ProjectionSpec,
     fit_rate,
     kkt_residual,
     perturbed_lagrangian,
+    schedule,
+    solve,
     stationarity_measure,
     weighted_average,
 )
@@ -178,3 +181,48 @@ class TestFitRate:
         recs = synthetic_records((r, 1.0) for r in range(1, 20))
         with pytest.raises(ValueError):
             fit_rate(recs, "f_value", (1, 20))
+
+    def test_non_finite_envelope_points_are_dropped(self):
+        # A diverged first row (Inf) stays in the running minimum until the
+        # next finite value; it must not turn the slope into NaN.
+        vals = [(r, math.inf if r == 1 else r ** (-0.5)) for r in range(1, 101)]
+        fit = fit_rate(synthetic_records(vals), "stationarity_sq", (1, 100))
+        assert fit.n_points == 99
+        assert fit.slope == pytest.approx(-0.5, abs=1e-12)
+        # NaN poisons the running minimum from there on: too few points left
+        vals = [(r, math.nan if r == 5 else 1.0 / r) for r in range(1, 101)]
+        with pytest.raises(InsufficientDataError):
+            fit_rate(synthetic_records(vals), "feasibility", (1, 100))
+
+
+class TestMakeRecord:
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, "unconstrained", "scaled-1d"])
+    def test_rows_equal_public_functions(self, case):
+        # The trace row takes its values from the solver's evaluations; they
+        # must equal, bit for bit, what the public functions compute at the
+        # same (x, lam) and step sizes.
+        cfg = GdpaConfig(tau=0.25, beta0=0.5, alpha01=0.5, max_iters=150,
+                         eps_feas=1e-30, eps_stat=1e-30, record_every=1, dense_until=0)
+        if case == "unconstrained":
+            p = make_unconstrained([0.6, -1.2, 0.3])
+        elif case == "scaled-1d":
+            p = build_analytic("scaled-1d").problem
+            cfg = GdpaConfig(tau=0.1, beta0=0.1, alpha01=1.0, max_iters=150,
+                             eps_feas=1e-30, eps_stat=1e-30, record_every=1, dense_until=0)
+        else:
+            p = random_quadratic_problem(case)
+        x0 = np.random.default_rng(300 + p.dim).uniform(-2, 2, p.dim)
+        res = solve(p, cfg, x0, capture_iterates=True)
+        assert len(res.trace) == cfg.max_iters
+        for rec in res.trace:
+            x, lam = res.iterates[rec.r - 1]
+            alpha, beta, gamma = schedule(cfg, rec.r)
+            assert (rec.alpha, rec.beta, rec.gamma) == (alpha, beta, gamma)
+            assert rec.f_value == p.f(x)
+            assert rec.F_beta_value == perturbed_lagrangian(p, x, lam, beta, cfg.tau)
+            assert rec.stationarity_sq == stationarity_measure(p, x, lam, alpha, beta)[1]
+            kkt = kkt_residual(p, x, lam)
+            assert rec.feasibility == kkt.feasibility \
+                == np.linalg.norm(np.maximum(p.g(x), 0.0))
+            assert rec.slackness == kkt.slackness
+            assert rec.lambda_norm == np.linalg.norm(lam)

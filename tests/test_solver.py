@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -266,6 +267,90 @@ class TestSolve:
         for res in results:
             assert res.termination == "numerical-failure"
             assert "non-finite" in res.failure_message
+
+    @pytest.mark.parametrize("attr, iteration, message, rows, x_final", [
+        ("eval_grad_f", 10, "iteration 10: grad f(x) is not finite at x=array([0.90649124])",
+         0, 0.906491235885455),
+        ("eval_grad_f", 13, "iteration 13: grad f(x) is not finite at x=array([0.91708178])",
+         1, 0.9170817837160208),
+        ("eval_jacobian", 10, "iteration 10: jacobian(x) is not finite at x=array([0.90649124])",
+         0, 0.906491235885455),
+        ("eval_jacobian", 13, "iteration 13: jacobian(x) is not finite at x=array([0.91708178])",
+         1, 0.9170817837160208),
+        ("eval_g", 10, "iteration 10: g(x) is not finite at x=array([0.9096808])",
+         1, 0.906491235885455),
+        ("eval_g", 13, "iteration 13: g(x) is not finite at x=array([0.91987914])",
+         1, 0.9170817837160208),
+    ])
+    def test_non_finite_oracle_output_is_pinned(self, attr, iteration, message, rows, x_final):
+        # NaN from one callback at a recorded (10) or unrecorded (13)
+        # iteration; g is called once before the loop, then once per step.
+        base = build_analytic("scaled-1d").problem
+        fn, calls = getattr(base, attr), []
+
+        def poisoned(x):
+            calls.append(1)
+            bad = len(calls) == iteration + (attr == "eval_g")
+            return np.asarray(fn(x), dtype=float) * (np.nan if bad else 1.0)
+
+        p = dataclasses.replace(base, **{attr: poisoned})
+        cfg = GdpaConfig(max_iters=50, record_every=10, dense_until=0)
+        res = solve(p, cfg, np.zeros(1))
+        assert res.termination == "numerical-failure"
+        assert res.failure_message == message
+        assert len(res.trace) == rows
+        assert res.x_final.tolist() == [x_final]
+
+    @pytest.mark.parametrize("where, offset, scale, cfg, message, lam_final", [
+        # x - alpha*grad overflows to -Inf, which the box clips back to
+        # finite values; the residual's input check must still fire, in the
+        # stopping check (feasible start) or in the trace row (infeasible)
+        ("stopping check", -1.0, 1.0, dict(alpha01=100.0),
+         "iteration 2: v contains NaN or Inf", 0.0),
+        ("trace row", 2.0, 1.0, dict(alpha01=100.0),
+         "iteration 3: v contains NaN or Inf", 6.4797631496846195),
+        # beta*g overflows and 0*Inf in J^T [.]_+ gives NaN, which no box clips
+        ("primal step", 2.0, 1e300, dict(beta0=1e10),
+         "iteration 1: primal step produced non-finite iterate at r=1", 0.0),
+    ])
+    def test_box_overflow_is_pinned(self, where, offset, scale, cfg, message, lam_final):
+        p = ConstrainedProblem(dim=2, num_constraints=1,
+                               eval_f=lambda x: float(x @ x),
+                               eval_grad_f=lambda x: np.full(2, 1e307),
+                               eval_g=lambda x: np.array([scale * (offset - x[0])]),
+                               eval_jacobian=lambda x: np.array([[-scale, 0.0]]),
+                               projection=ProjectionSpec.box(-np.ones(2), np.ones(2)))
+        res = solve(p, GdpaConfig(max_iters=50, record_every=3, dense_until=0, **cfg),
+                    np.zeros(2))
+        assert res.termination == "numerical-failure"
+        assert res.failure_message == message
+        assert res.trace == []
+        x_final = [0.0, 0.0] if where == "primal step" else [-1.0, -1.0]
+        assert res.x_final.tolist() == x_final
+        assert res.lambda_final.tolist() == [lam_final]
+
+    @pytest.mark.parametrize("broken, message", [
+        (lambda g, damped, mask, beta: np.where(mask, damped + 1.0, 0.0),
+         "dual contraction violated at r="),
+        (lambda g, damped, mask, beta: np.ones_like(damped),
+         "inactive multiplier not zeroed at r="),
+    ])
+    def test_dual_invariant_check_fires(self, monkeypatch, broken, message):
+        # The debug check of the dual update catches a kernel that grows an
+        # active multiplier at a feasible point, or leaves an inactive one
+        # nonzero. A constraint that holds everywhere is never active.
+        import gdpa.solver
+        monkeypatch.setattr(gdpa.solver, "_dual_step_raw", broken)
+        if "inactive" in message:
+            p = ConstrainedProblem(dim=1, num_constraints=1,
+                                   eval_f=lambda x: float(x[0] ** 2),
+                                   eval_grad_f=lambda x: 2.0 * x,
+                                   eval_g=lambda x: np.array([-1.0]),
+                                   eval_jacobian=lambda x: np.zeros((1, 1)))
+        else:
+            p = build_analytic("scaled-1d").problem
+        with pytest.raises(AssertionError, match=message):
+            solve(p, GdpaConfig(max_iters=2000), np.zeros(1))
 
     def test_reduction_to_projected_gradient_descent(self):
         # With no constraints, iterates must be bit-identical to plain PGD.
