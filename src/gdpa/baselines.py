@@ -135,4 +135,4 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
         lam_avg = lam_accum / weight_sum
     else:
         x_avg, lam_avg = x.copy(), lam.copy()
-    return SolveResult(x, lam, x_avg, lam_avg, termination, T_eps, trace, None, failure)
+    return SolveResult(x, lam, x_avg, lam_avg, termination, T_eps, trace, None, failure, step)

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -111,17 +111,9 @@ class RunConfig:
             raise ConfigError("every entry of 'solvers' must be a JSON object")
         return RunConfig(**raw)
 
-    def to_dict(self) -> dict:
-        out = {"problem": self.problem, "seed": self.seed}
-        for key in ("solver", "solvers", "out_dir", "record_every",
-                    "budget_grad_evals", "grid_points"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
 
-
-def load_config(path) -> RunConfig:
+def load_config(path, seed: Optional[int] = None) -> RunConfig:
+    """Parse a config file; ``seed`` (the ``--seed`` option) overrides its seed."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -129,7 +121,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    return RunConfig.from_dict(raw)
+    cfg = RunConfig.from_dict(raw)
+    if seed is not None:
+        cfg.seed = seed
+    return cfg
 
 
 # --------------------------------------------------------------------------
@@ -145,18 +140,32 @@ def _integer(spec: dict, key: str, *default) -> int:
     return val
 
 
-def _build_dataset(spec: dict, default_seed: int):
+# float64 entries (800 MB) the arrays of a configured problem may hold
+_MAX_ENTRIES = 10 ** 8
+
+
+def _check_size(entries: int) -> None:
+    if entries > _MAX_ENTRIES:
+        raise ConfigError(f"bad problem section: its arrays would hold more than "
+                          f"{_MAX_ENTRIES:,} float64 entries")
+
+
+def _build_dataset(spec: dict, default_seed: int, hidden: int = 0):
+    """Dataset of an mnpc or nn section; ``hidden`` (nn only) adds the net's
+    weights to the size checked against the cap."""
     source = spec.get("source", "synthetic")
     if source == "synthetic":
-        return generate_synthetic_mnpc(
-            seed=_integer(spec, "dataset_seed", default_seed),
-            num_classes=_integer(spec, "num_classes"),
-            d_in=_integer(spec, "d_in"),
-            per_class=_integer(spec, "per_class", 20),
-            noise_std=float(spec.get("noise_std", 0.5)),
-        )
+        seed = _integer(spec, "dataset_seed", default_seed)
+        num_classes, d_in = _integer(spec, "num_classes"), _integer(spec, "d_in")
+        per_class = _integer(spec, "per_class", 20)
+        _check_size(num_classes * per_class * d_in + hidden * (d_in + num_classes))
+        return generate_synthetic_mnpc(seed=seed, num_classes=num_classes, d_in=d_in,
+                                       per_class=per_class,
+                                       noise_std=float(spec.get("noise_std", 0.5)))
     if source == "csv":
-        return load_csv_dataset(spec["path"])
+        data = load_csv_dataset(spec["path"])
+        _check_size(hidden * (data.d_in + data.num_classes))
+        return data
     raise ConfigError(f"unknown dataset source {source!r}")
 
 
@@ -174,15 +183,19 @@ def build_problem(spec: dict, seed: int) -> Tuple[ConstrainedProblem, np.ndarray
                                  spec["thresholds"])
             default_x0 = None
         elif kind == "nn":
-            data = _build_dataset(spec, seed)
-            problem = build_nn_budget(data, _integer(spec, "hidden"), spec["budgets"])
+            hidden = _integer(spec, "hidden")
+            data = _build_dataset(spec, seed, hidden)
+            problem = build_nn_budget(data, hidden, spec["budgets"])
             default_x0 = None
         elif kind == "cmdp":
+            states, actions = _integer(spec, "num_states"), _integer(spec, "num_actions")
+            m = _integer(spec, "num_constraints", 1)
+            _check_size(states * states * actions + (m + 1) * states * actions)
             model = random_cmdp(
                 seed=_integer(spec, "dataset_seed", seed),
-                num_states=_integer(spec, "num_states"),
-                num_actions=_integer(spec, "num_actions"),
-                num_constraints=_integer(spec, "num_constraints", 1),
+                num_states=states,
+                num_actions=actions,
+                num_constraints=m,
                 discount=float(spec.get("discount", 0.9)),
                 thresholds=spec.get("thresholds"),
             )
@@ -317,12 +330,8 @@ def _summary(problem, result, kind, wall_seconds, alpha_last) -> dict:
         "lambda_final": [float(v) for v in result.lambda_final],
         "x_avg": [float(v) for v in result.x_avg],
         "lambda_avg": [float(v) for v in result.lambda_avg],
-        "kkt_final": {"stationarity": kkt_final.stationarity,
-                      "feasibility": kkt_final.feasibility,
-                      "slackness": kkt_final.slackness},
-        "kkt_avg": {"stationarity": kkt_avg.stationarity,
-                    "feasibility": kkt_avg.feasibility,
-                    "slackness": kkt_avg.slackness},
+        "kkt_final": asdict(kkt_final),
+        "kkt_avg": asdict(kkt_avg),
         "wall_seconds": wall_seconds,
         "failure_message": result.failure_message,
     }
@@ -355,9 +364,7 @@ def _collect_warnings(problem, cfg) -> List[str]:
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = load_config(args.config, args.seed)
     out_dir = Path(args.out or cfg.out_dir or "gdpa-run")
     out_dir.mkdir(parents=True, exist_ok=True)
     problem, x0 = build_problem(cfg.problem, cfg.seed)
@@ -365,7 +372,8 @@ def cmd_solve(args) -> int:
 
     warnings: List[str] = []
     if kind == "gdpa":
-        warnings = _collect_warnings(problem, solver_cfg)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is a note, not a warning
+            warnings = _collect_warnings(problem, solver_cfg)
     (out_dir / "warnings.log").write_text("".join(w + "\n" for w in warnings))
 
     t0 = time.perf_counter()
@@ -382,60 +390,22 @@ def cmd_solve(args) -> int:
         fh.write("\n")
     log.info("solve finished: %s in %.3fs, outputs in %s", result.termination, wall, out_dir)
     if result.termination == TERM_NUMERICAL:
-        print(f"numerical failure: {result.failure_message}", file=sys.stderr)
-        return 3
+        return _numerical_failure(result.failure_message)
     return 0
+
+
+def _numerical_failure(message) -> int:
+    # an array in the message may span lines; stderr gets one
+    print("numerical failure: " + " ".join(str(message).split()), file=sys.stderr)
+    return 3
 
 
 # --------------------------------------------------------------------------
 # benchmark
 
 
-class _CountingProblem(ConstrainedProblem):
-    """Wrapper counting oracle calls (gradient evaluations = grad f + Jacobian)."""
-
-    def __init__(self, inner: ConstrainedProblem):
-        self.grad_calls = 0
-        self.jac_calls = 0
-        super().__init__(
-            dim=inner.dim,
-            num_constraints=inner.num_constraints,
-            eval_f=inner.eval_f,
-            eval_grad_f=self._count_grad(inner.eval_grad_f),
-            eval_g=inner.eval_g,
-            eval_jacobian=self._count_jac(inner.eval_jacobian) if inner.eval_jacobian else None,
-            projection=inner.projection,
-            constants=inner.constants,
-            name=inner.name,
-        )
-
-    def _count_grad(self, fn):
-        def wrapped(x):
-            self.grad_calls += 1
-            return fn(x)
-        return wrapped
-
-    def _count_jac(self, fn):
-        def wrapped(x):
-            self.jac_calls += 1
-            return fn(x)
-        return wrapped
-
-    @property
-    def grad_evals(self) -> int:
-        return self.grad_calls + self.jac_calls
-
-
-def _per_step_grad_cost(m: int) -> int:
-    # Every solver evaluates one objective gradient and (with constraints)
-    # one Jacobian per primal step.
-    return 2 if m > 0 else 1
-
-
 def cmd_benchmark(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = load_config(args.config, args.seed)
     if not cfg.solvers or len(cfg.solvers) < 2:
         raise ConfigError("benchmark requires at least two entries in 'solvers'")
     if not cfg.budget_grad_evals or cfg.budget_grad_evals <= 0:
@@ -451,9 +421,9 @@ def cmd_benchmark(args) -> int:
     for idx, solver_spec in enumerate(cfg.solvers):
         name = solver_spec.get("name") or f"{solver_spec.get('kind', 'gdpa')}-{idx}"
         problem, x0 = build_problem(cfg.problem, cfg.seed)
-        counted = _CountingProblem(problem)
         kind, solver_cfg = build_solver_config(solver_spec, cfg.record_every)
-        cost = _per_step_grad_cost(problem.num_constraints)
+        # each step of every solver costs one grad f plus, with constraints, one Jacobian
+        cost = 2 if problem.num_constraints > 0 else 1
         steps = max(1, budget // cost)
         if kind == "gdpa":
             solver_cfg.max_iters = steps
@@ -464,18 +434,18 @@ def cmd_benchmark(args) -> int:
             solver_cfg.outer_iters = max(1, math.ceil(steps / solver_cfg.inner_iters))
             solver_cfg.feas_tol = min(solver_cfg.feas_tol, 1e-300)
         t0 = time.perf_counter()
-        result = run_solver(kind, solver_cfg, counted, x0)
+        result = run_solver(kind, solver_cfg, problem, x0)
         wall_ms = 1000.0 * (time.perf_counter() - t0)
         write_trace(out_dir / f"trace_{name}.csv", result.trace)
-        runs.append((name, cost, result, wall_ms, counted.grad_evals))
-        log.info("benchmark %s: %d grad evals, %.1f ms", name, counted.grad_evals, wall_ms)
+        runs.append((name, cost, result, wall_ms))
+        log.info("benchmark %s: %d grad evals, %.1f ms", name, cost * result.iterations, wall_ms)
 
-    lo = min(cost for _, cost, _, _, _ in runs)
+    lo = min(cost for _, cost, _, _ in runs)
     grid = np.unique(np.round(np.logspace(
         math.log10(lo), math.log10(budget), grid_n)).astype(int))
     lines = ["solver,grad_evals,wall_ms,stationarity_sq,feasibility,slackness"]
-    for name, cost, result, wall_ms, used in runs:
-        total = max(used, 1)
+    for name, cost, result, wall_ms in runs:
+        total = max(cost * result.iterations, 1)
         recs = [(cost * rec.r, rec) for rec in result.trace]
         for point in grid:
             eligible = [entry for entry in recs if entry[0] <= point]
@@ -544,12 +514,20 @@ def cmd_rate_report(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = load_config(args.config, args.seed)
     problem, _ = build_problem(cfg.problem, cfg.seed)
     points = seeded_check_points(problem, count=20, seed=cfg.seed)
-    report = check_gradients(problem, points, h=1e-6)
+    try:
+        # a callback that overflows is a numerical failure, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_gradients(problem, points, h=1e-6)
+            sigma = estimate_sigma(problem, points)
+        sigma_line = ": " + ("inf (all sample points feasible)" if math.isinf(sigma)
+                             else f"{sigma:.6g}")
+    except NonFiniteError as exc:
+        return _numerical_failure(exc)
+    except UnsupportedProjectionError as exc:
+        sigma_line = f" skipped: {exc}"
     print(f"gradient of f: max relative error {report.grad_f_error:.3e} "
           f"(worst point {report.worst_point_grad})")
     if report.jacobian_error is None:
@@ -557,12 +535,7 @@ def cmd_check(args) -> int:
     else:
         print(f"jacobian: max relative error {report.jacobian_error:.3e} "
               f"(worst point {report.worst_point_jac})")
-    try:
-        sigma = estimate_sigma(problem, points)
-        print("regularity constant estimate: "
-              + ("inf (all sample points feasible)" if math.isinf(sigma) else f"{sigma:.6g}"))
-    except UnsupportedProjectionError as exc:
-        print(f"regularity constant estimate skipped: {exc}")
+    print("regularity constant estimate" + sigma_line)
     ok = report.passed(1e-5)
     print("gradient check: " + ("PASS" if ok else "FAIL") + " (tolerance 1e-05)")
     return 0 if ok else 1

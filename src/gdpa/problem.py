@@ -132,8 +132,6 @@ class GradientCheckReport:
 
     grad_f_error: float
     jacobian_error: Optional[float]  # None when the problem has no constraints
-    num_points: int
-    step: float
     worst_point_grad: int = 0
     worst_point_jac: int = 0
 
@@ -194,8 +192,6 @@ def check_gradients(
     return GradientCheckReport(
         grad_f_error=grad_err,
         jacobian_error=jac_err if m > 0 else None,
-        num_points=len(points),
-        step=h,
         worst_point_grad=worst_g,
         worst_point_jac=worst_j,
     )

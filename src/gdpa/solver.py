@@ -29,11 +29,7 @@ TERM_NUMERICAL = "numerical-failure"
 
 
 class NumericalFailure(RuntimeError):
-    """A solver step produced non-finite values; carries iteration context."""
-
-    def __init__(self, message: str, iteration: Optional[int] = None):
-        super().__init__(message)
-        self.iteration = iteration
+    """A solver step produced non-finite values; the message names the iteration."""
 
 
 @dataclass
@@ -79,20 +75,13 @@ class GdpaConfig:
         if not schedule(self, self.max_iters)[0] > 0:
             raise ValueError("alpha_r underflows to 0 before r reaches max_iters")
 
-    def validate(self, constants: Optional[ProblemConstants] = None) -> List[str]:
+    def validate(self) -> List[str]:
         """Non-fatal sanity warnings (empty list when everything looks fine)."""
         notes = []
         if not self.alpha01 < self.alpha02:
             notes.append(
                 f"alpha01={self.alpha01} >= alpha02={self.alpha02}; the recommended "
                 "relation alpha01 < alpha02 is not satisfied (not enforced)")
-        if constants is not None:
-            rep = validate_tau(self, constants)
-            if not rep.ok:
-                notes.append(rep.message)
-            rep = validate_alpha(self, constants, lambda_norm=0.0, r=1)
-            if not rep.ok:
-                notes.append(rep.message)
         return notes
 
 
@@ -121,6 +110,7 @@ class SolveResult:
     trace: List[IterationRecord]
     iterates: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
     failure_message: str = ""
+    iterations: int = 0  # steps begun; each evaluates grad f and the Jacobian once
 
 
 def schedule(cfg: GdpaConfig, r: int) -> Tuple[float, float, float]:
@@ -156,7 +146,7 @@ def _primal_step_raw(projection, x, damped, grad_fx, jac, gx, alpha_r, beta_r, r
     shifted = np.maximum(damped + beta_r * gx, 0.0)
     x_next = _project_raw(projection, x - alpha_r * (grad_fx + jac.T @ shifted))
     if not np.isfinite(x_next).all():
-        raise NumericalFailure(f"primal step produced non-finite iterate at r={r}", r)
+        raise NumericalFailure(f"primal step produced non-finite iterate at r={r}")
     return x_next
 
 
@@ -328,4 +318,4 @@ def solve(
     else:
         x_avg, lam_avg = x.copy(), lam.copy()
     return SolveResult(x, lam, x_avg, lam_avg, termination, T_eps, trace, iterates,
-                       failure_message)
+                       failure_message, r)

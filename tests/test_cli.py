@@ -2,6 +2,8 @@ import json
 import math
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +30,11 @@ def scaled_1d_config(tmp_path, out, max_iters=2000, **solver_overrides):
         "record_every": 10,
         "seed": 0,
     })
+
+
+# grad f and f overflow at almost every point: reg_lambda * x exceeds the float range
+MNPC_OVERFLOW = {"kind": "mnpc", "num_classes": 3, "d_in": 4, "per_class": 5,
+                 "thresholds": [1.0, 1.0], "reg_lambda": 1e308}
 
 
 class TestSolveCommand:
@@ -96,6 +103,42 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1 and says in err
 
+    @pytest.mark.parametrize("problem", [
+        {"kind": "mnpc", "num_classes": 10 ** 300, "d_in": 2, "thresholds": [1.0]},
+        {"kind": "nn", "num_classes": 2, "d_in": 2, "hidden": 10 ** 300, "budgets": [1.0]},
+        {"kind": "cmdp", "num_states": 100_000, "num_actions": 100_000},
+    ], ids=["mnpc-classes", "nn-hidden", "cmdp-states"])
+    def test_oversized_problem_exits_2_before_allocating(self, tmp_path, capsys, problem):
+        # without the size cap the dataset generator loops without bound, or
+        # numpy fails (or the machine runs out of memory) allocating the arrays
+        cfg = write_config(tmp_path, {"problem": problem})
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and time.perf_counter() - t0 < 1.0
+        assert peak < 2 ** 20
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "more than 100,000,000 float64 entries" in err
+
+    def test_overflowing_constant_estimate_leaks_no_warning(self, tmp_path, capsys):
+        # the sampled constant estimate overflows; it used to print numpy's
+        # RuntimeWarning ahead of the one-line failure
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, {"problem": MNPC_OVERFLOW,
+                                      "solver": {"kind": "gdpa", "max_iters": 20}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 3
+        assert not caught
+        assert ("constant estimation skipped: grad f(x) is not finite"
+                in (out / "warnings.log").read_text())
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
     def test_start_point_where_a_callback_overflows_gives_null_residuals(self, tmp_path):
         # grad f overflows at x0, so the summary's residuals at x_final = x0
         # cannot be evaluated: they are written as null, not raised
@@ -154,14 +197,6 @@ class TestSolveCommand:
         summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
         assert summary["non_finite"] == ["kkt_final.stationarity", "kkt_avg.stationarity"]
         assert summary["kkt_final"]["stationarity"] is None
-
-    def test_runconfig_round_trip(self):
-        raw = {"problem": {"kind": "analytic", "id": "scaled-1d"},
-               "solver": {"kind": "gdpa"}, "out_dir": "x", "record_every": 5,
-               "seed": 3}
-        rc = cli.RunConfig.from_dict(raw)
-        assert rc.to_dict() == raw
-        assert cli.RunConfig.from_dict(rc.to_dict()) == rc
 
     def test_summary_kkt_values_recompute(self, tmp_path):
         from gdpa import kkt_residual
@@ -365,6 +400,17 @@ class TestCheckCommand:
                         "num_constraints": 0, "discount": 0.8}})
         assert cli.main(["check", "--config", cfg]) == 0
         assert "skipped (no constraints)" in capsys.readouterr().out
+
+    def test_non_finite_callback_exits_3_in_one_line(self, tmp_path, capsys):
+        # this ended in a NonFiniteError traceback (exit 1, read as a failed check)
+        cfg = write_config(tmp_path, {"problem": MNPC_OVERFLOW})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["check", "--config", cfg]) == 3
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "f(x) is not finite at x=array([" in err
 
     def test_injected_gradient_bug_fails(self, tmp_path, monkeypatch, capsys):
         from gdpa import ConstrainedProblem

@@ -30,23 +30,30 @@ junk = st.one_of(st.sampled_from(ODD_NUMBERS), st.none(), st.booleans(), st.text
 
 small = st.integers(1, 40)
 step = st.sampled_from([0.05, 0.1, 0.5, 1.0])
+
+
+def sections(kind, sizes, optional):
+    """Problem sections of one kind, drawn at each of the given sizes."""
+    return st.one_of(*[st.fixed_dictionaries(
+        {"kind": st.just(kind), **{key: st.just(val) for key, val in size.items()}},
+        optional=optional) for size in sizes])
+
+
 problems = st.one_of(
     st.fixed_dictionaries(
         {"kind": st.just("analytic"),
          "id": st.sampled_from(["scaled-1d", "halfspace-quadratic", "circle-exterior"])},
         optional={"x0": st.lists(st.sampled_from([-1.0, 0.5, 1e200]), min_size=2, max_size=2)}),
-    st.fixed_dictionaries(
-        {"kind": st.just("mnpc"), "num_classes": st.just(2), "d_in": st.just(2),
-         "per_class": st.just(3), "thresholds": st.just([1.0])},
-        optional={"x0_scale": step, "reg_lambda": step}),
-    st.fixed_dictionaries(
-        {"kind": st.just("nn"), "num_classes": st.just(2), "d_in": st.just(2),
-         "per_class": st.just(2), "hidden": st.just(2), "budgets": st.just([1.0])},
-        optional={"noise_std": step, "dataset_seed": st.integers(0, 3)}),
-    st.fixed_dictionaries(
-        {"kind": st.just("cmdp"), "num_states": st.just(3), "num_actions": st.just(2)},
-        optional={"num_constraints": st.just(1), "discount": st.just(0.9),
-                  "thresholds": st.just([0.5]), "dataset_seed": st.integers(0, 3)}))
+    sections("mnpc", [{"num_classes": 2, "d_in": 2, "per_class": 3, "thresholds": [1.0]},
+                      {"num_classes": 3, "d_in": 3, "per_class": 2, "thresholds": [1.0, 1.0]}],
+             optional={"x0_scale": step, "reg_lambda": step}),
+    sections("nn", [{"num_classes": 2, "d_in": 2, "per_class": 2, "hidden": 2, "budgets": [1.0]},
+                    {"num_classes": 3, "d_in": 3, "per_class": 2, "hidden": 3,
+                     "budgets": [1.0, 1.0]}],
+             optional={"noise_std": step, "dataset_seed": st.integers(0, 3)}),
+    sections("cmdp", [{"num_states": 3, "num_actions": 2}, {"num_states": 5, "num_actions": 3}],
+             optional={"num_constraints": st.just(1), "discount": st.just(0.9),
+                       "thresholds": st.just([0.5]), "dataset_seed": st.integers(0, 3)}))
 gdpa_solvers = st.fixed_dictionaries(
     {"kind": st.just("gdpa"), "max_iters": small},
     optional={"tau": step, "beta0": step, "alpha": st.lists(step, min_size=3, max_size=3),
@@ -65,6 +72,7 @@ benchmark_configs = st.fixed_dictionaries(
     {"problem": problems, "solvers": st.lists(solvers, min_size=2, max_size=3),
      "budget_grad_evals": small},
     optional={"grid_points": st.integers(1, 8), "record_every": small})
+check_configs = st.fixed_dictionaries({"problem": problems}, optional={"seed": st.integers(0, 3)})
 
 
 def slots(value):
@@ -97,16 +105,17 @@ def reject_constant(token):
     raise ValueError(f"not strict JSON: {token}")
 
 
-def run_cli(capsys, argv):
+def run_cli(capsys, argv, silent=(0,)):
     capsys.readouterr()
     code = cli.main(argv)
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    # a failure says why in one line, a success says nothing; log records
-    # (which reach stderr only when the root logger has no handler) aside
+    # a failure says why in one line, a success (any code in ``silent``) says
+    # nothing; log records (which reach stderr only when the root logger has
+    # no handler) aside
     said = [line for line in err.splitlines()
             if not line.startswith(("DEBUG gdpa:", "INFO gdpa:", "WARNING gdpa:"))]
-    assert len(said) == (code != 0), err
+    assert len(said) == (code not in silent), err
     return code
 
 
@@ -140,6 +149,17 @@ def test_benchmark_config_fuzz(tmp_path_factory, capsys, short_defaults, config)
     code = run_cli(capsys, ["benchmark", "--config", str(work / "config.json"),
                             "--out", str(work / "out")])
     assert code in {0, 2}
+
+
+@FUZZ
+@given(config=damaged(check_configs), seed=st.sampled_from([[], ["--seed", "1"]]))
+def test_check_config_fuzz(tmp_path_factory, capsys, config, seed):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "config.json").write_text(json.dumps(config))
+    # exit 1 is a failed gradient check, reported on stdout
+    code = run_cli(capsys, ["check", "--config", str(work / "config.json"), *seed],
+                   silent=(0, 1))
+    assert code in {0, 1, 2, 3}
 
 
 values = st.floats(min_value=1e-6, max_value=1e3)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gdpa import (
+    AlmConfig,
     ConstrainedProblem,
     GdpaConfig,
     PenaltyConfig,
@@ -15,6 +16,7 @@ from gdpa import (
     primal_step,
     schedule,
     solve,
+    solve_alm,
     solve_penalty,
     validate_alpha,
     validate_tau,
@@ -438,3 +440,58 @@ class TestSolve:
         res = solve(inst.problem, cfg, np.zeros(1))
         rs = [rec.r for rec in res.trace]
         assert rs == list(range(1, 11)) + [50, 100, 120]
+
+
+def _counting(problem, calls):
+    """Copy of ``problem`` whose grad f and Jacobian callbacks tally their
+    calls into the dict ``calls`` (the wrapper acceptance gate 1 uses)."""
+
+    def counted(kind, fn):
+        def call(x):
+            calls[kind] += 1
+            return fn(x)
+        return call if fn is not None else None
+
+    return dataclasses.replace(problem, eval_grad_f=counted("grad_f", problem.eval_grad_f),
+                               eval_jacobian=counted("jac", problem.eval_jacobian))
+
+
+def _scaled_1d():
+    return build_analytic("scaled-1d").problem
+
+
+# Each case: problem, run, termination, steps. The penalty and ALM cases are
+# configs/benchmark-scaled-1d.json's entries as `gdpa benchmark` sizes them:
+# at a budget of 4000 grad evals the penalty method plans 7 x 300 steps and
+# stops on feasibility; at 1200 ALM plans 600 steps but runs its 2000 inner steps.
+ITERATION_CASES = {
+    "gdpa-budget": (_scaled_1d, lambda p: solve(
+        p, GdpaConfig(max_iters=50, eps_feas=1e-300, eps_stat=1e-300), np.zeros(1)),
+        "budget-exhausted", 50),
+    "gdpa-feasibility": (_scaled_1d, lambda p: solve(
+        p, GdpaConfig(max_iters=50_000, eps_feas=1e-2, eps_stat=1.0), np.zeros(1)),
+        "feasibility-stop", 10),
+    "gdpa-unconstrained": (lambda: make_unconstrained([0.7, -0.3]), lambda p: solve(
+        p, GdpaConfig(max_iters=5000, eps_stat=1e-10), np.zeros(2)),
+        "feasibility-stop", 81),
+    "penalty": (_scaled_1d, lambda p: solve_penalty(p, PenaltyConfig(
+        rho0=1.0, rho_growth=10.0, inner_iters=300, inner_step=9e-5, outer_iters=7,
+        feas_tol=1e-300), np.zeros(1)), "feasibility-stop", 1800),
+    "alm": (_scaled_1d, lambda p: solve_alm(p, AlmConfig(
+        rho0=10.0, rho_growth=10.0, inner_iters=2000, inner_step=1e-3, outer_iters=1,
+        feas_tol=1e-300), np.zeros(1)), "budget-exhausted", 2000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ITERATION_CASES))
+def test_iterations_price_the_gradient_calls(case):
+    # SolveResult.iterations counts the steps begun; each costs one grad f
+    # and, with constraints, one Jacobian: how `gdpa benchmark` prices a run
+    problem, run, termination, iterations = ITERATION_CASES[case]
+    calls = {"grad_f": 0, "jac": 0}
+    p = problem()
+    res = run(_counting(p, calls))
+    assert (res.termination, res.iterations) == (termination, iterations)
+    cost = 2 if p.num_constraints > 0 else 1
+    assert calls["grad_f"] == res.iterations
+    assert cost * res.iterations == calls["grad_f"] + calls["jac"]
