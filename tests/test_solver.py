@@ -25,6 +25,7 @@ from gdpa import (
 from gdpa.problems import build_analytic
 from gdpa.vec import project
 from tests.conftest import make_unconstrained, random_quadratic_problem
+from tests.test_acceptance import _counting
 
 
 class TestSchedule:
@@ -442,20 +443,6 @@ class TestSolve:
         assert rs == list(range(1, 11)) + [50, 100, 120]
 
 
-def _counting(problem, calls):
-    """Copy of ``problem`` whose grad f and Jacobian callbacks tally their
-    calls into the dict ``calls`` (the wrapper acceptance gate 1 uses)."""
-
-    def counted(kind, fn):
-        def call(x):
-            calls[kind] += 1
-            return fn(x)
-        return call if fn is not None else None
-
-    return dataclasses.replace(problem, eval_grad_f=counted("grad_f", problem.eval_grad_f),
-                               eval_jacobian=counted("jac", problem.eval_jacobian))
-
-
 def _scaled_1d():
     return build_analytic("scaled-1d").problem
 
@@ -488,7 +475,7 @@ def test_iterations_price_the_gradient_calls(case):
     # SolveResult.iterations counts the steps begun; each costs one grad f
     # and, with constraints, one Jacobian: how `gdpa benchmark` prices a run
     problem, run, termination, iterations = ITERATION_CASES[case]
-    calls = {"grad_f": 0, "jac": 0}
+    calls = {"grad_f": 0, "jac": 0, "g": 0}
     p = problem()
     res = run(_counting(p, calls))
     assert (res.termination, res.iterations) == (termination, iterations)
