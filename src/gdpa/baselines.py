@@ -100,9 +100,9 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
             for _outer in range(cfg.outer_iters):
                 for _ in range(cfg.inner_iters):
                     step += 1
-                    gx = problem.g(x)
-                    grad = problem.grad_f(x)
-                    jac = problem.jacobian(x)
+                    gx, grad, jac = problem.first_order(x)
+                    grad = problem.grad_f(x, grad)
+                    jac = problem.jacobian(x, jac)
                     weight_sum += 1.0 / rho
                     x_accum += x / rho
                     lam_accum += lam / rho

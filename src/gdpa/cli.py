@@ -444,10 +444,15 @@ def cmd_benchmark(args) -> int:
     grid = np.unique(np.round(np.logspace(
         math.log10(lo), math.log10(budget), grid_n)).astype(int))
     lines = ["solver,grad_evals,wall_ms,stationarity_sq,feasibility,slackness"]
+    failures = []
     for name, cost, result, wall_ms in runs:
         total = max(cost * result.iterations, 1)
         recs = [(cost * rec.r, rec) for rec in result.trace]
-        for point in grid:
+        limit = math.inf
+        if result.termination == TERM_NUMERICAL:  # listed up to the evaluations it spent
+            limit = cost * result.iterations
+            failures.append(f"{name}: {result.failure_message}")
+        for point in grid[grid <= limit]:
             eligible = [entry for entry in recs if entry[0] <= point]
             if not eligible:
                 continue
@@ -457,7 +462,7 @@ def cmd_benchmark(args) -> int:
                 f"{name},{int(point)},{repr(t_ms)},{repr(rec.stationarity_sq)},"
                 f"{repr(rec.feasibility)},{repr(rec.slackness)}")
     (out_dir / "compare.csv").write_text("\n".join(lines) + "\n")
-    return 0
+    return _numerical_failure("; ".join(failures)) if failures else 0
 
 
 # --------------------------------------------------------------------------
@@ -535,6 +540,8 @@ def cmd_check(args) -> int:
     else:
         print(f"jacobian: max relative error {report.jacobian_error:.3e} "
               f"(worst point {report.worst_point_jac})")
+    if report.first_order_error is not None:
+        print(f"fused oracle: max relative error {report.first_order_error:.3e} (vs callbacks)")
     print("regularity constant estimate" + sigma_line)
     ok = report.passed(1e-5)
     print("gradient check: " + ("PASS" if ok else "FAIL") + " (tolerance 1e-05)")

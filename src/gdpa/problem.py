@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +64,9 @@ class ConstrainedProblem:
 
     ``eval_g`` / ``eval_jacobian`` may be omitted when ``num_constraints`` is
     zero. ``eval_jacobian`` returns the m-by-dim matrix of constraint
-    gradients (row i is the gradient of g_i).
+    gradients (row i is the gradient of g_i). The optional
+    ``eval_first_order`` returns (g, grad f, J), equal to the three separate
+    callbacks; when set, the solvers call it in their place once per step.
     """
 
     dim: int
@@ -76,6 +78,7 @@ class ConstrainedProblem:
     projection: ProjectionSpec = field(default_factory=ProjectionSpec.identity)
     constants: Optional[ProblemConstants] = None
     name: str = ""
+    eval_first_order: Optional[Callable[[np.ndarray], Tuple[np.ndarray, ...]]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -87,6 +90,7 @@ class ConstrainedProblem:
         self.projection.check_dim(self.dim)
 
     # -- validated accessors -------------------------------------------------
+    # ``value``: eval_first_order's output at x, checked in place of a new call
 
     def f(self, x: np.ndarray) -> float:
         val = float(self.eval_f(x))
@@ -94,8 +98,8 @@ class ConstrainedProblem:
             raise NonFiniteError(f"f(x) is not finite at x={x!r}")
         return val
 
-    def grad_f(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.eval_grad_f(x), dtype=np.float64)
+    def grad_f(self, x: np.ndarray, value=None) -> np.ndarray:
+        out = np.asarray(self.eval_grad_f(x) if value is None else value, dtype=np.float64)
         if out.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"grad f must have shape ({self.dim},), got {out.shape}")
@@ -103,10 +107,10 @@ class ConstrainedProblem:
             raise NonFiniteError(f"grad f(x) is not finite at x={x!r}")
         return out
 
-    def g(self, x: np.ndarray) -> np.ndarray:
+    def g(self, x: np.ndarray, value=None) -> np.ndarray:
         if self.num_constraints == 0:
             return np.zeros(0)
-        out = np.asarray(self.eval_g(x), dtype=np.float64)
+        out = np.asarray(self.eval_g(x) if value is None else value, dtype=np.float64)
         if out.shape != (self.num_constraints,):
             raise DimensionMismatchError(
                 f"g must have shape ({self.num_constraints},), got {out.shape}")
@@ -114,10 +118,10 @@ class ConstrainedProblem:
             raise NonFiniteError(f"g(x) is not finite at x={x!r}")
         return out
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
+    def jacobian(self, x: np.ndarray, value=None) -> np.ndarray:
         if self.num_constraints == 0:
             return np.zeros((0, self.dim))
-        out = np.asarray(self.eval_jacobian(x), dtype=np.float64)
+        out = np.asarray(self.eval_jacobian(x) if value is None else value, dtype=np.float64)
         if out.shape != (self.num_constraints, self.dim):
             raise DimensionMismatchError(
                 f"jacobian must have shape ({self.num_constraints}, {self.dim}), got {out.shape}")
@@ -125,20 +129,27 @@ class ConstrainedProblem:
             raise NonFiniteError(f"jacobian(x) is not finite at x={x!r}")
         return out
 
+    def first_order(self, x: np.ndarray):
+        """Checked g(x), then grad f and J from the same eval_first_order call
+        (None without one), for the caller to check as ``value``."""
+        g, grad, jac = (None,) * 3 if self.eval_first_order is None else self.eval_first_order(x)
+        return self.g(x, g), grad, jac
+
 
 @dataclass
 class GradientCheckReport:
-    """Max relative errors of analytic derivatives against central differences."""
+    """Max relative errors of analytic derivatives against central differences,
+    and of the fused oracle's (g, grad f, J) against the separate callbacks."""
 
     grad_f_error: float
     jacobian_error: Optional[float]  # None when the problem has no constraints
     worst_point_grad: int = 0
     worst_point_jac: int = 0
+    first_order_error: Optional[float] = None  # None without eval_first_order
 
     def passed(self, tol: float = 1e-5) -> bool:
-        if self.grad_f_error > tol:
-            return False
-        return self.jacobian_error is None or self.jacobian_error <= tol
+        errors = (self.grad_f_error, self.jacobian_error, self.first_order_error)
+        return all(e is None or e <= tol for e in errors)
 
 
 def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -151,7 +162,8 @@ def check_gradients(
     points: Sequence[np.ndarray],
     h: float = 1e-6,
 ) -> GradientCheckReport:
-    """Compare analytic derivatives with central finite differences.
+    """Compare analytic derivatives with central finite differences, and a
+    fused oracle with the separate callbacks.
 
     Each point is projected into the feasible set first. The relative error
     uses ``max(1, ||analytic||)`` as denominator so values near critical
@@ -162,38 +174,39 @@ def check_gradients(
     if len(points) == 0:
         raise ValueError("need at least one check point")
     d, m = problem.dim, problem.num_constraints
-    grad_err, jac_err = 0.0, 0.0
+    fused = problem.eval_first_order
+    grad_err, jac_err, fused_err = 0.0, 0.0, 0.0
     worst_g, worst_j = 0, 0
     for k, p in enumerate(points):
         x = project(problem.projection, as_vector(p, f"point {k}"))
         try:
             analytic_grad = problem.grad_f(x)
-            fd_grad = np.empty(d)
+            fd_grad, fd_jac = np.empty(d), np.empty((m, d))
             for i in range(d):
                 xp = x.copy(); xp[i] += h
                 xm = x.copy(); xm[i] -= h
                 fd_grad[i] = (problem.f(xp) - problem.f(xm)) / (2.0 * h)
-            if m > 0:
-                analytic_jac = problem.jacobian(x)
-                fd_jac = np.empty((m, d))
-                for i in range(d):
-                    xp = x.copy(); xp[i] += h
-                    xm = x.copy(); xm[i] -= h
-                    fd_jac[:, i] = (problem.g(xp) - problem.g(xm)) / (2.0 * h)
+                fd_jac[:, i] = (problem.g(xp) - problem.g(xm)) / (2.0 * h)
+            analytic_jac = problem.jacobian(x)
+            if fused is not None:
+                g1, grad1, jac1 = fused(x)
+                fused_err = max(fused_err, _rel_error(problem.g(x), problem.g(x, g1)),
+                                _rel_error(analytic_grad, problem.grad_f(x, grad1)),
+                                _rel_error(analytic_jac, problem.jacobian(x, jac1)))
         except NonFiniteError as exc:
             raise NonFiniteError(f"non-finite callback output at check point {k}: {exc}") from exc
         e = _rel_error(analytic_grad, fd_grad)
         if e > grad_err:
             grad_err, worst_g = e, k
-        if m > 0:
-            ej = _rel_error(analytic_jac.ravel(), fd_jac.ravel())
-            if ej > jac_err:
-                jac_err, worst_j = ej, k
+        ej = _rel_error(analytic_jac.ravel(), fd_jac.ravel())
+        if ej > jac_err:
+            jac_err, worst_j = ej, k
     return GradientCheckReport(
         grad_f_error=grad_err,
         jacobian_error=jac_err if m > 0 else None,
         worst_point_grad=worst_g,
         worst_point_jac=worst_j,
+        first_order_error=None if fused is None else fused_err,
     )
 
 

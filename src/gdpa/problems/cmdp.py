@@ -19,6 +19,7 @@ one policy: one softmax, one P_pi and one multi-RHS solve for the value
 functions. ``eval_f`` and ``eval_g`` stop there. ``eval_grad_f`` and
 ``eval_jacobian`` add one occupancy solve, shared by every table, and one
 (S*A, S) @ (S, k) product for the Q-values of all k tables.
+``eval_first_order`` makes that pass once over all 1 + m tables.
 """
 
 from __future__ import annotations
@@ -137,6 +138,7 @@ def build_cmdp(model: TabularCmdp) -> ConstrainedProblem:
     dim = s * a
     thresholds = model.thresholds.copy()
     rewards = model.rewards[None]
+    all_tables = np.concatenate([rewards, model.constraint_rewards])
     flat_transitions = model.transitions.reshape(dim, s)
 
     def values(theta, tables):
@@ -154,19 +156,23 @@ def build_cmdp(model: TabularCmdp) -> ConstrainedProblem:
         # Normalized discounted state-visitation measure, shared by every table.
         d = (1.0 - discount) * np.linalg.solve(system.T, rho)
         q = tables + discount * (flat_transitions @ v).T.reshape(tables.shape)
-        return (d[:, None] * policy * (q - v.T[:, :, None])).reshape(len(tables), dim)
+        return v, (d[:, None] * policy * (q - v.T[:, :, None])).reshape(len(tables), dim)
 
     def eval_f(theta):
         return -float(returns(theta, rewards)[0])
 
     def eval_grad_f(theta):
-        return -return_grads(theta, rewards)[0]
+        return -return_grads(theta, rewards)[1][0]
 
     def eval_g(theta):
         return thresholds - returns(theta, model.constraint_rewards)
 
     def eval_jacobian(theta):
-        return -return_grads(theta, model.constraint_rewards)
+        return -return_grads(theta, model.constraint_rewards)[1]
+
+    def eval_first_order(theta):
+        v, grads = return_grads(theta, all_tables)
+        return thresholds - (1.0 - discount) * (rho @ v[:, 1:]), -grads[0], -grads[1:]
 
     return ConstrainedProblem(
         dim=dim,
@@ -177,4 +183,5 @@ def build_cmdp(model: TabularCmdp) -> ConstrainedProblem:
         eval_jacobian=eval_jacobian,
         projection=ProjectionSpec.identity(),
         name="cmdp",
+        eval_first_order=eval_first_order,
     )

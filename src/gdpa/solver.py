@@ -7,7 +7,7 @@ size grows like r^(1/3) while the primal step size and the perturbation decay
 like r^(-1/3); their product with the dual step size is pinned to the damping
 constant tau. Cost per iteration: one objective-gradient, one Jacobian, and
 one fresh constraint evaluation (the constraint value at the new point is
-reused by the following iteration).
+reused by the following iteration), or one fused ``eval_first_order`` call.
 """
 
 from __future__ import annotations
@@ -268,11 +268,12 @@ def solve(
         # overflow in a diverging run must surface as a checked numerical
         # failure, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            gx = problem.g(x)
+            # a fused oracle's grad f and J come with g; checked at the loop top
+            gx, grad, jac = problem.first_order(x)
             for r in range(1, cfg.max_iters + 1):
                 alpha, beta, gamma = schedule(cfg, r)
-                grad = problem.grad_f(x)
-                jac = problem.jacobian(x)
+                grad = problem.grad_f(x, grad)
+                jac = problem.jacobian(x, jac)
 
                 weight_sum += 1.0 / beta
                 x_sum += x / beta
@@ -296,7 +297,7 @@ def solve(
                 damped = (1.0 - tau) * lam
                 mask = _active_raw(gx, damped, beta)
                 x_next = _primal_step_raw(projection, x, damped, grad, jac, gx, alpha, beta, r)
-                g_next = problem.g(x_next)
+                g_next, grad, jac = problem.first_order(x_next)
                 lam_next = _dual_step_raw(g_next, damped, mask, beta)
                 if __debug__:  # active and still feasible: contracted; inactive: zeroed
                     ok = np.where(mask, (g_next > 0.0) | (lam_next <= damped + 1e-15),

@@ -288,6 +288,28 @@ class TestBenchmarkCommand:
             records = cli.read_trace(out / f"trace_{name}.csv")
             assert min(rec.feasibility for rec in records) <= 1e-3, name
 
+    def test_numerical_failure_exits_3_and_lists_only_the_spent_budget(self, tmp_path, capsys):
+        # this exited 0 and repeated GDPA's diverged last row up to the budget
+        out = tmp_path / "bench"
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "analytic", "id": "scaled-1d"},
+            "solvers": [{"name": "gdpa", "kind": "gdpa", "alpha": [1e6, 1.0, 1.0]},
+                        {"name": "alm", "kind": "alm", "inner_iters": 20}],
+            "budget_grad_evals": 200,
+            "out_dir": str(out),
+            "seed": 0,
+        })
+        assert cli.main(["benchmark", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: gdpa: iteration 27: ")
+        assert err.count("\n") == 1
+        rows = [line.split(",") for line in (out / "compare.csv").read_text().splitlines()[1:]]
+        points = {name: [int(r[1]) for r in rows if r[0] == name] for name in ("gdpa", "alm")}
+        assert points["gdpa"] and max(points["gdpa"]) <= 2 * 27  # 27 steps began
+        assert max(points["alm"]) == 200
+        assert len(cli.read_trace(out / "trace_gdpa.csv")) == 26
+        assert cli.read_trace(out / "trace_alm.csv")
+
     def test_zero_budget_exits_2(self, tmp_path):
         out = tmp_path / "bench"
         cfg = self.benchmark_config(tmp_path, out, budget=0)
@@ -400,6 +422,15 @@ class TestCheckCommand:
                         "num_constraints": 0, "discount": 0.8}})
         assert cli.main(["check", "--config", cfg]) == 0
         assert "skipped (no constraints)" in capsys.readouterr().out
+
+    def test_fused_oracle_line_only_with_a_fused_oracle(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"problem": {"kind": "cmdp", "num_states": 4,
+                                                  "num_actions": 3, "num_constraints": 2}})
+        assert cli.main(["check", "--config", cfg]) == 0
+        assert "fused oracle: max relative error " in capsys.readouterr().out
+        cfg = write_config(tmp_path, {"problem": {"kind": "analytic", "id": "scaled-1d"}})
+        assert cli.main(["check", "--config", cfg]) == 0
+        assert "fused oracle" not in capsys.readouterr().out
 
     def test_non_finite_callback_exits_3_in_one_line(self, tmp_path, capsys):
         # this ended in a NonFiniteError traceback (exit 1, read as a failed check)

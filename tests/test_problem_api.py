@@ -60,6 +60,20 @@ class TestCheckGradients:
         with pytest.raises(NonFiniteError, match="point 0"):
             check_gradients(p, [np.array([0.0])])
 
+    def test_fused_oracle_is_compared_with_the_callbacks(self):
+        p = scalar_problem(lambda x: x * x, lambda x: 2 * x,
+                           g=lambda x: 1.0 - x, jac=lambda x: -1.0)
+        assert check_gradients(p, [np.array([0.5])]).first_order_error is None
+        # a fused J off by 1e-3 at x=0.5: |-1.001 - (-1)| / max(1, 1) = 1e-3
+        p.eval_first_order = lambda x: (1.0 - x, 2.0 * x, np.array([[-1.001]]))
+        rep = check_gradients(p, [np.array([0.5])], h=1e-6)
+        assert rep.jacobian_error <= 1e-10
+        assert rep.first_order_error == pytest.approx(1e-3, rel=1e-9)
+        assert not rep.passed(1e-5)
+        p.eval_first_order = lambda x: (1.0 - x, 2.0 * x, np.array([[-1.0]]))
+        rep = check_gradients(p, [np.array([0.5])], h=1e-6)
+        assert rep.first_order_error == 0.0 and rep.passed(1e-5)
+
     def test_bundled_analytic_problems_pass(self):
         for aid in ("scaled-1d", "halfspace-quadratic", "circle-exterior"):
             inst = build_analytic(aid)

@@ -219,6 +219,12 @@ class TestCmdp:
         np.testing.assert_allclose(problem.eval_jacobian(theta),
                                    np.reshape([-g for _, g in refs], (m, s * a)),
                                    rtol=0, atol=1e-12)
+        # the fused oracle's one pass over all 1 + m tables gives the same three
+        fused = problem.eval_first_order(theta)
+        separate = (problem.eval_g(theta), problem.eval_grad_f(theta),
+                    problem.eval_jacobian(theta))
+        for got, want in zip(fused, separate):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_gamma_near_zero_reduces_to_immediate_reward(self):
         model = random_cmdp(12, 4, 3, 1, 1e-9, thresholds=[0.0])

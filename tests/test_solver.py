@@ -22,7 +22,7 @@ from gdpa import (
     validate_tau,
     weighted_average,
 )
-from gdpa.problems import build_analytic
+from gdpa.problems import build_analytic, build_cmdp, random_cmdp
 from gdpa.vec import project
 from tests.conftest import make_unconstrained, random_quadratic_problem
 from tests.test_acceptance import _counting
@@ -304,6 +304,36 @@ class TestSolve:
         assert len(res.trace) == rows
         assert res.x_final.tolist() == [x_final]
 
+    @pytest.mark.parametrize("attr", ["eval_grad_f", "eval_jacobian", "eval_g"])
+    @pytest.mark.parametrize("call", [10, 13, 51])
+    def test_fused_oracle_failure_path_matches_the_separate_path(self, attr, call):
+        # NaN in the call-th output of one callback, reached alone or through
+        # a fused oracle. The fused grad f and J are checked at the top of the
+        # next iteration, where the separate path calls them, so the run ends
+        # alike; the 51st fused grad f and J (at x_{R+1}) are never used.
+        def run(fused):
+            base, calls = build_analytic("scaled-1d").problem, []
+            fn = getattr(base, attr)
+
+            def poisoned(x):
+                calls.append(1)
+                return np.asarray(fn(x), dtype=float) * (np.nan if len(calls) == call else 1.0)
+
+            p = dataclasses.replace(base, **{attr: poisoned})
+            if fused:
+                p.eval_first_order = lambda x: (p.eval_g(x), p.eval_grad_f(x),
+                                                p.eval_jacobian(x))
+            return solve(p, GdpaConfig(max_iters=50, record_every=10, dense_until=0),
+                         np.zeros(1))
+
+        a, b = run(True), run(False)
+        unused = call == 51 and attr != "eval_g"
+        assert a.termination == ("budget-exhausted" if unused else "numerical-failure")
+        assert (a.termination, a.failure_message) == (b.termination, b.failure_message)
+        assert (len(a.trace), a.iterations) == (len(b.trace), b.iterations)
+        assert a.x_final.tolist() == b.x_final.tolist()
+        assert a.lambda_final.tolist() == b.lambda_final.tolist()
+
     @pytest.mark.parametrize("where, offset, scale, cfg, message, lam_final", [
         # x - alpha*grad overflows to -Inf, which the box clips back to
         # finite values; the residual's input check must still fire, in the
@@ -482,3 +512,53 @@ def test_iterations_price_the_gradient_calls(case):
     cost = 2 if p.num_constraints > 0 else 1
     assert calls["grad_f"] == res.iterations
     assert cost * res.iterations == calls["grad_f"] + calls["jac"]
+
+
+def _cmdp_with_fused_oracle():
+    model = random_cmdp(seed=3, num_states=12, num_actions=4, num_constraints=2,
+                        discount=0.9, thresholds=[0.5, 0.5])
+    return build_cmdp(model)
+
+
+# Each case: run, termination, fused calls per step begun (GDPA adds one at
+# x0; a run that stops early skips the last step's call), separate g calls.
+FUSED_CASES = {
+    "gdpa": (lambda p: solve(p, GdpaConfig(
+        alpha01=100.0, beta0=0.5, max_iters=1000, eps_feas=1e-4, eps_stat=0.1,
+        record_every=7, dense_until=20), np.zeros(48)), "feasibility-stop", 0, 0),
+    "gdpa-budget": (lambda p: solve(p, GdpaConfig(
+        alpha01=100.0, beta0=0.5, max_iters=60, eps_feas=1e-300, eps_stat=1e-300),
+        np.zeros(48)), "budget-exhausted", 1, 0),
+    "alm": (lambda p: solve_alm(p, AlmConfig(
+        rho0=1.0, inner_iters=50, inner_step=3.0, outer_iters=6, feas_tol=1e-6,
+        record_every=5, dense_until=10), np.zeros(48)), "feasibility-stop", 0, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUSED_CASES))
+def test_fused_oracle_matches_the_separate_callbacks(case):
+    # CMDP's eval_first_order against the same problem without it: the same
+    # run up to roundoff (the fused pass stacks all tables into one solve)
+    run, termination, _, _ = FUSED_CASES[case]
+    fused = _cmdp_with_fused_oracle()
+    a, b = run(fused), run(dataclasses.replace(fused, eval_first_order=None))
+    assert a.termination == termination
+    assert (a.termination, a.T_eps, len(a.trace)) == (b.termination, b.T_eps, len(b.trace))
+    assert a.iterations == b.iterations
+    for got, want in [(a.x_final, b.x_final), (a.lambda_final, b.lambda_final),
+                      (a.x_avg, b.x_avg), (a.lambda_avg, b.lambda_avg)]:
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", sorted(FUSED_CASES))
+def test_fused_oracle_replaces_the_separate_calls(case):
+    # one fused call per step; the separate grad f and Jacobian callbacks
+    # (and a counting wrapper around them) are not called at all
+    run, _, extra, g_calls = FUSED_CASES[case]
+    calls = {"grad_f": 0, "jac": 0, "g": 0}
+    p = _counting(_cmdp_with_fused_oracle(), calls)
+    fused, fused_calls = p.eval_first_order, []
+    p.eval_first_order = lambda x: fused_calls.append(1) or fused(x)
+    res = run(p)
+    assert len(fused_calls) == res.iterations + extra
+    assert calls == {"grad_f": 0, "jac": 0, "g": g_calls}
