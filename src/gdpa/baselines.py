@@ -30,6 +30,8 @@ from .solver import (
 )
 from .vec import NonFiniteError, as_vector, project
 
+STALL_FACTOR = 0.9  # see AlmConfig
+
 
 @dataclass
 class PenaltyConfig:
@@ -57,10 +59,8 @@ class AlmConfig(PenaltyConfig):
     """Penalty settings plus the classical multiplier update lam <- [lam + rho*g]_+.
 
     The penalty parameter only grows when feasibility stalls (violation not
-    reduced by at least a factor of 0.9 over the previous outer round).
+    reduced by at least the factor ``STALL_FACTOR`` over the previous outer round).
     """
-
-    stall_factor: float = 0.9
 
 
 def solve_penalty(problem: ConstrainedProblem, cfg: PenaltyConfig, x0) -> SolveResult:
@@ -124,7 +124,7 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
                     if T_eps is None:
                         T_eps = step
                     break
-                if frozen or viol > cfg.stall_factor * prev_viol:
+                if frozen or viol > STALL_FACTOR * prev_viol:
                     rho *= cfg.rho_growth
                 prev_viol = viol
     except (NumericalFailure, NonFiniteError) as exc:

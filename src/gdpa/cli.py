@@ -10,6 +10,7 @@ failure, 4 insufficient data for a rate fit.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import logging
 import math
@@ -221,6 +222,12 @@ def build_problem(spec: dict, seed: int) -> Tuple[ConstrainedProblem, np.ndarray
     return problem, x0
 
 
+# kind -> names of its config class and entry point here, looked up when used
+_SOLVERS = {"gdpa": ("GdpaConfig", "solve"),
+            "penalty": ("PenaltyConfig", "solve_penalty"),
+            "alm": ("AlmConfig", "solve_alm")}
+
+
 def build_solver_config(spec: dict, record_every: Optional[int]):
     """Parse a solver section into (kind, config object)."""
     if not isinstance(spec, dict):
@@ -228,6 +235,9 @@ def build_solver_config(spec: dict, record_every: Optional[int]):
     spec = dict(spec)
     spec.pop("name", None)
     kind = spec.pop("kind", "gdpa")
+    if not isinstance(kind, str) or kind not in _SOLVERS:
+        raise ConfigError(f"unknown solver kind {kind!r}")
+    config_class = globals()[_SOLVERS[kind][0]]
     if record_every is not None:
         spec.setdefault("record_every", record_every)
     try:
@@ -237,25 +247,19 @@ def build_solver_config(spec: dict, record_every: Optional[int]):
             if "alpha" in spec:
                 a = spec.pop("alpha")
                 spec["alpha01"], spec["alpha02"], spec["alpha03"] = (float(v) for v in a)
-            merged.update(spec)
-            return kind, GdpaConfig(**merged)
-        if kind == "penalty":
-            return kind, PenaltyConfig(**spec)
-        if kind == "alm":
-            return kind, AlmConfig(**spec)
+            spec = {**merged, **spec}
+        return kind, config_class(**spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver section ({kind}): {exc}") from exc
-    raise ConfigError(f"unknown solver kind {kind!r}")
 
 
-def run_solver(kind: str, config, problem: ConstrainedProblem, x0, **kwargs):
-    if kind == "gdpa":
-        return solve(problem, config, x0, **kwargs)
-    if kind == "penalty":
-        return solve_penalty(problem, config, x0)
-    if kind == "alm":
-        return solve_alm(problem, config, x0)
-    raise ConfigError(f"unknown solver kind {kind!r}")
+def _run(kind: str, config, problem: ConstrainedProblem, x0, trace_path):
+    """Run one solver and write its trace; returns (result, wall seconds)."""
+    t0 = time.perf_counter()
+    result = globals()[_SOLVERS[kind][1]](problem, config, x0)
+    wall = time.perf_counter() - t0
+    write_trace(trace_path, result.trace)
+    return result, wall
 
 
 # --------------------------------------------------------------------------
@@ -343,12 +347,12 @@ def _summary(problem, result, kind, wall_seconds, alpha_last) -> dict:
 # solve
 
 
-def _collect_warnings(problem, cfg) -> List[str]:
+def _collect_warnings(problem, cfg, seed: int) -> List[str]:
     notes = []
     constants = problem.constants
     if constants is None:
         try:
-            constants = effective_constants(problem, sample_budget=8, seed=cfg.seed)
+            constants = effective_constants(problem, sample_budget=8, seed=seed)
             notes.append("constants estimated by sampling (8 points, safety factor 1.5)")
         except Exception as exc:  # noqa: BLE001 - estimation is best-effort
             notes.append(f"constant estimation skipped: {exc}")
@@ -373,14 +377,10 @@ def cmd_solve(args) -> int:
     warnings: List[str] = []
     if kind == "gdpa":
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is a note, not a warning
-            warnings = _collect_warnings(problem, solver_cfg)
+            warnings = _collect_warnings(problem, solver_cfg, cfg.seed)
     (out_dir / "warnings.log").write_text("".join(w + "\n" for w in warnings))
 
-    t0 = time.perf_counter()
-    result = run_solver(kind, solver_cfg, problem, x0)
-    wall = time.perf_counter() - t0
-
-    write_trace(out_dir / "trace.csv", result.trace)
+    result, wall = _run(kind, solver_cfg, problem, x0, out_dir / "trace.csv")
     if kind == "gdpa":
         alpha_last, _, _ = schedule(solver_cfg, max(result.trace[-1].r if result.trace else 1, 1))
     else:
@@ -415,16 +415,19 @@ def cmd_benchmark(args) -> int:
     out_dir = Path(args.out or cfg.out_dir or "gdpa-benchmark")
     out_dir.mkdir(parents=True, exist_ok=True)
     budget = cfg.budget_grad_evals
-    grid_n = cfg.grid_points or 50
+    problem, x0 = build_problem(cfg.problem, cfg.seed)
+    # each step of every solver costs one grad f plus, with constraints, one Jacobian
+    cost = 2 if problem.num_constraints > 0 else 1
+    steps = max(1, budget // cost)
+    grid = np.unique(np.round(np.logspace(
+        math.log10(cost), math.log10(budget), cfg.grid_points or 50)).astype(int))
 
-    runs = []
+    sections = {}  # name -> (kind, config); all are checked before any solver runs
     for idx, solver_spec in enumerate(cfg.solvers):
-        name = solver_spec.get("name") or f"{solver_spec.get('kind', 'gdpa')}-{idx}"
-        problem, x0 = build_problem(cfg.problem, cfg.seed)
         kind, solver_cfg = build_solver_config(solver_spec, cfg.record_every)
-        # each step of every solver costs one grad f plus, with constraints, one Jacobian
-        cost = 2 if problem.num_constraints > 0 else 1
-        steps = max(1, budget // cost)
+        name = solver_spec.get("name") or f"{kind}-{idx}"
+        if not isinstance(name, str) or name in sections:
+            raise ConfigError(f"solver names must be distinct JSON strings, got {name!r}")
         if kind == "gdpa":
             solver_cfg.max_iters = steps
             # benchmark runs exhaust their budget; disable early stopping
@@ -433,31 +436,25 @@ def cmd_benchmark(args) -> int:
         else:
             solver_cfg.outer_iters = max(1, math.ceil(steps / solver_cfg.inner_iters))
             solver_cfg.feas_tol = min(solver_cfg.feas_tol, 1e-300)
-        t0 = time.perf_counter()
-        result = run_solver(kind, solver_cfg, problem, x0)
-        wall_ms = 1000.0 * (time.perf_counter() - t0)
-        write_trace(out_dir / f"trace_{name}.csv", result.trace)
-        runs.append((name, cost, result, wall_ms))
-        log.info("benchmark %s: %d grad evals, %.1f ms", name, cost * result.iterations, wall_ms)
+        sections[name] = kind, solver_cfg
 
-    lo = min(cost for _, cost, _, _ in runs)
-    grid = np.unique(np.round(np.logspace(
-        math.log10(lo), math.log10(budget), grid_n)).astype(int))
     lines = ["solver,grad_evals,wall_ms,stationarity_sq,feasibility,slackness"]
     failures = []
-    for name, cost, result, wall_ms in runs:
-        total = max(cost * result.iterations, 1)
-        recs = [(cost * rec.r, rec) for rec in result.trace]
-        limit = math.inf
+    for name, (kind, solver_cfg) in sections.items():
+        result, wall = _run(kind, solver_cfg, problem, x0, out_dir / f"trace_{name}.csv")
+        wall_ms = 1000.0 * wall
+        spent = cost * result.iterations
+        log.info("benchmark %s: %d grad evals, %.1f ms", name, spent, wall_ms)
+        points = grid
         if result.termination == TERM_NUMERICAL:  # listed up to the evaluations it spent
-            limit = cost * result.iterations
+            points = grid[grid <= spent]
             failures.append(f"{name}: {result.failure_message}")
-        for point in grid[grid <= limit]:
-            eligible = [entry for entry in recs if entry[0] <= point]
-            if not eligible:
+        for point in points:
+            row = bisect.bisect_right(result.trace, point, key=lambda rec: cost * rec.r)
+            if row == 0:
                 continue
-            ge, rec = eligible[-1]
-            t_ms = wall_ms * ge / total
+            rec = result.trace[row - 1]
+            t_ms = wall_ms * (cost * rec.r) / max(spent, 1)
             lines.append(
                 f"{name},{int(point)},{repr(t_ms)},{repr(rec.stationarity_sq)},"
                 f"{repr(rec.feasibility)},{repr(rec.slackness)}")
@@ -596,7 +593,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file or an unwritable output directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

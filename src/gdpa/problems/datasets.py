@@ -44,6 +44,14 @@ class MnpcDataset:
     def class_features(self, class_id: int) -> np.ndarray:
         return self.features[self.labels == class_id]
 
+    def class_blocks(self) -> list[np.ndarray]:
+        """The feature rows of each class in class order; every class needs a sample."""
+        blocks = [self.class_features(cls) for cls in range(self.num_classes)]
+        for cls, block in enumerate(blocks):
+            if block.shape[0] == 0:
+                raise ValueError(f"class {cls} has no samples")
+        return blocks
+
 
 def generate_synthetic_mnpc(
     seed: int,

@@ -55,12 +55,7 @@ def build_mnpc(data: MnpcDataset, reg_lambda: float, thresholds) -> ConstrainedP
         raise ValueError(f"thresholds must have length {m}")
     if reg_lambda < 0:
         raise ValueError("reg_lambda must be nonnegative")
-    splits = []
-    for cls in range(data.num_classes):
-        block = data.class_features(cls)
-        if block.shape[0] == 0:
-            raise ValueError(f"class {cls} has no samples")
-        splits.append(block)
+    splits = data.class_blocks()
     d_in = data.d_in
     dim = data.num_classes * d_in
     shape = (data.num_classes, d_in)

@@ -57,15 +57,9 @@ def build_nn_budget(data: MnpcDataset, hidden: int, budgets) -> ConstrainedProbl
     m = data.num_classes - 1
     if b.size != m:
         raise ValueError(f"budgets must have length {m}")
-    splits, targets = [], []
-    for cls in range(data.num_classes):
-        block = data.class_features(cls)
-        if block.shape[0] == 0:
-            raise ValueError(f"class {cls} has no samples")
-        onehot = np.zeros((block.shape[0], data.num_classes))
-        onehot[:, cls] = 1.0
-        splits.append(block)
-        targets.append(onehot)
+    splits = data.class_blocks()
+    targets = [np.tile(np.eye(data.num_classes)[cls], (block.shape[0], 1))
+               for cls, block in enumerate(splits)]
     d_in, num_out = data.d_in, data.num_classes
     dim = d_in * hidden + hidden * num_out
 

@@ -58,7 +58,6 @@ class GdpaConfig:
     eps_stat: float = 1e-4
     record_every: int = 10
     dense_until: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
@@ -66,7 +65,7 @@ class GdpaConfig:
         for name in ("beta0", "alpha01", "alpha02", "alpha03", "eps_feas", "eps_stat"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        _check_integers(self, ("max_iters", "record_every", "dense_until", "seed"))
+        _check_integers(self, ("max_iters", "record_every", "dense_until"))
         if not 1 <= self.max_iters <= 2 ** 62 or self.record_every < 1:
             raise ValueError("max_iters must lie in [1, 2**62] and record_every be positive")
         if self.dense_until < 0:

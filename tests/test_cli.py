@@ -13,6 +13,11 @@ from gdpa import cli
 from gdpa.metrics import IterationRecord
 
 
+def assert_one_line_naming(capsys, text):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and text in err, err
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload, indent=2))
@@ -229,6 +234,14 @@ class TestSolveCommand:
         assert summary["solver"] == "penalty"
         assert abs(summary["x_final"][0] - 1.0) <= 5e-2
 
+    def test_output_directory_under_a_file_exits_2(self, tmp_path, capsys):
+        # creating it raised NotADirectoryError: a traceback and exit 1
+        out = tmp_path / "file" / "out"
+        out.parent.write_text("")
+        cfg = scaled_1d_config(tmp_path, out, max_iters=10)
+        assert cli.main(["solve", "--config", cfg]) == 2
+        assert_one_line_naming(capsys, str(out))
+
     def test_log_level_env_is_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GDPA_LOG_LEVEL", "debug")
         out = tmp_path / "run"
@@ -309,6 +322,45 @@ class TestBenchmarkCommand:
         assert max(points["alm"]) == 200
         assert len(cli.read_trace(out / "trace_gdpa.csv")) == 26
         assert cli.read_trace(out / "trace_alm.csv")
+
+    @pytest.mark.parametrize("solvers, says", [
+        ([{"name": "a", "kind": "gdpa"}, {"name": "a", "kind": "alm"}], "got 'a'"),
+        ([{"kind": "gdpa"}, {"name": 1, "kind": "alm"}], "got 1"),
+        ([{"name": "a", "kind": "gdpa"}, {"name": "b", "kind": "alm", "inner_iters": 0}],
+         "bad solver section (alm)"),
+    ], ids=["duplicate-name", "non-string-name", "bad-last-section"])
+    def test_bad_solver_list_exits_2_before_any_solver_runs(self, tmp_path, capsys,
+                                                            solvers, says):
+        # the sections before a bad one ran and wrote their traces first, and two
+        # solvers named "a" exited 0 with one trace_a.csv and mixed compare rows
+        out = tmp_path / "bench"
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "analytic", "id": "scaled-1d"},
+            "solvers": solvers,
+            "budget_grad_evals": 20,
+            "out_dir": str(out),
+        })
+        assert cli.main(["benchmark", "--config", cfg]) == 2
+        assert_one_line_naming(capsys, says)
+        assert not list(out.glob("trace_*.csv"))
+
+    def test_solver_table_uses_the_module_names_at_call_time(self, tmp_path, monkeypatch):
+        # the fuzz tests and the perfbench tracer patch these names
+        seen = []
+        for name in ("GdpaConfig", "PenaltyConfig", "solve", "solve_penalty"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, _real=real, **kw:
+                                seen.append(_name) or _real(*a, **kw))
+        cfg = self.benchmark_config(tmp_path, tmp_path / "bench", budget=40)
+        assert cli.main(["benchmark", "--config", cfg]) == 0
+        assert seen == ["GdpaConfig", "PenaltyConfig", "solve", "solve_penalty"]
+
+    def test_output_directory_under_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "file" / "out"
+        out.parent.write_text("")
+        cfg = self.benchmark_config(tmp_path, out, budget=40)
+        assert cli.main(["benchmark", "--config", cfg]) == 2
+        assert_one_line_naming(capsys, str(out))
 
     def test_zero_budget_exits_2(self, tmp_path):
         out = tmp_path / "bench"
@@ -394,6 +446,14 @@ class TestRateReportCommand:
         trace = self.synthetic_trace(tmp_path, lambda r: r ** -0.5)
         assert cli.main(["rate-report", trace, "--window-lo=-inf", "--window-hi=inf"]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_output_directory_under_a_file_exits_2(self, tmp_path, capsys):
+        trace = self.synthetic_trace(tmp_path, lambda r: r ** -0.5)
+        out = tmp_path / "file" / "out"
+        out.parent.write_text("")
+        assert cli.main(["rate-report", trace, "--window-lo", "10", "--window-hi", "2000",
+                         "--out", str(out)]) == 2
+        assert_one_line_naming(capsys, str(out))
 
     def test_insufficient_points_exits_4(self, tmp_path):
         trace = self.synthetic_trace(tmp_path, lambda r: 1.0 / r, n=5)

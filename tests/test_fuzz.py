@@ -58,7 +58,7 @@ gdpa_solvers = st.fixed_dictionaries(
     {"kind": st.just("gdpa"), "max_iters": small},
     optional={"tau": step, "beta0": step, "alpha": st.lists(step, min_size=3, max_size=3),
               "eps_feas": step, "eps_stat": step, "record_every": small,
-              "dense_until": small, "seed": small, "name": st.sampled_from(["a", "b"])})
+              "dense_until": small, "name": st.sampled_from(["a", "b"])})
 baseline_solvers = st.fixed_dictionaries(
     {"kind": st.sampled_from(["penalty", "alm"]), "inner_iters": small,
      "outer_iters": st.integers(1, 2)},
@@ -148,7 +148,10 @@ def test_benchmark_config_fuzz(tmp_path_factory, capsys, short_defaults, config)
     (work / "config.json").write_text(json.dumps(config))
     code = run_cli(capsys, ["benchmark", "--config", str(work / "config.json"),
                             "--out", str(work / "out")])
-    assert code in {0, 2}
+    # 3: a solver failed numerically; the table is written all the same
+    assert code in {0, 2, 3}
+    if code != 2:
+        assert (work / "out" / "compare.csv").exists()
 
 
 @FUZZ

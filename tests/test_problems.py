@@ -147,6 +147,12 @@ class TestNnBudget:
         rep = check_gradients(p, seeded_check_points(p, 10, 6), h=1e-6)
         assert rep.passed(1e-5)
 
+    def test_empty_class_rejected(self):
+        bad = generate_synthetic_mnpc(8, 3, 6, 8, 0.5)
+        bad.labels[bad.labels == 1] = 2  # class 1 now empty
+        with pytest.raises(ValueError, match="class 1 has no samples"):
+            build_nn_budget(bad, hidden=4, budgets=[1.0, 1.0])
+
     def test_infinite_budgets_keep_dual_zero(self):
         p = build_nn_budget(self.data, hidden=4, budgets=[1e9, 1e9])
         cfg = GdpaConfig(alpha01=0.5, max_iters=300, eps_feas=1e-30, eps_stat=1e-30)
