@@ -24,6 +24,7 @@ from .solver import (
     TERM_NUMERICAL,
     NumericalFailure,
     SolveResult,
+    _averages,
     _check_integers,
     _initial_multiplier,
     _primal_step_raw,
@@ -130,9 +131,5 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
     except (NumericalFailure, NonFiniteError) as exc:
         termination = TERM_NUMERICAL
         failure = str(exc)
-    if weight_sum > 0:
-        x_avg = x_accum / weight_sum
-        lam_avg = lam_accum / weight_sum
-    else:
-        x_avg, lam_avg = x.copy(), lam.copy()
-    return SolveResult(x, lam, x_avg, lam_avg, termination, T_eps, trace, None, failure, step)
+    return SolveResult(x, lam, *_averages(weight_sum, x_accum, lam_accum, x, lam), termination,
+                       T_eps, trace, None, failure, step)

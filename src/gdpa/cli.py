@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -170,10 +170,25 @@ def _build_dataset(spec: dict, default_seed: int, hidden: int = 0):
     raise ConfigError(f"unknown dataset source {source!r}")
 
 
+# keys a problem section of each kind may hold besides "kind" and "x0"; mnpc
+# and nn share the dataset keys and the scale of their random start
+_SAMPLE_KEYS = {"source", "path", "dataset_seed", "num_classes", "d_in", "per_class",
+                "noise_std", "x0_scale"}
+_PROBLEM_KEYS = {"analytic": {"id"}, "mnpc": _SAMPLE_KEYS | {"reg_lambda", "thresholds"},
+                 "nn": _SAMPLE_KEYS | {"hidden", "budgets"},
+                 "cmdp": {"num_states", "num_actions", "num_constraints", "discount",
+                          "thresholds", "dataset_seed"}}
+
+
 def build_problem(spec: dict, seed: int) -> Tuple[ConstrainedProblem, np.ndarray]:
     """Instantiate the configured problem and its initial point."""
     try:
         kind = spec["kind"]
+        if not isinstance(kind, str) or kind not in _PROBLEM_KEYS:
+            raise ConfigError(f"unknown problem kind {kind!r}")
+        unknown = set(spec) - _PROBLEM_KEYS[kind] - {"kind", "x0"}
+        if unknown:
+            raise ConfigError(f"unknown problem keys ({kind}): {sorted(unknown)}")
         if kind == "analytic":
             inst = build_analytic(spec["id"])
             problem = inst.problem
@@ -188,7 +203,7 @@ def build_problem(spec: dict, seed: int) -> Tuple[ConstrainedProblem, np.ndarray
             data = _build_dataset(spec, seed, hidden)
             problem = build_nn_budget(data, hidden, spec["budgets"])
             default_x0 = None
-        elif kind == "cmdp":
+        else:
             states, actions = _integer(spec, "num_states"), _integer(spec, "num_actions")
             m = _integer(spec, "num_constraints", 1)
             _check_size(states * states * actions + (m + 1) * states * actions)
@@ -202,8 +217,6 @@ def build_problem(spec: dict, seed: int) -> Tuple[ConstrainedProblem, np.ndarray
             )
             problem = build_cmdp(model)
             default_x0 = np.zeros(problem.dim)
-        else:
-            raise ConfigError(f"unknown problem kind {kind!r}")
         if "x0" in spec:
             x0 = np.asarray(spec["x0"], dtype=np.float64)
             if x0.shape != (problem.dim,):
@@ -228,8 +241,10 @@ _SOLVERS = {"gdpa": ("GdpaConfig", "solve"),
             "alm": ("AlmConfig", "solve_alm")}
 
 
-def build_solver_config(spec: dict, record_every: Optional[int]):
-    """Parse a solver section into (kind, config object)."""
+def build_solver_config(spec: dict, record_every: Optional[int], steps: Optional[int] = None):
+    """Parse a solver section into (kind, config object). ``steps`` budgets a
+    benchmark run, which spends it all (no early stopping); the budgeted config
+    is built anew, so it passes its class's checks."""
     if not isinstance(spec, dict):
         raise ConfigError(f"a solver section must be a JSON object, got {spec!r}")
     spec = dict(spec)
@@ -248,7 +263,14 @@ def build_solver_config(spec: dict, record_every: Optional[int]):
                 a = spec.pop("alpha")
                 spec["alpha01"], spec["alpha02"], spec["alpha03"] = (float(v) for v in a)
             spec = {**merged, **spec}
-        return kind, config_class(**spec)
+        config = config_class(**spec)
+        if steps is None:
+            return kind, config
+        if kind == "gdpa":
+            return kind, replace(config, max_iters=steps, eps_feas=min(config.eps_feas, 1e-300),
+                                 eps_stat=min(config.eps_stat, 1e-300))
+        return kind, replace(config, outer_iters=max(1, math.ceil(steps / config.inner_iters)),
+                             feas_tol=min(config.feas_tol, 1e-300))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver section ({kind}): {exc}") from exc
 
@@ -408,13 +430,13 @@ def cmd_benchmark(args) -> int:
     cfg = load_config(args.config, args.seed)
     if not cfg.solvers or len(cfg.solvers) < 2:
         raise ConfigError("benchmark requires at least two entries in 'solvers'")
-    if not cfg.budget_grad_evals or cfg.budget_grad_evals <= 0:
-        raise ConfigError("benchmark requires a positive 'budget_grad_evals'")
-    if cfg.grid_points is not None and cfg.grid_points < 1:
-        raise ConfigError("'grid_points' must be positive")
+    budget = cfg.budget_grad_evals
+    if budget is None or not 1 <= budget <= 2 ** 62:
+        raise ConfigError(f"benchmark requires 'budget_grad_evals' in [1, 2**62], got {budget}")
+    if cfg.grid_points is not None and not 1 <= cfg.grid_points <= budget:
+        raise ConfigError(f"'grid_points' must lie in [1, {budget}], got {cfg.grid_points}")
     out_dir = Path(args.out or cfg.out_dir or "gdpa-benchmark")
     out_dir.mkdir(parents=True, exist_ok=True)
-    budget = cfg.budget_grad_evals
     problem, x0 = build_problem(cfg.problem, cfg.seed)
     # each step of every solver costs one grad f plus, with constraints, one Jacobian
     cost = 2 if problem.num_constraints > 0 else 1
@@ -424,18 +446,10 @@ def cmd_benchmark(args) -> int:
 
     sections = {}  # name -> (kind, config); all are checked before any solver runs
     for idx, solver_spec in enumerate(cfg.solvers):
-        kind, solver_cfg = build_solver_config(solver_spec, cfg.record_every)
+        kind, solver_cfg = build_solver_config(solver_spec, cfg.record_every, steps)
         name = solver_spec.get("name") or f"{kind}-{idx}"
         if not isinstance(name, str) or name in sections:
             raise ConfigError(f"solver names must be distinct JSON strings, got {name!r}")
-        if kind == "gdpa":
-            solver_cfg.max_iters = steps
-            # benchmark runs exhaust their budget; disable early stopping
-            solver_cfg.eps_feas = min(solver_cfg.eps_feas, 1e-300)
-            solver_cfg.eps_stat = min(solver_cfg.eps_stat, 1e-300)
-        else:
-            solver_cfg.outer_iters = max(1, math.ceil(steps / solver_cfg.inner_iters))
-            solver_cfg.feas_tol = min(solver_cfg.feas_tol, 1e-300)
         sections[name] = kind, solver_cfg
 
     lines = ["solver,grad_evals,wall_ms,stationarity_sq,feasibility,slackness"]
@@ -466,42 +480,35 @@ def cmd_benchmark(args) -> int:
 # rate-report
 
 
+# report column -> (trace column, factor, ceiling option, its default). Squaring
+# the feasibility column doubles the slope and intercept of its envelope fit
+# exactly, so the squared-violation rate is reported directly.
+_RATE_COLUMNS = {"stationarity_sq": ("stationarity_sq", 1.0, "max_slope_stationarity", -0.5),
+                 "feasibility_sq": ("feasibility", 2.0, "max_slope_feasibility_sq", -0.5),
+                 "slackness": ("slackness", 1.0, "max_slope_slackness", -0.25)}
+
+
 def cmd_rate_report(args) -> int:
     records = read_trace(args.trace)
     window = (args.window_lo, args.window_hi)
-    ceilings = {
-        "stationarity_sq": args.max_slope_stationarity,
-        "feasibility_sq": args.max_slope_feasibility_sq,
-        "slackness": args.max_slope_slackness,
-    }
-    if not all(map(math.isfinite, (*window, *ceilings.values()))):
+    ceilings = [getattr(args, option) for _, _, option, _ in _RATE_COLUMNS.values()]
+    if not all(map(math.isfinite, (*window, *ceilings))):
         raise ConfigError("the window bounds and slope ceilings must be finite")
-    report = {}
     try:
-        fit_stat = fit_rate(records, "stationarity_sq", window)
-        fit_feas = fit_rate(records, "feasibility", window)
-        fit_slack = fit_rate(records, "slackness", window)
+        fits = [fit_rate(records, trace_column, window)
+                for trace_column, _, _, _ in _RATE_COLUMNS.values()]
     except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return 4
-    # Squaring the feasibility column doubles slope and intercept of the
-    # envelope fit exactly, so report the squared-violation rate directly.
-    entries = [
-        ("stationarity_sq", fit_stat.slope, fit_stat.intercept, fit_stat),
-        ("feasibility_sq", 2.0 * fit_feas.slope, 2.0 * fit_feas.intercept, fit_feas),
-        ("slackness", fit_slack.slope, fit_slack.intercept, fit_slack),
-    ]
-    for column, slope, intercept, fit in entries:
-        ok = slope <= ceilings[column]
-        report[column] = {
-            "slope": slope,
-            "intercept": intercept,
-            "r_squared": fit.r_squared,
-            "n_points": fit.n_points,
-            "ceiling": ceilings[column],
-            "pass": bool(ok),
-        }
-        print(f"{column}: slope={slope:.4f} (ceiling {ceilings[column]}) "
+    report = {}
+    for column, fit, ceiling in zip(_RATE_COLUMNS, fits, ceilings):
+        factor = _RATE_COLUMNS[column][1]
+        slope = factor * fit.slope
+        ok = slope <= ceiling
+        report[column] = {"slope": slope, "intercept": factor * fit.intercept,
+                          "r_squared": fit.r_squared, "n_points": fit.n_points,
+                          "ceiling": ceiling, "pass": ok}
+        print(f"{column}: slope={slope:.4f} (ceiling {ceiling}) "
               f"r2={fit.r_squared:.4f} -> {'PASS' if ok else 'FAIL'}")
     out_dir = Path(args.out) if args.out else Path(args.trace).parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -554,33 +561,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Solver and benchmark harness for nonconvex inequality-"
                     "constrained problems")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="run one solver on one problem")
-    p_solve.add_argument("--config", required=True)
-    p_solve.add_argument("--out", default=None)
-    p_solve.add_argument("--seed", type=int, default=None)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_bench = sub.add_parser("benchmark", help="compare solvers under a shared budget")
-    p_bench.add_argument("--config", required=True)
-    p_bench.add_argument("--out", default=None)
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.set_defaults(func=cmd_benchmark)
-
-    p_rate = sub.add_parser("rate-report", help="fit convergence-rate slopes from a trace")
-    p_rate.add_argument("trace")
-    p_rate.add_argument("--window-lo", type=float, default=1e3)
-    p_rate.add_argument("--window-hi", type=float, default=1e5)
-    p_rate.add_argument("--max-slope-stationarity", type=float, default=-0.5)
-    p_rate.add_argument("--max-slope-feasibility-sq", type=float, default=-0.5)
-    p_rate.add_argument("--max-slope-slackness", type=float, default=-0.25)
-    p_rate.add_argument("--out", default=None)
-    p_rate.set_defaults(func=cmd_rate_report)
-
-    p_check = sub.add_parser("check", help="verify gradients and estimate regularity")
-    p_check.add_argument("--config", required=True)
-    p_check.add_argument("--seed", type=int, default=None)
-    p_check.set_defaults(func=cmd_check)
+    for name, func, text in (
+            ("solve", cmd_solve, "run one solver on one problem"),
+            ("benchmark", cmd_benchmark, "compare solvers under a shared budget"),
+            ("rate-report", cmd_rate_report, "fit convergence-rate slopes from a trace"),
+            ("check", cmd_check, "verify gradients and estimate regularity")):
+        command = sub.add_parser(name, help=text)
+        command.set_defaults(func=func)
+        if func is cmd_rate_report:
+            command.add_argument("trace")
+            command.add_argument("--window-lo", type=float, default=1e3)
+            command.add_argument("--window-hi", type=float, default=1e5)
+            for _, _, option, default in _RATE_COLUMNS.values():
+                command.add_argument("--" + option.replace("_", "-"), type=float,
+                                     default=default)
+            command.add_argument("--out", default=None)
+            continue
+        command.add_argument("--config", required=True)
+        if func is not cmd_check:
+            command.add_argument("--out", default=None)
+        command.add_argument("--seed", type=int, default=None)
     return parser
 
 

@@ -10,7 +10,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .problem import ConstrainedProblem
-from .vec import ProjectionSpec, _project_raw, as_vector, positive_part, require_finite
+from .vec import ProjectionSpec, _project_raw, as_vector, require_finite
 
 
 class InsufficientDataError(ValueError):
@@ -128,7 +128,7 @@ def kkt_residual(problem: ConstrainedProblem, x, lam, alpha: float = 1.0) -> Kkt
         xv, lv, gx, problem.grad_f(xv), problem.jacobian(xv), alpha, 1.0, problem.projection)
     return KktResidual(
         stationarity=float(np.linalg.norm(stacked[:xv.size])),
-        feasibility=float(np.linalg.norm(positive_part(gx))),
+        feasibility=math.sqrt(_violation_sq(gx)),
         slackness=float(np.abs(lv * gx).sum()),
     )
 

@@ -99,34 +99,29 @@ class ConstrainedProblem:
         return val
 
     def grad_f(self, x: np.ndarray, value=None) -> np.ndarray:
-        out = np.asarray(self.eval_grad_f(x) if value is None else value, dtype=np.float64)
-        if out.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"grad f must have shape ({self.dim},), got {out.shape}")
-        if not np.isfinite(out).all():
-            raise NonFiniteError(f"grad f(x) is not finite at x={x!r}")
-        return out
+        return self._checked(x, self.eval_grad_f(x) if value is None else value,
+                             (self.dim,), "grad f")
 
     def g(self, x: np.ndarray, value=None) -> np.ndarray:
         if self.num_constraints == 0:
             return np.zeros(0)
-        out = np.asarray(self.eval_g(x) if value is None else value, dtype=np.float64)
-        if out.shape != (self.num_constraints,):
-            raise DimensionMismatchError(
-                f"g must have shape ({self.num_constraints},), got {out.shape}")
-        if not np.isfinite(out).all():
-            raise NonFiniteError(f"g(x) is not finite at x={x!r}")
-        return out
+        return self._checked(x, self.eval_g(x) if value is None else value,
+                             (self.num_constraints,), "g")
 
     def jacobian(self, x: np.ndarray, value=None) -> np.ndarray:
         if self.num_constraints == 0:
             return np.zeros((0, self.dim))
-        out = np.asarray(self.eval_jacobian(x) if value is None else value, dtype=np.float64)
-        if out.shape != (self.num_constraints, self.dim):
-            raise DimensionMismatchError(
-                f"jacobian must have shape ({self.num_constraints}, {self.dim}), got {out.shape}")
+        return self._checked(x, self.eval_jacobian(x) if value is None else value,
+                             (self.num_constraints, self.dim), "jacobian")
+
+    @staticmethod
+    def _checked(x: np.ndarray, out, shape: Tuple[int, ...], what: str) -> np.ndarray:
+        """``out`` as float64, checked for its shape first, then for finiteness."""
+        out = np.asarray(out, dtype=np.float64)
+        if out.shape != shape:
+            raise DimensionMismatchError(f"{what} must have shape {shape}, got {out.shape}")
         if not np.isfinite(out).all():
-            raise NonFiniteError(f"jacobian(x) is not finite at x={x!r}")
+            raise NonFiniteError(f"{what}(x) is not finite at x={x!r}")
         return out
 
     def first_order(self, x: np.ndarray):
@@ -273,9 +268,7 @@ def effective_constants(
     """
     if sample_budget < 2:
         raise ValueError("sample_budget must be at least 2")
-    rng = np.random.default_rng(seed)
-    pts = [project(problem.projection, rng.standard_normal(problem.dim))
-           for _ in range(sample_budget)]
+    pts = seeded_check_points(problem, sample_budget, seed)
 
     supplied = problem.constants or ProblemConstants()
     m = problem.num_constraints

@@ -57,12 +57,15 @@ class TabularCmdp:
         if np.any(self.transitions < 0):
             raise ValueError("transition probabilities must be nonnegative")
         row_sums = self.transitions.sum(axis=2)
-        if np.max(np.abs(row_sums - 1.0)) > _ROW_SUM_TOL:
+        if not np.max(np.abs(row_sums - 1.0)) <= _ROW_SUM_TOL:  # NaN fails too
             raise ValueError("each transitions[s, a, :] must sum to 1")
         if not 0.0 < self.discount < 1.0:
             raise ValueError("discount must lie strictly between 0 and 1")
         if self.thresholds.shape != (self.constraint_rewards.shape[0],):
             raise ValueError("thresholds must have one entry per constraint reward")
+        for name in ("rewards", "constraint_rewards", "thresholds"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
     @property
     def num_states(self) -> int:

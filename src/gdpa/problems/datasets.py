@@ -30,6 +30,8 @@ class MnpcDataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise DatasetError("features must be a 2-d array")
+        if not np.isfinite(self.features).all():
+            raise DatasetError("features must be finite")
         if self.labels.shape != (self.features.shape[0],):
             raise DatasetError("labels must align with feature rows")
         if self.num_classes < 2:

@@ -53,8 +53,8 @@ def build_mnpc(data: MnpcDataset, reg_lambda: float, thresholds) -> ConstrainedP
     m = data.num_classes - 1
     if r.size != m:
         raise ValueError(f"thresholds must have length {m}")
-    if reg_lambda < 0:
-        raise ValueError("reg_lambda must be nonnegative")
+    if not 0 <= reg_lambda < np.inf:
+        raise ValueError("reg_lambda must be finite and nonnegative")
     splits = data.class_blocks()
     d_in = data.d_in
     dim = data.num_classes * d_in

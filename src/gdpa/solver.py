@@ -313,9 +313,13 @@ def solve(
         where = f"iteration {r}" if r else "initial evaluation"
         failure_message = f"{where}: {exc}"
 
+    return SolveResult(x, lam, *_averages(weight_sum, x_sum, lam_sum, x, lam), termination,
+                       T_eps, trace, iterates, failure_message, r)
+
+
+def _averages(weight_sum: float, x_sum, lam_sum, x, lam) -> Tuple[np.ndarray, np.ndarray]:
+    """A run's 1/beta-weighted averages of x and lambda from their weighted
+    sums, or copies of the last iterate when no step began."""
     if weight_sum > 0:
-        x_avg, lam_avg = x_sum / weight_sum, lam_sum / weight_sum
-    else:
-        x_avg, lam_avg = x.copy(), lam.copy()
-    return SolveResult(x, lam, x_avg, lam_avg, termination, T_eps, trace, iterates,
-                       failure_message, r)
+        return x_sum / weight_sum, lam_sum / weight_sum
+    return x.copy(), lam.copy()

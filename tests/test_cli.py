@@ -41,6 +41,21 @@ def scaled_1d_config(tmp_path, out, max_iters=2000, **solver_overrides):
 MNPC_OVERFLOW = {"kind": "mnpc", "num_classes": 3, "d_in": 4, "per_class": 5,
                  "thresholds": [1.0, 1.0], "reg_lambda": 1e308}
 
+CMDP_NAN = {"kind": "cmdp", "num_states": 5, "num_actions": 3, "thresholds": [math.nan]}
+MNPC_SMALL = {"kind": "mnpc", "num_classes": 3, "d_in": 2, "per_class": 4,
+              "thresholds": [1.0, 1.0]}
+
+
+def write_csv(tmp_path, bad=False):
+    """Three classes of three samples with two features; ``bad`` puts a nan in one."""
+    rows = np.random.default_rng(0).standard_normal((9, 2))
+    if bad:
+        rows[4, 1] = math.nan
+    path = tmp_path / "data.csv"
+    path.write_text("class,f1,f2\n" + "".join(
+        f"{i % 3},{a!r},{b!r}\n" for i, (a, b) in enumerate(rows.tolist())))
+    return str(path)
+
 
 class TestSolveCommand:
     def test_writes_outputs_and_converges(self, tmp_path):
@@ -128,6 +143,69 @@ class TestSolveCommand:
         assert peak < 2 ** 20
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "more than 100,000,000 float64 entries" in err
+
+    @pytest.mark.parametrize("command, problem, says", [
+        ("solve", CMDP_NAN, "thresholds must be finite"),
+        ("check", CMDP_NAN, "thresholds must be finite"),
+        ("solve", {**MNPC_SMALL, "noise_std": math.inf}, "features must be finite"),
+        ("solve", {**MNPC_SMALL, "reg_lambda": math.inf}, "reg_lambda must be finite"),
+        ("solve", {"kind": "mnpc", "source": "csv", "thresholds": [1.0, 1.0]},
+         "features must be finite"),
+        ("solve", {"kind": "nn", "source": "csv", "hidden": 2, "budgets": [1.0, 1.0]},
+         "features must be finite"),
+    ], ids=["cmdp-solve", "cmdp-check", "mnpc-noise", "mnpc-reg", "mnpc-csv", "nn-csv"])
+    def test_non_finite_problem_data_exits_2(self, tmp_path, capsys, command, problem, says):
+        # each exited 3 with "numerical failure: ... is not finite"
+        if problem.get("source") == "csv":
+            problem = {**problem, "path": write_csv(tmp_path, bad=True)}
+        cfg = write_config(tmp_path, {"problem": problem, "out_dir": str(tmp_path / "out")})
+        assert cli.main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad problem section: " + says)
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("problem, says", [
+        ({"kind": "cmdp", "num_states": 5, "num_actions": 3, "num_constraint": 3},
+         "unknown problem keys (cmdp): ['num_constraint']"),
+        ({**MNPC_SMALL, "per_klass": 5, "noise": 0.1},
+         "unknown problem keys (mnpc): ['noise', 'per_klass']"),
+        ({"kind": "analytic", "id": "scaled-1d", "x0_scale": 0.1},
+         "unknown problem keys (analytic): ['x0_scale']"),
+    ], ids=["cmdp", "mnpc", "analytic"])
+    def test_unknown_problem_key_exits_2(self, tmp_path, capsys, problem, says):
+        # a problem section ignored the key: the cmdp one ran with 1 constraint
+        cfg = write_config(tmp_path, {"problem": problem})
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {says}\n"
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
+    @pytest.mark.parametrize("problem, dim", [
+        ({"kind": "mnpc", "thresholds": [1.0, 1.0]}, 3 * 2),
+        ({"kind": "nn", "hidden": 3, "budgets": [1.0, 1.0]}, 2 * 3 + 3 * 3),
+    ], ids=["mnpc", "nn"])
+    def test_csv_dataset_solves(self, tmp_path, problem, dim):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, {
+            "problem": {**problem, "source": "csv", "path": write_csv(tmp_path)},
+            "solver": {"kind": "gdpa", "preset": problem["kind"], "max_iters": 50},
+            "out_dir": str(out)})
+        assert cli.main(["solve", "--config", cfg]) == 0
+        assert len(cli.read_trace(out / "trace.csv")) == 50
+        # the decision variable is sized by the file: 3 classes, 2 features
+        assert len(json.loads((out / "summary.json").read_text())["x_final"]) == dim
+
+    def test_oversized_net_on_a_csv_dataset_exits_2_before_allocating(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"problem": {
+            "kind": "nn", "source": "csv", "path": write_csv(tmp_path),
+            "hidden": 10 ** 300, "budgets": [1.0, 1.0]}})
+        tracemalloc.start()
+        try:
+            code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2 ** 20
+        assert_one_line_naming(capsys, "more than 100,000,000 float64 entries")
 
     def test_overflowing_constant_estimate_leaks_no_warning(self, tmp_path, capsys):
         # the sampled constant estimate overflows; it used to print numpy's
@@ -361,6 +439,34 @@ class TestBenchmarkCommand:
         cfg = self.benchmark_config(tmp_path, out, budget=40)
         assert cli.main(["benchmark", "--config", cfg]) == 2
         assert_one_line_naming(capsys, str(out))
+
+    @pytest.mark.parametrize("solvers, budget, grid_points, says", [
+        ([{"kind": "gdpa"}, {"kind": "alm"}], 200, 10 ** 11,
+         "'grid_points' must lie in [1, 200], got 100000000000"),
+        ([{"kind": "gdpa", "alpha": [1e-323, 1.0, 1.0], "max_iters": 1}, {"kind": "alm"}],
+         2000, None, "bad solver section (gdpa): alpha_r underflows to 0"),
+    ], ids=["grid-above-budget", "alpha-underflows-at-the-budget"])
+    def test_out_of_range_setting_exits_2_before_any_solver_runs(
+            self, tmp_path, capsys, solvers, budget, grid_points, says):
+        # the grid ended in a traceback (np.logspace asked for 745 GiB); the
+        # budgeted gdpa config skipped the checks its own max_iters had passed
+        out = tmp_path / "bench"
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "analytic", "id": "scaled-1d"}, "solvers": solvers,
+            "budget_grad_evals": budget, "grid_points": grid_points, "out_dir": str(out)})
+        assert cli.main(["benchmark", "--config", cfg]) == 2
+        assert_one_line_naming(capsys, says)
+        assert not list(out.glob("trace_*.csv"))
+
+    @pytest.mark.parametrize("budget", [2 ** 62 + 1, 10 ** 30])
+    def test_budget_above_2_62_exits_2(self, tmp_path, capsys, budget):
+        # 10**30 overflowed the grid's int cast with a RuntimeWarning, then ran
+        # GDPA with max_iters = 5e29
+        out = tmp_path / "bench"
+        cfg = self.benchmark_config(tmp_path, out, budget=budget)
+        assert cli.main(["benchmark", "--config", cfg]) == 2
+        assert_one_line_naming(capsys, "'budget_grad_evals' in [1, 2**62]")
+        assert not list(out.glob("trace_*.csv"))
 
     def test_zero_budget_exits_2(self, tmp_path):
         out = tmp_path / "bench"

@@ -96,6 +96,12 @@ class TestCsvLoader:
         with pytest.raises(DatasetError, match="line 2"):
             load_csv_dataset(path)
 
+    def test_non_finite_feature_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("class,f1\n0,1.0\n1,nan\n")
+        with pytest.raises(DatasetError, match="features must be finite"):
+            load_csv_dataset(path)
+
 
 class TestMnpc:
     def setup_method(self):
@@ -130,6 +136,11 @@ class TestMnpc:
     def test_threshold_length_checked(self):
         with pytest.raises(ValueError):
             build_mnpc(self.data, 1.0, [0.1])
+
+    @pytest.mark.parametrize("reg_lambda", [np.inf, np.nan, -1.0])
+    def test_reg_lambda_must_be_finite_and_nonnegative(self, reg_lambda):
+        with pytest.raises(ValueError, match="reg_lambda must be finite and nonnegative"):
+            build_mnpc(self.data, reg_lambda, [0.1, 0.1])
 
 
 class TestNnBudget:
@@ -250,3 +261,20 @@ class TestCmdp:
         with pytest.raises(ValueError):
             TabularCmdp(model.transitions, model.rewards,
                         model.constraint_rewards, 1.0, model.thresholds)
+
+    @pytest.mark.parametrize("field, index, says", [
+        ("transitions", (0, 1, 0), "must sum to 1"),
+        ("rewards", (1, 0), "rewards must be finite"),
+        ("constraint_rewards", (0, 1, 1), "constraint_rewards must be finite"),
+        ("thresholds", (0,), "thresholds must be finite"),
+    ], ids=["transitions", "rewards", "constraint_rewards", "thresholds"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, field, index, says, bad):
+        # a NaN transition row passed the row-sum test (NaN > tol is False)
+        model = random_cmdp(1, 2, 2, 1, 0.9)
+        arrays = {name: getattr(model, name).copy()
+                  for name in ("transitions", "rewards", "constraint_rewards", "thresholds")}
+        arrays[field][index] = bad
+        with pytest.raises(ValueError, match=says):
+            TabularCmdp(arrays["transitions"], arrays["rewards"],
+                        arrays["constraint_rewards"], 0.9, arrays["thresholds"])
