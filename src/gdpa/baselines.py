@@ -5,7 +5,8 @@ Both are deliberately plain (fixed inner iteration counts, constant inner
 step, no acceleration): the point is interface-comparable convergence traces
 over the same problem contract, not faithful reproductions of the published
 competitor codebases. Traces reuse the same record schema as the primary
-solver, with ``r`` counting cumulative inner steps.
+solver, with ``r`` counting cumulative inner steps; the last inner step of each
+outer round is always recorded.
 """
 
 from __future__ import annotations
@@ -99,18 +100,20 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for _outer in range(cfg.outer_iters):
-                for _ in range(cfg.inner_iters):
+                for inner in range(1, cfg.inner_iters + 1):
                     step += 1
-                    gx, grad, jac = problem.first_order(x)
+                    fx, gx, grad, jac = problem.first_order(x)
                     grad = problem.grad_f(x, grad)
                     jac = problem.jacobian(x, jac)
                     weight_sum += 1.0 / rho
                     x_accum += x / rho
                     lam_accum += lam / rho
-                    if step % cfg.record_every == 0 or step <= cfg.dense_until:
+                    # a round's last step is recorded, as solve() records its last
+                    if (step % cfg.record_every == 0 or step <= cfg.dense_until
+                            or inner == cfg.inner_iters):
                         # tau=0 turns the merit value into the classic
                         # augmented Lagrangian this method actually minimizes.
-                        trace.append(make_record(problem, x, lam, gx, grad, jac,
+                        trace.append(make_record(problem, x, lam, fx, gx, grad, jac,
                                                  step, cfg.inner_step, rho, 0.0, 0.0))
                     if T_eps is None and math.sqrt(_violation_sq(gx)) <= cfg.feas_tol:
                         T_eps = step

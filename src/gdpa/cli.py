@@ -58,6 +58,8 @@ GDPA_PRESETS = {
     "cmdp": {"alpha01": 1e3, "beta0": 0.5},
 }
 
+MAX_GRID_POINTS = 10_000  # compare.csv rows per solver in `gdpa benchmark`
+
 
 class ConfigError(ValueError):
     """Bad run configuration (maps to exit code 2)."""
@@ -433,8 +435,9 @@ def cmd_benchmark(args) -> int:
     budget = cfg.budget_grad_evals
     if budget is None or not 1 <= budget <= 2 ** 62:
         raise ConfigError(f"benchmark requires 'budget_grad_evals' in [1, 2**62], got {budget}")
-    if cfg.grid_points is not None and not 1 <= cfg.grid_points <= budget:
-        raise ConfigError(f"'grid_points' must lie in [1, {budget}], got {cfg.grid_points}")
+    top = min(budget, MAX_GRID_POINTS)  # checked before np.logspace allocates
+    if cfg.grid_points is not None and not 1 <= cfg.grid_points <= top:
+        raise ConfigError(f"'grid_points' must lie in [1, {top}], got {cfg.grid_points}")
     out_dir = Path(args.out or cfg.out_dir or "gdpa-benchmark")
     out_dir.mkdir(parents=True, exist_ok=True)
     problem, x0 = build_problem(cfg.problem, cfg.seed)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -197,6 +197,7 @@ def make_record(
     problem: ConstrainedProblem,
     x: np.ndarray,
     lam: np.ndarray,
+    fx: Optional[float],
     gx: np.ndarray,
     grad_fx: np.ndarray,
     jac: np.ndarray,
@@ -206,8 +207,9 @@ def make_record(
     gamma: float,
     tau: float,
 ) -> IterationRecord:
-    """Build a trace row from already-evaluated callbacks (one extra f eval)."""
-    f_val = problem.f(x)
+    """Build a trace row from already-evaluated callbacks; ``fx`` is a fused
+    oracle's f at x, checked here, or None for one f evaluation."""
+    f_val = problem.f(x, fx)
     _, stat_sq = _stationarity_from_evals(
         x, lam, gx, grad_fx, jac, alpha, beta, problem.projection)
     return IterationRecord(

@@ -65,7 +65,7 @@ class ConstrainedProblem:
     ``eval_g`` / ``eval_jacobian`` may be omitted when ``num_constraints`` is
     zero. ``eval_jacobian`` returns the m-by-dim matrix of constraint
     gradients (row i is the gradient of g_i). The optional
-    ``eval_first_order`` returns (g, grad f, J), equal to the three separate
+    ``eval_first_order`` returns (f, g, grad f, J), equal to the four separate
     callbacks; when set, the solvers call it in their place once per step.
     """
 
@@ -78,7 +78,7 @@ class ConstrainedProblem:
     projection: ProjectionSpec = field(default_factory=ProjectionSpec.identity)
     constants: Optional[ProblemConstants] = None
     name: str = ""
-    eval_first_order: Optional[Callable[[np.ndarray], Tuple[np.ndarray, ...]]] = None
+    eval_first_order: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -92,8 +92,8 @@ class ConstrainedProblem:
     # -- validated accessors -------------------------------------------------
     # ``value``: eval_first_order's output at x, checked in place of a new call
 
-    def f(self, x: np.ndarray) -> float:
-        val = float(self.eval_f(x))
+    def f(self, x: np.ndarray, value=None) -> float:
+        val = float(self.eval_f(x) if value is None else value)
         if not math.isfinite(val):
             raise NonFiniteError(f"f(x) is not finite at x={x!r}")
         return val
@@ -125,16 +125,16 @@ class ConstrainedProblem:
         return out
 
     def first_order(self, x: np.ndarray):
-        """Checked g(x), then grad f and J from the same eval_first_order call
-        (None without one), for the caller to check as ``value``."""
-        g, grad, jac = (None,) * 3 if self.eval_first_order is None else self.eval_first_order(x)
-        return self.g(x, g), grad, jac
+        """f, checked g(x), grad f and J from one eval_first_order call (f, grad
+        f and J unchecked, or None without one), for the caller to check as ``value``."""
+        f, g, grad, jac = self.eval_first_order(x) if self.eval_first_order else (None,) * 4
+        return f, self.g(x, g), grad, jac
 
 
 @dataclass
 class GradientCheckReport:
     """Max relative errors of analytic derivatives against central differences,
-    and of the fused oracle's (g, grad f, J) against the separate callbacks."""
+    and of the fused oracle's (f, g, grad f, J) against the separate callbacks."""
 
     grad_f_error: float
     jacobian_error: Optional[float]  # None when the problem has no constraints
@@ -184,8 +184,9 @@ def check_gradients(
                 fd_jac[:, i] = (problem.g(xp) - problem.g(xm)) / (2.0 * h)
             analytic_jac = problem.jacobian(x)
             if fused is not None:
-                g1, grad1, jac1 = fused(x)
-                fused_err = max(fused_err, _rel_error(problem.g(x), problem.g(x, g1)),
+                f1, g1, grad1, jac1 = fused(x)
+                fused_err = max(fused_err, _rel_error(problem.f(x), problem.f(x, f1)),
+                                _rel_error(problem.g(x), problem.g(x, g1)),
                                 _rel_error(analytic_grad, problem.grad_f(x, grad1)),
                                 _rel_error(analytic_jac, problem.jacobian(x, jac1)))
         except NonFiniteError as exc:

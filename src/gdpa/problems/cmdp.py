@@ -19,7 +19,8 @@ one policy: one softmax, one P_pi and one multi-RHS solve for the value
 functions. ``eval_f`` and ``eval_g`` stop there. ``eval_grad_f`` and
 ``eval_jacobian`` add one occupancy solve, shared by every table, and one
 (S*A, S) @ (S, k) product for the Q-values of all k tables.
-``eval_first_order`` makes that pass once over all 1 + m tables.
+``eval_first_order`` makes that pass once over all 1 + m tables and returns
+f, g, grad f and J from it.
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ def build_cmdp(model: TabularCmdp) -> ConstrainedProblem:
 
     def eval_first_order(theta):
         v, grads = return_grads(theta, all_tables)
-        return thresholds - (1.0 - discount) * (rho @ v[:, 1:]), -grads[0], -grads[1:]
+        return (-(1.0 - discount) * float(rho @ v[:, 0]),
+                thresholds - (1.0 - discount) * (rho @ v[:, 1:]), -grads[0], -grads[1:])
 
     return ConstrainedProblem(
         dim=dim,

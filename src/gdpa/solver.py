@@ -7,7 +7,8 @@ size grows like r^(1/3) while the primal step size and the perturbation decay
 like r^(-1/3); their product with the dual step size is pinned to the damping
 constant tau. Cost per iteration: one objective-gradient, one Jacobian, and
 one fresh constraint evaluation (the constraint value at the new point is
-reused by the following iteration), or one fused ``eval_first_order`` call.
+reused by the following iteration), or one fused ``eval_first_order`` call,
+whose f also serves the trace row.
 """
 
 from __future__ import annotations
@@ -267,8 +268,9 @@ def solve(
         # overflow in a diverging run must surface as a checked numerical
         # failure, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            # a fused oracle's grad f and J come with g; checked at the loop top
-            gx, grad, jac = problem.first_order(x)
+            # a fused oracle's grad f and J come with g, checked at the loop
+            # top, and its f, checked in a trace row
+            fx, gx, grad, jac = problem.first_order(x)
             for r in range(1, cfg.max_iters + 1):
                 alpha, beta, gamma = schedule(cfg, r)
                 grad = problem.grad_f(x, grad)
@@ -287,7 +289,7 @@ def solve(
                     stopping = stat_sq <= eps_stat_sq
                 if (stopping or r <= cfg.dense_until or r % cfg.record_every == 0
                         or r == cfg.max_iters):
-                    trace.append(make_record(problem, x, lam, gx, grad, jac,
+                    trace.append(make_record(problem, x, lam, fx, gx, grad, jac,
                                              r, alpha, beta, gamma, tau))
                 if stopping:
                     termination = TERM_FEASIBILITY
@@ -296,7 +298,7 @@ def solve(
                 damped = (1.0 - tau) * lam
                 mask = _active_raw(gx, damped, beta)
                 x_next = _primal_step_raw(projection, x, damped, grad, jac, gx, alpha, beta, r)
-                g_next, grad, jac = problem.first_order(x_next)
+                f_next, g_next, grad, jac = problem.first_order(x_next)
                 lam_next = _dual_step_raw(g_next, damped, mask, beta)
                 if __debug__:  # active and still feasible: contracted; inactive: zeroed
                     ok = np.where(mask, (g_next > 0.0) | (lam_next <= damped + 1e-15),
@@ -307,7 +309,7 @@ def solve(
                     on_iteration(r, x_next, lam, lam_next, mask, g_next)
                 if T_eps is None and _violation_sq(g_next) <= cfg.eps_feas:
                     T_eps = r
-                x, lam, gx = x_next, lam_next, g_next
+                x, lam, fx, gx = x_next, lam_next, f_next, g_next
     except (NumericalFailure, NonFiniteError) as exc:
         termination = TERM_NUMERICAL
         where = f"iteration {r}" if r else "initial evaluation"

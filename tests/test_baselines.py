@@ -124,3 +124,29 @@ class TestAgreement:
                           np.zeros(1))
         for res in (res_g, res_p, res_a):
             assert abs(res.x_final[0] - 1.0) <= 5e-2
+
+
+class TestTrace:
+    @pytest.mark.parametrize("kind, outer_iters, termination, iterations", [
+        ("penalty", 6, "feasibility-stop", 1818),
+        ("penalty", 3, "budget-exhausted", 909),
+        ("alm", 6, "feasibility-stop", 909),
+        ("alm", 2, "budget-exhausted", 606),
+    ])
+    def test_last_step_of_each_round_is_recorded(self, kind, outer_iters, termination,
+                                                 iterations):
+        # 303 steps a round fall off the record_every grid, so the last row
+        # was r=1810 for a penalty run of 1818 steps; solve() records its last
+        if kind == "penalty":
+            res = solve_penalty(problem_a(), PenaltyConfig(
+                rho0=1.0, rho_growth=10.0, inner_iters=303, inner_step=9e-5,
+                outer_iters=outer_iters, feas_tol=1e-300, record_every=10,
+                dense_until=0), np.zeros(1))
+        else:
+            res = solve_alm(problem_a(), AlmConfig(
+                rho0=10.0, rho_growth=10.0, inner_iters=303, inner_step=1e-3,
+                outer_iters=outer_iters, feas_tol=1e-300, record_every=10,
+                dense_until=0), np.zeros(1))
+        assert (res.termination, res.iterations) == (termination, iterations)
+        assert res.trace[-1].r == res.iterations
+        assert [rec.r for rec in res.trace if rec.r % 10] == list(range(303, iterations + 1, 303))

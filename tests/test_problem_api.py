@@ -65,12 +65,17 @@ class TestCheckGradients:
                            g=lambda x: 1.0 - x, jac=lambda x: -1.0)
         assert check_gradients(p, [np.array([0.5])]).first_order_error is None
         # a fused J off by 1e-3 at x=0.5: |-1.001 - (-1)| / max(1, 1) = 1e-3
-        p.eval_first_order = lambda x: (1.0 - x, 2.0 * x, np.array([[-1.001]]))
+        p.eval_first_order = lambda x: (x @ x, 1.0 - x, 2.0 * x, np.array([[-1.001]]))
         rep = check_gradients(p, [np.array([0.5])], h=1e-6)
         assert rep.jacobian_error <= 1e-10
         assert rep.first_order_error == pytest.approx(1e-3, rel=1e-9)
         assert not rep.passed(1e-5)
-        p.eval_first_order = lambda x: (1.0 - x, 2.0 * x, np.array([[-1.0]]))
+        # a fused f off by 1e-3: |0.251 - 0.25| / max(1, 0.25) = 1e-3
+        p.eval_first_order = lambda x: (x @ x + 1e-3, 1.0 - x, 2.0 * x, np.array([[-1.0]]))
+        rep = check_gradients(p, [np.array([0.5])], h=1e-6)
+        assert rep.first_order_error == pytest.approx(1e-3, rel=1e-9)
+        assert not rep.passed(1e-5)
+        p.eval_first_order = lambda x: (x @ x, 1.0 - x, 2.0 * x, np.array([[-1.0]]))
         rep = check_gradients(p, [np.array([0.5])], h=1e-6)
         assert rep.first_order_error == 0.0 and rep.passed(1e-5)
 

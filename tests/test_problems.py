@@ -236,10 +236,11 @@ class TestCmdp:
         np.testing.assert_allclose(problem.eval_jacobian(theta),
                                    np.reshape([-g for _, g in refs], (m, s * a)),
                                    rtol=0, atol=1e-12)
-        # the fused oracle's one pass over all 1 + m tables gives the same three
+        # the fused oracle's one pass over all 1 + m tables gives the same four
         fused = problem.eval_first_order(theta)
-        separate = (problem.eval_g(theta), problem.eval_grad_f(theta),
+        separate = (problem.eval_f(theta), problem.eval_g(theta), problem.eval_grad_f(theta),
                     problem.eval_jacobian(theta))
+        assert len(fused) == 4 and isinstance(fused[0], float)
         for got, want in zip(fused, separate):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 

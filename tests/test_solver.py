@@ -321,7 +321,7 @@ class TestSolve:
 
             p = dataclasses.replace(base, **{attr: poisoned})
             if fused:
-                p.eval_first_order = lambda x: (p.eval_g(x), p.eval_grad_f(x),
+                p.eval_first_order = lambda x: (p.eval_f(x), p.eval_g(x), p.eval_grad_f(x),
                                                 p.eval_jacobian(x))
             return solve(p, GdpaConfig(max_iters=50, record_every=10, dense_until=0),
                          np.zeros(1))
@@ -330,6 +330,45 @@ class TestSolve:
         unused = call == 51 and attr != "eval_g"
         assert a.termination == ("budget-exhausted" if unused else "numerical-failure")
         assert (a.termination, a.failure_message) == (b.termination, b.failure_message)
+        assert (len(a.trace), a.iterations) == (len(b.trace), b.iterations)
+        assert a.x_final.tolist() == b.x_final.tolist()
+        assert a.lambda_final.tolist() == b.lambda_final.tolist()
+
+    @pytest.mark.parametrize("solver, step, message", [
+        ("gdpa", 10, "iteration 10: f(x) is not finite at x=array([0.90649124])"),
+        ("gdpa", 13, ""),
+        ("penalty", 10, "f(x) is not finite at x=array([0.00080913])"),
+        ("penalty", 13, ""),
+    ], ids=["gdpa-recorded", "gdpa-unrecorded", "penalty-recorded", "penalty-unrecorded"])
+    def test_fused_f_failure_path_matches_the_separate_path(self, solver, step, message):
+        # NaN f at the step-th iterate, reached alone or through a fused
+        # oracle. Step 10 is recorded and step 13 is not; the fused f is
+        # checked only in a trace row, where the separate path calls f, so a
+        # NaN at an unrecorded step ends neither run. The poison is keyed to
+        # the iterate, because the two paths call f a different number of times.
+        base = build_analytic("scaled-1d").problem
+        if solver == "gdpa":
+            def run(p):
+                return solve(p, GdpaConfig(max_iters=50, record_every=10, dense_until=0),
+                             np.zeros(1))
+        else:
+            def run(p):
+                return solve_penalty(p, PenaltyConfig(
+                    inner_iters=20, inner_step=9e-5, outer_iters=2, record_every=10,
+                    dense_until=0, feas_tol=1e-300), np.zeros(1))
+        seen = []  # grad f is evaluated once per step, at that step's iterate
+        run(dataclasses.replace(base, eval_grad_f=lambda x: seen.append(x.copy())
+                                or base.eval_grad_f(x)))
+        bad = seen[step - 1]
+        p = dataclasses.replace(
+            base, eval_f=lambda x: math.nan if np.array_equal(x, bad) else base.eval_f(x))
+        b = run(p)
+        p.eval_first_order = lambda x: (p.eval_f(x), p.eval_g(x), p.eval_grad_f(x),
+                                        p.eval_jacobian(x))
+        a = run(p)
+        assert a.termination == b.termination == (
+            "numerical-failure" if message else "budget-exhausted")
+        assert a.failure_message == b.failure_message == message
         assert (len(a.trace), a.iterations) == (len(b.trace), b.iterations)
         assert a.x_final.tolist() == b.x_final.tolist()
         assert a.lambda_final.tolist() == b.lambda_final.tolist()
@@ -532,6 +571,9 @@ FUSED_CASES = {
     "alm": (lambda p: solve_alm(p, AlmConfig(
         rho0=1.0, inner_iters=50, inner_step=3.0, outer_iters=6, feas_tol=1e-6,
         record_every=5, dense_until=10), np.zeros(48)), "feasibility-stop", 0, 4),
+    "penalty": (lambda p: solve_penalty(p, PenaltyConfig(
+        rho0=1.0, inner_iters=30, inner_step=3.0, outer_iters=3, feas_tol=1e-300,
+        record_every=4, dense_until=5), np.zeros(48)), "budget-exhausted", 0, 3),
 }
 
 
@@ -548,17 +590,23 @@ def test_fused_oracle_matches_the_separate_callbacks(case):
     for got, want in [(a.x_final, b.x_final), (a.lambda_final, b.lambda_final),
                       (a.x_avg, b.x_avg), (a.lambda_avg, b.lambda_avg)]:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # the trace's f comes from the fused pass on one path, from eval_f on the other
+    for got, want in zip(a.trace, b.trace):
+        assert got.r == want.r and abs(got.f_value - want.f_value) <= 1e-12 * abs(want.f_value)
 
 
 @pytest.mark.parametrize("case", sorted(FUSED_CASES))
 def test_fused_oracle_replaces_the_separate_calls(case):
-    # one fused call per step; the separate grad f and Jacobian callbacks
-    # (and a counting wrapper around them) are not called at all
+    # one fused call per step; the separate f, grad f and Jacobian callbacks
+    # (and a counting wrapper around them) are not called at all, trace rows
+    # included
     run, _, extra, g_calls = FUSED_CASES[case]
-    calls = {"grad_f": 0, "jac": 0, "g": 0}
+    calls = {"f": 0, "grad_f": 0, "jac": 0, "g": 0}
     p = _counting(_cmdp_with_fused_oracle(), calls)
+    eval_f = p.eval_f
+    p.eval_f = lambda x: calls.update(f=calls["f"] + 1) or eval_f(x)
     fused, fused_calls = p.eval_first_order, []
     p.eval_first_order = lambda x: fused_calls.append(1) or fused(x)
     res = run(p)
-    assert len(fused_calls) == res.iterations + extra
-    assert calls == {"grad_f": 0, "jac": 0, "g": g_calls}
+    assert len(fused_calls) == res.iterations + extra and res.trace
+    assert calls == {"f": 0, "grad_f": 0, "jac": 0, "g": g_calls}
