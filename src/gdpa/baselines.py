@@ -45,14 +45,16 @@ class PenaltyConfig:
     feas_tol: float = 1e-6
     record_every: int = 10
     dense_until: int = 1000
+    max_steps: int = 2 ** 62  # inner steps over all rounds; reaching it ends a round early
 
     def __post_init__(self):
         if not (self.rho0 > 0 and self.inner_step > 0 and self.feas_tol > 0):
             raise ValueError("rho0, inner_step, and feas_tol must be positive")
         if not self.rho_growth > 1:
             raise ValueError("rho_growth must exceed 1")
-        _check_integers(self, ("inner_iters", "outer_iters", "record_every", "dense_until"))
-        if self.inner_iters < 1 or self.outer_iters < 1 or self.record_every < 1:
+        _check_integers(self, ("inner_iters", "outer_iters", "record_every", "dense_until",
+                               "max_steps"))
+        if min(self.inner_iters, self.outer_iters, self.record_every, self.max_steps) < 1:
             raise ValueError("iteration counts must be positive")
 
 
@@ -100,25 +102,28 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for _outer in range(cfg.outer_iters):
-                for inner in range(1, cfg.inner_iters + 1):
+                last = min(cfg.inner_iters, cfg.max_steps - step)
+                for inner in range(1, last + 1):
                     step += 1
                     fx, gx, grad, jac = problem.first_order(x)
                     grad = problem.grad_f(x, grad)
                     jac = problem.jacobian(x, jac)
+                    viol = _violation_sq(gx)
                     weight_sum += 1.0 / rho
                     x_accum += x / rho
                     lam_accum += lam / rho
                     # a round's last step is recorded, as solve() records its last
-                    if (step % cfg.record_every == 0 or step <= cfg.dense_until
-                            or inner == cfg.inner_iters):
+                    if step % cfg.record_every == 0 or step <= cfg.dense_until or inner == last:
                         # tau=0 turns the merit value into the classic
                         # augmented Lagrangian this method actually minimizes.
-                        trace.append(make_record(problem, x, lam, fx, gx, grad, jac,
-                                                 step, cfg.inner_step, rho, 0.0, 0.0))
-                    if T_eps is None and math.sqrt(_violation_sq(gx)) <= cfg.feas_tol:
+                        trace.append(make_record(problem, x, lam, fx, gx, grad, jac, step,
+                                                 cfg.inner_step, rho, 0.0, 0.0, viol))
+                    if T_eps is None and math.sqrt(viol) <= cfg.feas_tol:
                         T_eps = step
                     x = _primal_step_raw(problem.projection, x, lam, grad, jac, gx,
                                          cfg.inner_step, rho, step)
+                if last < cfg.inner_iters:  # stopped at max_steps, within a round
+                    break
                 gx = problem.g(x)
                 if not frozen:
                     lam = np.maximum(lam + rho * gx, 0.0)

@@ -43,7 +43,7 @@ from .problems import (
     load_csv_dataset,
     random_cmdp,
 )
-from .vec import NonFiniteError
+from .vec import NonFiniteError, all_finite
 
 log = logging.getLogger("gdpa")
 
@@ -232,7 +232,7 @@ def build_problem(spec: dict, seed: int) -> Tuple[ConstrainedProblem, np.ndarray
         raise
     except (KeyError, TypeError, ValueError, NonFiniteError) as exc:
         raise ConfigError(f"bad problem section: {exc}") from exc
-    if not np.isfinite(x0).all():
+    if not all_finite(x0):
         raise ConfigError("bad problem section: the start point is not finite")
     return problem, x0
 
@@ -271,7 +271,8 @@ def build_solver_config(spec: dict, record_every: Optional[int], steps: Optional
         if kind == "gdpa":
             return kind, replace(config, max_iters=steps, eps_feas=min(config.eps_feas, 1e-300),
                                  eps_stat=min(config.eps_stat, 1e-300))
-        return kind, replace(config, outer_iters=max(1, math.ceil(steps / config.inner_iters)),
+        # every round takes a step, so `steps` rounds never bind before max_steps
+        return kind, replace(config, outer_iters=steps, max_steps=steps,
                              feas_tol=min(config.feas_tol, 1e-300))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver section ({kind}): {exc}") from exc

@@ -88,7 +88,8 @@ def _stationarity_from_evals(
     # Lagrangian: grad_x L = grad f + J^T lam, grad_lam L = g.
     # project()'s two checks; the input one catches an Inf step a box clips to finite
     step = require_finite(x - alpha * (grad_fx + jac.T @ lam), "v")
-    primal = (x - require_finite(_project_raw(projection, step), "projection output")) / alpha
+    proj = _project_raw(projection, step)  # step itself when inside X: checked already
+    primal = (x - (proj if proj is step else require_finite(proj, "projection output"))) / alpha
     dual = (lam - np.maximum(lam + beta * gx, 0.0)) / beta
     stacked = np.concatenate([primal, dual])
     return stacked, float(stacked @ stacked)
@@ -206,18 +207,21 @@ def make_record(
     beta: float,
     gamma: float,
     tau: float,
+    viol_sq: Optional[float] = None,
+    stat_sq: Optional[float] = None,
 ) -> IterationRecord:
-    """Build a trace row from already-evaluated callbacks; ``fx`` is a fused
-    oracle's f at x, checked here, or None for one f evaluation."""
+    """Build a trace row from evaluated callbacks and, when given, the squared violation
+    and stationarity; ``fx`` is a fused oracle's f at x, checked here, or None for one f call."""
     f_val = problem.f(x, fx)
-    _, stat_sq = _stationarity_from_evals(
-        x, lam, gx, grad_fx, jac, alpha, beta, problem.projection)
+    if stat_sq is None:
+        _, stat_sq = _stationarity_from_evals(
+            x, lam, gx, grad_fx, jac, alpha, beta, problem.projection)
     return IterationRecord(
         r=r, alpha=alpha, beta=beta, gamma=gamma,
         f_value=f_val,
         F_beta_value=_perturbed_value(f_val, gx, lam, beta, tau),
         stationarity_sq=stat_sq,
-        feasibility=math.sqrt(_violation_sq(gx)),
+        feasibility=math.sqrt(_violation_sq(gx) if viol_sq is None else viol_sq),
         slackness=float(np.abs(lam * gx).sum()),
         lambda_norm=math.sqrt(float(lam @ lam)),
     )

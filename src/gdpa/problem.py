@@ -22,6 +22,7 @@ from .vec import (
     DimensionMismatchError,
     NonFiniteError,
     ProjectionSpec,
+    all_finite,
     as_vector,
     positive_part,
     project,
@@ -120,7 +121,7 @@ class ConstrainedProblem:
         out = np.asarray(out, dtype=np.float64)
         if out.shape != shape:
             raise DimensionMismatchError(f"{what} must have shape {shape}, got {out.shape}")
-        if not np.isfinite(out).all():
+        if not all_finite(out):
             raise NonFiniteError(f"{what}(x) is not finite at x={x!r}")
         return out
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..problem import ConstrainedProblem
-from ..vec import ProjectionSpec
+from ..vec import ProjectionSpec, all_finite
 
 _ROW_SUM_TOL = 1e-12
 
@@ -65,7 +65,7 @@ class TabularCmdp:
         if self.thresholds.shape != (self.constraint_rewards.shape[0],):
             raise ValueError("thresholds must have one entry per constraint reward")
         for name in ("rewards", "constraint_rewards", "thresholds"):
-            if not np.isfinite(getattr(self, name)).all():
+            if not all_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
     @property

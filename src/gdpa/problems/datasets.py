@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..vec import all_finite
+
 
 class DatasetError(ValueError):
     """Malformed or unusable dataset input."""
@@ -30,7 +32,7 @@ class MnpcDataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise DatasetError("features must be a 2-d array")
-        if not np.isfinite(self.features).all():
+        if not all_finite(self.features):
             raise DatasetError("features must be finite")
         if self.labels.shape != (self.features.shape[0],):
             raise DatasetError("labels must align with feature rows")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .metrics import IterationRecord, _stationarity_from_evals, _violation_sq, make_record
 from .problem import ConstrainedProblem, ProblemConstants
-from .vec import NonFiniteError, _project_raw, as_vector, project
+from .vec import NonFiniteError, _project_raw, all_finite, as_vector, project
 
 TERM_FEASIBILITY = "feasibility-stop"
 TERM_BUDGET = "budget-exhausted"
@@ -145,7 +145,7 @@ def _active_raw(g_x, damped, beta_r):
 def _primal_step_raw(projection, x, damped, grad_fx, jac, gx, alpha_r, beta_r, r=None):
     shifted = np.maximum(damped + beta_r * gx, 0.0)
     x_next = _project_raw(projection, x - alpha_r * (grad_fx + jac.T @ shifted))
-    if not np.isfinite(x_next).all():
+    if not all_finite(x_next):
         raise NumericalFailure(f"primal step produced non-finite iterate at r={r}")
     return x_next
 
@@ -271,6 +271,7 @@ def solve(
             # a fused oracle's grad f and J come with g, checked at the loop
             # top, and its f, checked in a trace row
             fx, gx, grad, jac = problem.first_order(x)
+            viol = _violation_sq(gx)  # of each g, shared by the stop test and the trace row
             for r in range(1, cfg.max_iters + 1):
                 alpha, beta, gamma = schedule(cfg, r)
                 grad = problem.grad_f(x, grad)
@@ -282,15 +283,15 @@ def solve(
                 if capture_iterates:
                     iterates.append((x.copy(), lam.copy()))
 
-                stopping = False
-                if T_eps is not None and _violation_sq(gx) <= cfg.eps_feas:
+                stopping, stat_sq = False, None
+                if T_eps is not None and viol <= cfg.eps_feas:
                     _, stat_sq = _stationarity_from_evals(
                         x, lam, gx, grad, jac, alpha, beta, projection)
                     stopping = stat_sq <= eps_stat_sq
                 if (stopping or r <= cfg.dense_until or r % cfg.record_every == 0
                         or r == cfg.max_iters):
-                    trace.append(make_record(problem, x, lam, fx, gx, grad, jac,
-                                             r, alpha, beta, gamma, tau))
+                    trace.append(make_record(problem, x, lam, fx, gx, grad, jac, r, alpha,
+                                             beta, gamma, tau, viol, stat_sq))
                 if stopping:
                     termination = TERM_FEASIBILITY
                     break
@@ -303,13 +304,14 @@ def solve(
                 if __debug__:  # active and still feasible: contracted; inactive: zeroed
                     ok = np.where(mask, (g_next > 0.0) | (lam_next <= damped + 1e-15),
                                   lam_next == 0.0)
-                    assert ok.all(), ("inactive multiplier not zeroed" if ok[mask].all()
-                                      else "dual contraction violated") + f" at r={r}"
+                    assert np.count_nonzero(ok) == ok.size, (
+                        ("inactive multiplier not zeroed" if ok[mask].all()
+                         else "dual contraction violated") + f" at r={r}")
                 if on_iteration is not None:
                     on_iteration(r, x_next, lam, lam_next, mask, g_next)
-                if T_eps is None and _violation_sq(g_next) <= cfg.eps_feas:
+                x, lam, fx, gx, viol = x_next, lam_next, f_next, g_next, _violation_sq(g_next)
+                if T_eps is None and viol <= cfg.eps_feas:
                     T_eps = r
-                x, lam, fx, gx = x_next, lam_next, f_next, g_next
     except (NumericalFailure, NonFiniteError) as exc:
         termination = TERM_NUMERICAL
         where = f"iteration {r}" if r else "initial evaluation"

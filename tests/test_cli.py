@@ -1,15 +1,17 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gdpa import cli
+from gdpa import cli, solve, solve_alm, solve_penalty
 from gdpa.metrics import IterationRecord
 
 
@@ -343,6 +345,22 @@ class TestBenchmarkCommand:
             "seed": 0,
         })
 
+    @pytest.mark.parametrize("steps", [450, 600])
+    @pytest.mark.parametrize("name", ["gdpa", "penalty", "alm"])
+    def test_every_solver_runs_exactly_the_budgeted_steps(self, name, steps):
+        # the budget need not fall on a round's end: it cuts ALM's one round
+        # of 2000 steps, and the penalty method's second round of 300 at 450
+        # (at 600 it ends that round)
+        raw = json.loads((Path(__file__).parents[1] / "configs"
+                          / "benchmark-scaled-1d.json").read_text())
+        spec = next(spec for spec in raw["solvers"] if spec["name"] == name)
+        kind, config = cli.build_solver_config(spec, 1, steps)
+        problem, x0 = cli.build_problem(raw["problem"], 0)
+        res = {"gdpa": solve, "penalty": solve_penalty, "alm": solve_alm}[kind](
+            problem, config, x0)
+        assert (res.termination, res.iterations) == ("budget-exhausted", steps)
+        assert [rec.r for rec in res.trace] == list(range(1, steps + 1))
+
     def test_compare_table_has_shared_grid(self, tmp_path):
         out = tmp_path / "bench"
         cfg = self.benchmark_config(tmp_path, out)
@@ -632,3 +650,21 @@ def test_module_entrypoint_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+
+
+def test_optimized_interpreter_writes_the_same_trace(tmp_path):
+    # `python -O` drops the debug check of the dual update, so the check must
+    # not change what the solver computes
+    cfg = scaled_1d_config(tmp_path, tmp_path / "unused", max_iters=300)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    traces = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"run{len(flags)}"
+        proc = subprocess.run([sys.executable, *flags, "-m", "gdpa.cli", "solve",
+                               "--config", cfg, "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1] and traces[0].count(b"\n") == 301

@@ -22,6 +22,7 @@ from gdpa import (
     validate_tau,
     weighted_average,
 )
+from gdpa.metrics import make_record
 from gdpa.problems import build_analytic, build_cmdp, random_cmdp
 from gdpa.vec import project
 from tests.conftest import make_unconstrained, random_quadratic_problem
@@ -516,10 +517,9 @@ def _scaled_1d():
     return build_analytic("scaled-1d").problem
 
 
-# Each case: problem, run, termination, steps. The penalty and ALM cases are
-# configs/benchmark-scaled-1d.json's entries as `gdpa benchmark` sizes them:
-# at a budget of 4000 grad evals the penalty method plans 7 x 300 steps and
-# stops on feasibility; at 1200 ALM plans 600 steps but runs its 2000 inner steps.
+# Each case: problem, run, termination, steps. The penalty and ALM cases use
+# configs/benchmark-scaled-1d.json's entries: the penalty method stops on
+# feasibility within 7 rounds of 300 steps, and ALM runs one round of 2000.
 ITERATION_CASES = {
     "gdpa-budget": (_scaled_1d, lambda p: solve(
         p, GdpaConfig(max_iters=50, eps_feas=1e-300, eps_stat=1e-300), np.zeros(1)),
@@ -610,3 +610,58 @@ def test_fused_oracle_replaces_the_separate_calls(case):
     res = run(p)
     assert len(fused_calls) == res.iterations + extra and res.trace
     assert calls == {"f": 0, "grad_f": 0, "jac": 0, "g": g_calls}
+
+
+# Each case: problem, run, tau. The GDPA runs set T_eps early and record every
+# row, so their stop tests run on recorded rows and share the stationarity; on
+# the box the violation rises above eps_feas again on a third of the rows, which
+# then compute their own. The ball's radius keeps the steps inside it, where
+# projection returns its input.
+SHARED_CASES = {
+    "gdpa": (_scaled_1d, lambda p: solve(p, GdpaConfig(
+        max_iters=300, eps_feas=1e-2, eps_stat=1e-300, record_every=1), np.zeros(1),
+        capture_iterates=True), 0.1),
+    "gdpa-box": (lambda: random_quadratic_problem(1), lambda p: solve(p, GdpaConfig(
+        tau=0.25, beta0=0.5, alpha01=0.5, max_iters=200, eps_feas=1e-2, eps_stat=1e-300,
+        record_every=1), np.full(4, 1.5), capture_iterates=True), 0.25),
+    "gdpa-ball-stops": (lambda: dataclasses.replace(
+        make_unconstrained([0.7, -0.3]), projection=ProjectionSpec.ball(np.zeros(2), 5.0)),
+        lambda p: solve(p, GdpaConfig(max_iters=5000, eps_stat=1e-10, record_every=1),
+                        np.zeros(2), capture_iterates=True), 0.1),
+    "penalty": (_scaled_1d, lambda p: solve_penalty(p, PenaltyConfig(
+        inner_iters=50, inner_step=9e-5, outer_iters=4, feas_tol=1e-300, record_every=1),
+        np.zeros(1)), 0.0),
+    "alm": (_scaled_1d, lambda p: solve_alm(p, AlmConfig(
+        rho0=10.0, inner_iters=50, inner_step=1e-3, outer_iters=4, feas_tol=1e-300,
+        record_every=1), np.zeros(1)), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_CASES))
+def test_shared_values_equal_fresh_ones(case, monkeypatch):
+    # A trace row reuses its step's squared violation and, after a stop
+    # test, that test's stationarity; each row must equal the row make_record
+    # computes afresh at the same iterate, bit for bit.
+    import gdpa.baselines
+    import gdpa.solver
+    problem, run, tau = SHARED_CASES[case]
+    module = gdpa.solver if case.startswith("gdpa") else gdpa.baselines
+    seen = []
+
+    def spy(p, x, lam, *args):
+        seen.append((x.copy(), lam.copy(), args[-1] is not None))
+        return make_record(p, x, lam, *args)
+
+    monkeypatch.setattr(module, "make_record", spy)
+    p = problem()
+    res = run(p)
+    assert res.termination != "numerical-failure" and len(seen) == len(res.trace) > 10
+    if module is gdpa.solver:  # the stationarity came from a stop test on most rows
+        assert sum(shared for _, _, shared in seen) > len(seen) // 2
+    for rec, (x, lam, _) in zip(res.trace, seen):
+        if res.iterates is not None:
+            assert np.array_equal(x, res.iterates[rec.r - 1][0])
+            assert np.array_equal(lam, res.iterates[rec.r - 1][1])
+        fresh = make_record(p, x, lam, None, p.g(x), p.grad_f(x), p.jacobian(x),
+                            rec.r, rec.alpha, rec.beta, rec.gamma, tau)
+        assert dataclasses.astuple(rec) == dataclasses.astuple(fresh), rec.r

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gdpa.vec import (
     DimensionMismatchError,
     NonFiniteError,
     ProjectionSpec,
+    all_finite,
     positive_part,
     project,
 )
@@ -107,3 +108,12 @@ class TestKernels:
         out = positive_part(v)
         assert np.all(out >= 0)
         np.testing.assert_array_equal(positive_part(out), out)
+
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+                  elements=st.floats()),
+           st.sampled_from(["whole", "strided", "transposed"]))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_all_finite_agrees_with_isfinite_all(self, a, view):
+        # NaN, +-Inf, empty, 2-d and non-contiguous arrays
+        v = {"whole": a, "strided": a[::2], "transposed": a.T}[view]
+        assert all_finite(v) == np.isfinite(v).all()
