@@ -26,7 +26,7 @@ from .solver import (
     NumericalFailure,
     SolveResult,
     _averages,
-    _check_integers,
+    _check_types,
     _initial_multiplier,
     _primal_step_raw,
 )
@@ -48,12 +48,11 @@ class PenaltyConfig:
     max_steps: int = 2 ** 62  # inner steps over all rounds; reaching it ends a round early
 
     def __post_init__(self):
+        _check_types(self)
         if not (self.rho0 > 0 and self.inner_step > 0 and self.feas_tol > 0):
             raise ValueError("rho0, inner_step, and feas_tol must be positive")
         if not self.rho_growth > 1:
             raise ValueError("rho_growth must exceed 1")
-        _check_integers(self, ("inner_iters", "outer_iters", "record_every", "dense_until",
-                               "max_steps"))
         if min(self.inner_iters, self.outer_iters, self.record_every, self.max_steps) < 1:
             raise ValueError("iteration counts must be positive")
 

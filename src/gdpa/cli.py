@@ -17,8 +17,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,46 +78,43 @@ def _setup_logging() -> None:
 # Run configuration
 
 
-# JSON type of each config key; every key but "problem" and "seed" may be null
-_RUNCONFIG_TYPES = {"problem": dict, "solver": dict, "solvers": list, "out_dir": str,
-                    "record_every": int, "seed": int, "budget_grad_evals": int,
-                    "grid_points": int}
-_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer"}
+REQUIRED = object()  # the default of a key that must be given
+
+# One table per config section, the one statement of its keys: key -> (JSON
+# type, default or REQUIRED, least value or None). A float key also takes a
+# JSON integer, no key takes a boolean, and a key whose default is None may be null.
+_TOP_KEYS = {"problem": (dict, REQUIRED, None), "solver": (dict, None, None),
+             "solvers": (list, None, None), "out_dir": (str, None, None),
+             "record_every": (int, None, None), "seed": (int, 0, 0),
+             "budget_grad_evals": (int, None, None), "grid_points": (int, None, None)}
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer", float: "number"}
 
 
-@dataclass
-class RunConfig:
-    problem: dict
-    solver: Optional[dict] = None
-    solvers: Optional[list] = None
-    out_dir: Optional[str] = None
-    record_every: Optional[int] = None
-    seed: int = 0
-    budget_grad_evals: Optional[int] = None
-    grid_points: Optional[int] = None
-
-    @staticmethod
-    def from_dict(raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        unknown = set(raw) - _RUNCONFIG_TYPES.keys()
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "problem" not in raw:
-            raise ConfigError("config requires a 'problem' section")
-        for key, val in raw.items():
-            want = _RUNCONFIG_TYPES[key]
-            if val is None and key not in ("problem", "seed"):
-                continue
-            if not isinstance(val, want) or isinstance(val, bool):
-                raise ConfigError(f"'{key}' must be a JSON {_JSON_NAMES[want]}, got {val!r}")
-        if not all(isinstance(spec, dict) for spec in raw.get("solvers") or []):
-            raise ConfigError("every entry of 'solvers' must be a JSON object")
-        return RunConfig(**raw)
+def _section(raw: dict, table: dict, where: str) -> dict:
+    """Checked values of a config section, defaults filled in; ``where`` names its keys."""
+    if not raw.keys() <= table.keys():
+        raise ConfigError(f"unknown {where}: {sorted(raw.keys() - table.keys())}")
+    out = {}
+    for key, (want, default, least) in table.items():
+        val = out[key] = raw.get(key, default)
+        if val is REQUIRED:
+            raise ConfigError(f"missing {where}: '{key}'")
+        if val is None and default is None:
+            continue
+        if isinstance(val, bool) or not isinstance(val, (int, float) if want is float else want):
+            raise ConfigError(f"'{key}' must be a JSON {_JSON_NAMES[want]}, got {val!r}")
+        if least is not None and val < least:
+            raise ConfigError(f"'{key}' must be at least {least}, got {val!r}")
+        if want is float:
+            try:
+                out[key] = float(val)
+            except OverflowError:
+                raise ConfigError(f"'{key}' is beyond the float range, got {val!r}") from None
+    return out
 
 
-def load_config(path, seed: Optional[int] = None) -> RunConfig:
-    """Parse a config file; ``seed`` (the ``--seed`` option) overrides its seed."""
+def load_config(path, seed: Optional[int] = None) -> SimpleNamespace:
+    """Parse and check a config file; ``seed`` (the ``--seed`` option) overrides its seed."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -124,23 +122,18 @@ def load_config(path, seed: Optional[int] = None) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    cfg = RunConfig.from_dict(raw)
-    if seed is not None:
-        cfg.seed = seed
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    if seed is not None:  # checked as the file's seed is
+        raw["seed"] = seed
+    cfg = SimpleNamespace(**_section(raw, _TOP_KEYS, "config keys"))
+    if not all(isinstance(spec, dict) for spec in cfg.solvers or []):
+        raise ConfigError("every entry of 'solvers' must be a JSON object")
     return cfg
 
 
 # --------------------------------------------------------------------------
 # Problem construction
-
-
-def _integer(spec: dict, key: str, *default) -> int:
-    """Integer field of a problem section (KeyError when required and missing);
-    a JSON float such as 2.5 or 1e300 is rejected, not truncated."""
-    val = spec.get(key, *default) if default else spec[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"bad problem section: '{key}' must be a JSON integer, got {val!r}")
-    return val
 
 
 # float64 entries (800 MB) the arrays of a configured problem may hold
@@ -149,87 +142,70 @@ _MAX_ENTRIES = 10 ** 8
 
 def _check_size(entries: int) -> None:
     if entries > _MAX_ENTRIES:
-        raise ConfigError(f"bad problem section: its arrays would hold more than "
-                          f"{_MAX_ENTRIES:,} float64 entries")
+        raise ValueError(f"its arrays would hold more than {_MAX_ENTRIES:,} float64 entries")
 
 
-def _build_dataset(spec: dict, default_seed: int, hidden: int = 0):
-    """Dataset of an mnpc or nn section; ``hidden`` (nn only) adds the net's
-    weights to the size checked against the cap."""
-    source = spec.get("source", "synthetic")
-    if source == "synthetic":
-        seed = _integer(spec, "dataset_seed", default_seed)
-        num_classes, d_in = _integer(spec, "num_classes"), _integer(spec, "d_in")
-        per_class = _integer(spec, "per_class", 20)
-        _check_size(num_classes * per_class * d_in + hidden * (d_in + num_classes))
-        return generate_synthetic_mnpc(seed=seed, num_classes=num_classes, d_in=d_in,
-                                       per_class=per_class,
-                                       noise_std=float(spec.get("noise_std", 0.5)))
-    if source == "csv":
-        data = load_csv_dataset(spec["path"])
-        _check_size(hidden * (data.d_in + data.num_classes))
-        return data
-    raise ConfigError(f"unknown dataset source {source!r}")
-
-
-# keys a problem section of each kind may hold besides "kind" and "x0"; mnpc
-# and nn share the dataset keys and the scale of their random start
-_SAMPLE_KEYS = {"source", "path", "dataset_seed", "num_classes", "d_in", "per_class",
-                "noise_std", "x0_scale"}
-_PROBLEM_KEYS = {"analytic": {"id"}, "mnpc": _SAMPLE_KEYS | {"reg_lambda", "thresholds"},
-                 "nn": _SAMPLE_KEYS | {"hidden", "budgets"},
-                 "cmdp": {"num_states", "num_actions", "num_constraints", "discount",
-                          "thresholds", "dataset_seed"}}
+# the problem sections' tables (see _TOP_KEYS): "kind" picks one, and an mnpc
+# or nn section adds the keys of its dataset "source"; a null dataset_seed
+# stands for the run's seed
+_START = {"kind": (str, REQUIRED, None), "x0": (list, None, None)}
+_SAMPLED = {**_START, "source": (str, "synthetic", None), "x0_scale": (float, 1e-3, None)}
+_DATASET_SEED = {"dataset_seed": (int, None, 0)}
+_PROBLEMS = {
+    "analytic": {**_START, "id": (str, REQUIRED, None)},
+    "mnpc": {**_SAMPLED, "reg_lambda": (float, 1.0, None), "thresholds": (list, REQUIRED, None)},
+    "nn": {**_SAMPLED, "hidden": (int, REQUIRED, None), "budgets": (list, REQUIRED, None)},
+    "cmdp": {**_START, **_DATASET_SEED, "num_states": (int, REQUIRED, None),
+             "num_actions": (int, REQUIRED, None), "num_constraints": (int, 1, None),
+             "discount": (float, 0.9, None), "thresholds": (list, None, None)}}
+_SOURCES = {
+    "synthetic": {**_DATASET_SEED, "num_classes": (int, REQUIRED, None),
+                  "d_in": (int, REQUIRED, None), "per_class": (int, 20, None),
+                  "noise_std": (float, 0.5, None)},
+    "csv": {"path": (str, REQUIRED, None)}}
 
 
 def build_problem(spec: dict, seed: int) -> Tuple[ConstrainedProblem, np.ndarray]:
     """Instantiate the configured problem and its initial point."""
+    kind = spec.get("kind")
+    table = _PROBLEMS.get(kind) if isinstance(kind, str) else None
+    if table is None:
+        raise ConfigError(f"unknown problem kind {kind!r}; choose one of {sorted(_PROBLEMS)}")
+    if "source" in table:
+        source = spec.get("source", table["source"][1])
+        if not isinstance(source, str) or source not in _SOURCES:
+            raise ConfigError(f"unknown dataset source {source!r}")
+        table = {**table, **_SOURCES[source]}
+    spec = _section(spec, table, f"problem keys ({kind})")
+    data_seed = seed if spec.get("dataset_seed") is None else spec["dataset_seed"]
     try:
-        kind = spec["kind"]
-        if not isinstance(kind, str) or kind not in _PROBLEM_KEYS:
-            raise ConfigError(f"unknown problem kind {kind!r}")
-        unknown = set(spec) - _PROBLEM_KEYS[kind] - {"kind", "x0"}
-        if unknown:
-            raise ConfigError(f"unknown problem keys ({kind}): {sorted(unknown)}")
         if kind == "analytic":
-            inst = build_analytic(spec["id"])
-            problem = inst.problem
-            default_x0 = np.zeros(problem.dim)
-        elif kind == "mnpc":
-            data = _build_dataset(spec, seed)
-            problem = build_mnpc(data, float(spec.get("reg_lambda", 1.0)),
-                                 spec["thresholds"])
-            default_x0 = None
-        elif kind == "nn":
-            hidden = _integer(spec, "hidden")
-            data = _build_dataset(spec, seed, hidden)
-            problem = build_nn_budget(data, hidden, spec["budgets"])
-            default_x0 = None
-        else:
-            states, actions = _integer(spec, "num_states"), _integer(spec, "num_actions")
-            m = _integer(spec, "num_constraints", 1)
+            problem = build_analytic(spec["id"]).problem
+        elif kind == "cmdp":
+            states, actions, m = spec["num_states"], spec["num_actions"], spec["num_constraints"]
             _check_size(states * states * actions + (m + 1) * states * actions)
-            model = random_cmdp(
-                seed=_integer(spec, "dataset_seed", seed),
-                num_states=states,
-                num_actions=actions,
-                num_constraints=m,
-                discount=float(spec.get("discount", 0.9)),
-                thresholds=spec.get("thresholds"),
-            )
-            problem = build_cmdp(model)
-            default_x0 = np.zeros(problem.dim)
-        if "x0" in spec:
+            problem = build_cmdp(random_cmdp(data_seed, states, actions, m, spec["discount"],
+                                             spec["thresholds"]))
+        else:  # mnpc or nn; the net's weights count toward the size cap
+            hidden = spec.get("hidden", 0)
+            if spec["source"] == "csv":
+                data = load_csv_dataset(spec["path"])
+                _check_size(hidden * (data.d_in + data.num_classes))
+            else:
+                classes, d_in, per_class = spec["num_classes"], spec["d_in"], spec["per_class"]
+                _check_size(classes * per_class * d_in + hidden * (d_in + classes))
+                data = generate_synthetic_mnpc(data_seed, classes, d_in, per_class,
+                                               spec["noise_std"])
+            problem = (build_mnpc(data, spec["reg_lambda"], spec["thresholds"]) if kind == "mnpc"
+                       else build_nn_budget(data, hidden, spec["budgets"]))
+        if spec["x0"] is not None:
             x0 = np.asarray(spec["x0"], dtype=np.float64)
             if x0.shape != (problem.dim,):
-                raise ConfigError(f"x0 must have length {problem.dim}")
-        elif default_x0 is not None:
-            x0 = default_x0
+                raise ValueError(f"x0 must have length {problem.dim}")
+        elif "x0_scale" in spec:  # a random start
+            x0 = spec["x0_scale"] * np.random.default_rng(seed).standard_normal(problem.dim)
         else:
-            scale = float(spec.get("x0_scale", 1e-3))
-            x0 = scale * np.random.default_rng(seed).standard_normal(problem.dim)
-    except ConfigError:
-        raise
+            x0 = np.zeros(problem.dim)
     except (KeyError, TypeError, ValueError, NonFiniteError) as exc:
         raise ConfigError(f"bad problem section: {exc}") from exc
     if not all_finite(x0):
@@ -247,25 +223,23 @@ def build_solver_config(spec: dict, record_every: Optional[int], steps: Optional
     """Parse a solver section into (kind, config object). ``steps`` budgets a
     benchmark run, which spends it all (no early stopping); the budgeted config
     is built anew, so it passes its class's checks."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"a solver section must be a JSON object, got {spec!r}")
     spec = dict(spec)
     spec.pop("name", None)
     kind = spec.pop("kind", "gdpa")
     if not isinstance(kind, str) or kind not in _SOLVERS:
         raise ConfigError(f"unknown solver kind {kind!r}")
-    config_class = globals()[_SOLVERS[kind][0]]
     if record_every is not None:
         spec.setdefault("record_every", record_every)
     try:
         if kind == "gdpa":
             preset = spec.pop("preset", None)
-            merged = dict(GDPA_PRESETS[preset]) if preset else {}
+            if preset is not None and not (isinstance(preset, str) and preset in GDPA_PRESETS):
+                raise ConfigError(f"unknown preset {preset!r}; "
+                                  f"choose one of {sorted(GDPA_PRESETS)}")
             if "alpha" in spec:
-                a = spec.pop("alpha")
-                spec["alpha01"], spec["alpha02"], spec["alpha03"] = (float(v) for v in a)
-            spec = {**merged, **spec}
-        config = config_class(**spec)
+                spec["alpha01"], spec["alpha02"], spec["alpha03"] = spec.pop("alpha")
+            spec = {**GDPA_PRESETS.get(preset, {}), **spec}
+        config = globals()[_SOLVERS[kind][0]](**spec)
         if steps is None:
             return kind, config
         if kind == "gdpa":

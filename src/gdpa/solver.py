@@ -14,7 +14,6 @@ whose f also serves the trace row.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -61,12 +60,12 @@ class GdpaConfig:
     dense_until: int = 1000
 
     def __post_init__(self):
+        _check_types(self)
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie strictly between 0 and 1")
         for name in ("beta0", "alpha01", "alpha02", "alpha03", "eps_feas", "eps_stat"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        _check_integers(self, ("max_iters", "record_every", "dense_until"))
         if not 1 <= self.max_iters <= 2 ** 62 or self.record_every < 1:
             raise ValueError("max_iters must lie in [1, 2**62] and record_every be positive")
         if self.dense_until < 0:
@@ -85,11 +84,16 @@ class GdpaConfig:
         return notes
 
 
-def _check_integers(cfg, names) -> None:
-    for name in names:
+def _check_types(cfg) -> None:
+    """Every field of a config dataclass holds an integer where its default is
+    an int and a real number elsewhere; never a bool."""
+    for name, field in cfg.__dataclass_fields__.items():
         val = getattr(cfg, name)
-        if isinstance(val, bool) or not isinstance(val, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {val!r}")
+        integral = type(field.default) is int
+        if isinstance(val, bool) or not isinstance(
+                val, (int, np.integer) if integral else (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, "
+                             f"got {val!r}")
 
 
 @dataclass

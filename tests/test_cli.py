@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -500,6 +501,123 @@ class TestBenchmarkCommand:
             "budget_grad_evals": 100,
         })
         assert cli.main(["benchmark", "--config", cfg]) == 2
+
+
+# one valid problem section per kind and dataset source of the key tables
+SECTIONS = {
+    "analytic": {"kind": "analytic", "id": "scaled-1d"},
+    "mnpc": MNPC_SMALL,
+    "mnpc-csv": {"kind": "mnpc", "source": "csv", "thresholds": [1.0, 1.0]},
+    "nn": {"kind": "nn", "num_classes": 2, "d_in": 2, "per_class": 3, "hidden": 2,
+           "budgets": [1.0]},
+    "nn-csv": {"kind": "nn", "source": "csv", "hidden": 2, "budgets": [1.0, 1.0]},
+    "cmdp": {"kind": "cmdp", "num_states": 3, "num_actions": 2},
+}
+SOLVERS = {"gdpa": (cli.GdpaConfig, {"max_iters": 5}),
+           "penalty": (cli.PenaltyConfig, {"inner_iters": 5, "outer_iters": 1}),
+           "alm": (cli.AlmConfig, {"inner_iters": 5, "outer_iters": 1})}
+
+
+def section_table(section):
+    """The key table of ``section``: "top" or a key of SECTIONS."""
+    if section == "top":
+        return cli._TOP_KEYS
+    table = cli._PROBLEMS[SECTIONS[section]["kind"]]
+    if "source" in table:
+        table = {**table, **cli._SOURCES[SECTIONS[section].get("source", table["source"][1])]}
+    return table
+
+
+def schema_keys(keep):
+    """(section, key) for every key of the top and problem tables whose
+    (type, default, least value) ``keep`` accepts."""
+    return [(section, key) for section in ["top", *SECTIONS]
+            for key, entry in section_table(section).items() if keep(*entry)]
+
+
+def schema_config(tmp_path, section, key, value=None, delete=False):
+    """A solve config with ``key`` of ``section`` ("top", a key of SECTIONS or a
+    solver kind) set to ``value``, or deleted."""
+    problem = dict(SECTIONS.get(section, SECTIONS["analytic"]))
+    if problem.get("source") == "csv":
+        problem["path"] = write_csv(tmp_path)
+    kind = section if section in SOLVERS else "gdpa"
+    config = {"problem": problem, "solver": {"kind": kind, **SOLVERS[kind][1]}}
+    target = config if section == "top" else config["solver"] if section in SOLVERS \
+        else problem
+    if delete:
+        del target[key]
+    else:
+        target[key] = value
+    return write_config(tmp_path, config)
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("spelling", ["file", "flag"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, spelling):
+        # numpy's "expected non-negative integer" ended `check` in a traceback
+        config = {"problem": SECTIONS["analytic"], "solver": {"kind": "gdpa", "max_iters": 5}}
+        if spelling == "file":
+            config["seed"] = -1
+        cfg = write_config(tmp_path, config)
+        argv = [command, "--config", cfg] + (["--seed", "-5"] if spelling == "flag" else [])
+        assert cli.main(argv + ([] if command == "check" else ["--out", str(tmp_path)])) == 2
+        assert_one_line_naming(capsys, "'seed' must be at least 0")
+
+    @pytest.mark.parametrize("section, key", schema_keys(
+        lambda want, default, least: least is not None))
+    def test_value_below_its_least_exits_2(self, tmp_path, capsys, section, key):
+        least = section_table(section)[key][2]
+        cfg = schema_config(tmp_path, section, key, least - 1)
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_naming(capsys, f"'{key}' must be at least {least}")
+
+    @pytest.mark.parametrize("value", [True, "1"], ids=["bool", "string"])
+    @pytest.mark.parametrize("section, key", schema_keys(
+        lambda want, default, least: want in (int, float)) + [
+        (kind, field.name) for kind, (cls, _) in SOLVERS.items()
+        for field in dataclasses.fields(cls)] + [("gdpa", "alpha")])
+    def test_boolean_or_string_for_a_number_exits_2(self, tmp_path, capsys, section, key,
+                                                    value):
+        # `true` ran as 1 and "0.5" as 0.5 wherever a float() or a comparison took them
+        cfg = schema_config(tmp_path, section, key, [value] * 3 if key == "alpha" else value)
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_naming(capsys, key)
+
+    @pytest.mark.parametrize("section, key", schema_keys(
+        lambda want, default, least: default is cli.REQUIRED))
+    def test_missing_required_key_is_named(self, tmp_path, capsys, section, key):
+        # a missing key showed as a KeyError repr: "bad problem section: 'd_in'"
+        cfg = schema_config(tmp_path, section, key, delete=True)
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        if key == "kind":  # no table applies without it
+            says = "unknown problem kind None; choose one of"
+        else:
+            where = "config keys" if section == "top" else \
+                f"problem keys ({SECTIONS[section]['kind']})"
+            says = f"missing {where}: '{key}'"
+        assert_one_line_naming(capsys, says)
+
+    @pytest.mark.parametrize("preset", ["zz", ["a"]])
+    def test_unknown_preset_lists_the_presets(self, tmp_path, capsys, preset):
+        # these said "bad solver section (gdpa): 'zz'" and "unhashable type: 'list'"
+        cfg = write_config(tmp_path, {"problem": MNPC_SMALL,
+                                      "solver": {"kind": "gdpa", "preset": preset}})
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_naming(
+            capsys, f"unknown preset {preset!r}; choose one of ['cmdp', 'mnpc', 'nn']")
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob(
+        "*.json")), ids=lambda path: path.stem)
+    def test_every_shipped_config_builds(self, path):
+        cfg = cli.load_config(path)
+        problem, x0 = cli.build_problem(cfg.problem, cfg.seed)
+        assert x0.shape == (problem.dim,)
+        budget = cfg.budget_grad_evals
+        for spec in cfg.solvers or [cfg.solver]:
+            cli.build_solver_config(spec, cfg.record_every,
+                                    None if budget is None else max(1, budget // 2))
 
 
 class TestRateReportCommand:
