@@ -9,8 +9,6 @@ from .metrics import (
     RateFit,
     fit_rate,
     kkt_residual,
-    perturbed_lagrangian,
-    stationarity_measure,
     weighted_average,
 )
 from .problem import (

@@ -97,17 +97,19 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
     x_accum = np.zeros_like(x)
     lam_accum = np.zeros_like(lam)
     rho = cfg.rho0
-    prev_viol = np.inf
+    prev_norm = np.inf
     try:
         with np.errstate(over="ignore", invalid="ignore"):
+            # as in solve(): one evaluation per point, whose g (and squared
+            # violation) also serves the round end that reaches that point
+            fx, gx, grad, jac = problem.first_order(x)
+            viol = _violation_sq(gx)
             for _outer in range(cfg.outer_iters):
                 last = min(cfg.inner_iters, cfg.max_steps - step)
                 for inner in range(1, last + 1):
                     step += 1
-                    fx, gx, grad, jac = problem.first_order(x)
                     grad = problem.grad_f(x, grad)
                     jac = problem.jacobian(x, jac)
-                    viol = _violation_sq(gx)
                     weight_sum += 1.0 / rho
                     x_accum += x / rho
                     lam_accum += lam / rho
@@ -121,20 +123,21 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
                         T_eps = step
                     x = _primal_step_raw(problem.projection, x, lam, grad, jac, gx,
                                          cfg.inner_step, rho, step)
+                    fx, gx, grad, jac = problem.first_order(x)
+                    viol = _violation_sq(gx)
                 if last < cfg.inner_iters:  # stopped at max_steps, within a round
                     break
-                gx = problem.g(x)
                 if not frozen:
                     lam = np.maximum(lam + rho * gx, 0.0)
-                viol = math.sqrt(_violation_sq(gx))
-                if viol <= cfg.feas_tol:
+                norm = math.sqrt(viol)
+                if norm <= cfg.feas_tol:
                     termination = TERM_FEASIBILITY
                     if T_eps is None:
                         T_eps = step
                     break
-                if frozen or viol > STALL_FACTOR * prev_viol:
+                if frozen or norm > STALL_FACTOR * prev_norm:
                     rho *= cfg.rho_growth
-                prev_viol = viol
+                prev_norm = norm
     except (NumericalFailure, NonFiniteError) as exc:
         termination = TERM_NUMERICAL
         failure = str(exc)

@@ -79,15 +79,24 @@ def _setup_logging() -> None:
 
 
 REQUIRED = object()  # the default of a key that must be given
+NUMBERS = "array of numbers"  # the JSON type, and its name, of a key that lists floats
 
 # One table per config section, the one statement of its keys: key -> (JSON
-# type, default or REQUIRED, least value or None). A float key also takes a
-# JSON integer, no key takes a boolean, and a key whose default is None may be null.
+# type, default or REQUIRED, least value or None). A float key, or an entry of
+# a NUMBERS key, also takes a JSON integer; no key or entry takes a boolean,
+# and a key whose default is None may be null.
 _TOP_KEYS = {"problem": (dict, REQUIRED, None), "solver": (dict, None, None),
              "solvers": (list, None, None), "out_dir": (str, None, None),
              "record_every": (int, None, None), "seed": (int, 0, 0),
              "budget_grad_evals": (int, None, None), "grid_points": (int, None, None)}
 _JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer", float: "number"}
+
+
+def _is_a(val, want) -> bool:
+    """Whether the JSON value ``val`` has the table type ``want``."""
+    if want is NUMBERS:
+        return isinstance(val, list) and all(_is_a(v, float) for v in val)
+    return not isinstance(val, bool) and isinstance(val, (int, float) if want is float else want)
 
 
 def _section(raw: dict, table: dict, where: str) -> dict:
@@ -101,15 +110,17 @@ def _section(raw: dict, table: dict, where: str) -> dict:
             raise ConfigError(f"missing {where}: '{key}'")
         if val is None and default is None:
             continue
-        if isinstance(val, bool) or not isinstance(val, (int, float) if want is float else want):
-            raise ConfigError(f"'{key}' must be a JSON {_JSON_NAMES[want]}, got {val!r}")
+        if not _is_a(val, want):
+            raise ConfigError(f"'{key}' must be a JSON {_JSON_NAMES.get(want, want)}, got {val!r}")
         if least is not None and val < least:
             raise ConfigError(f"'{key}' must be at least {least}, got {val!r}")
-        if want is float:
-            try:
+        try:
+            if want is float:
                 out[key] = float(val)
-            except OverflowError:
-                raise ConfigError(f"'{key}' is beyond the float range, got {val!r}") from None
+            elif want is NUMBERS:
+                out[key] = [float(v) for v in val]
+        except OverflowError:
+            raise ConfigError(f"'{key}' is beyond the float range, got {val!r}") from None
     return out
 
 
@@ -148,16 +159,17 @@ def _check_size(entries: int) -> None:
 # the problem sections' tables (see _TOP_KEYS): "kind" picks one, and an mnpc
 # or nn section adds the keys of its dataset "source"; a null dataset_seed
 # stands for the run's seed
-_START = {"kind": (str, REQUIRED, None), "x0": (list, None, None)}
+_START = {"kind": (str, REQUIRED, None), "x0": (NUMBERS, None, None)}
 _SAMPLED = {**_START, "source": (str, "synthetic", None), "x0_scale": (float, 1e-3, None)}
 _DATASET_SEED = {"dataset_seed": (int, None, 0)}
 _PROBLEMS = {
     "analytic": {**_START, "id": (str, REQUIRED, None)},
-    "mnpc": {**_SAMPLED, "reg_lambda": (float, 1.0, None), "thresholds": (list, REQUIRED, None)},
-    "nn": {**_SAMPLED, "hidden": (int, REQUIRED, None), "budgets": (list, REQUIRED, None)},
+    "mnpc": {**_SAMPLED, "reg_lambda": (float, 1.0, None),
+             "thresholds": (NUMBERS, REQUIRED, None)},
+    "nn": {**_SAMPLED, "hidden": (int, REQUIRED, None), "budgets": (NUMBERS, REQUIRED, None)},
     "cmdp": {**_START, **_DATASET_SEED, "num_states": (int, REQUIRED, None),
              "num_actions": (int, REQUIRED, None), "num_constraints": (int, 1, None),
-             "discount": (float, 0.9, None), "thresholds": (list, None, None)}}
+             "discount": (float, 0.9, None), "thresholds": (NUMBERS, None, None)}}
 _SOURCES = {
     "synthetic": {**_DATASET_SEED, "num_classes": (int, REQUIRED, None),
                   "d_in": (int, REQUIRED, None), "per_class": (int, 20, None),
@@ -237,7 +249,12 @@ def build_solver_config(spec: dict, record_every: Optional[int], steps: Optional
                 raise ConfigError(f"unknown preset {preset!r}; "
                                   f"choose one of {sorted(GDPA_PRESETS)}")
             if "alpha" in spec:
-                spec["alpha01"], spec["alpha02"], spec["alpha03"] = spec.pop("alpha")
+                alpha = spec.pop("alpha")
+                if not isinstance(alpha, list) or len(alpha) != 3 or {
+                        "alpha01", "alpha02", "alpha03"} & spec.keys():
+                    raise ConfigError("'alpha' must be a list of 3 numbers, given without "
+                                      "alpha01, alpha02 or alpha03")
+                spec["alpha01"], spec["alpha02"], spec["alpha03"] = alpha
             spec = {**GDPA_PRESETS.get(preset, {}), **spec}
         config = globals()[_SOLVERS[kind][0]](**spec)
         if steps is None:

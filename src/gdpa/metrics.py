@@ -58,14 +58,6 @@ class RateFit:
     n_points: int
 
 
-def perturbed_lagrangian(problem: ConstrainedProblem, x, lam, beta: float, tau: float) -> float:
-    """Merit value f(x) + (b/2)||[g(x) + (1-t)l/b]_+||^2 - ||(1-t)l||^2/(2b)."""
-    xv = as_vector(x, "x")
-    lv = as_vector(lam, "lambda")
-    gx = problem.g(xv)
-    return _perturbed_value(problem.f(xv), gx, lv, beta, tau)
-
-
 def _perturbed_value(f_val: float, gx: np.ndarray, lam: np.ndarray,
                      beta: float, tau: float) -> float:
     damped = (1.0 - tau) * lam
@@ -98,22 +90,6 @@ def _stationarity_from_evals(
 def _violation_sq(gx: np.ndarray) -> float:
     gp = np.maximum(gx, 0.0)
     return float(gp @ gp)  # math.sqrt of this equals np.linalg.norm(gp) bit for bit
-
-
-def stationarity_measure(problem: ConstrainedProblem, x, lam,
-                         alpha: float, beta: float) -> Tuple[np.ndarray, float]:
-    """Stacked primal/dual proximal residual and its squared norm.
-
-    Zero exactly at saddle/stationary points of the Lagrangian for any
-    positive step scalings alpha, beta.
-    """
-    if not (alpha > 0 and beta > 0):
-        raise ValueError("alpha and beta must be positive")
-    xv = as_vector(x, "x")
-    lv = as_vector(lam, "lambda")
-    return _stationarity_from_evals(
-        xv, lv, problem.g(xv), problem.grad_f(xv), problem.jacobian(xv),
-        alpha, beta, problem.projection)
 
 
 def kkt_residual(problem: ConstrainedProblem, x, lam, alpha: float = 1.0) -> KktResidual:

@@ -43,56 +43,45 @@ def _class_loss_and_grad(weights: np.ndarray, samples: np.ndarray, cls: int):
     return loss, grad
 
 
+def _class_budget_problem(data: MnpcDataset, dim: int, bounds, what: str, name: str,
+                          eval_f, eval_grad_f, loss, loss_grad) -> ConstrainedProblem:
+    """Minimize ``eval_f`` (class 0's loss) subject to ``loss(x, j) <= bounds[j-1]``
+    for each class j = 1..num_classes-1; ``loss_grad(x, j)`` is that loss's gradient."""
+    b = as_vector(bounds, what)
+    m = data.num_classes - 1
+    if b.size != m:
+        raise ValueError(f"{what} must have length {m}")
+    classes = range(1, data.num_classes)
+    return ConstrainedProblem(
+        dim=dim,
+        num_constraints=m,
+        eval_f=eval_f,
+        eval_grad_f=eval_grad_f,
+        eval_g=lambda x: np.array([loss(x, j) - b[j - 1] for j in classes]),
+        eval_jacobian=lambda x: np.vstack([loss_grad(x, j) for j in classes]),
+        projection=ProjectionSpec.identity(),
+        name=name,
+    )
+
+
 def build_mnpc(data: MnpcDataset, reg_lambda: float, thresholds) -> ConstrainedProblem:
     """Decision variable: the (num_classes * d_in) stacked classifier weights.
 
     f = (reg_lambda/2)*||w||^2 + loss of class 0 (the prioritized one);
     g_j = loss of class j - thresholds[j-1] for j = 1..num_classes-1.
     """
-    r = as_vector(thresholds, "thresholds")
-    m = data.num_classes - 1
-    if r.size != m:
-        raise ValueError(f"thresholds must have length {m}")
     if not 0 <= reg_lambda < np.inf:
         raise ValueError("reg_lambda must be finite and nonnegative")
     splits = data.class_blocks()
-    d_in = data.d_in
-    dim = data.num_classes * d_in
-    shape = (data.num_classes, d_in)
+    shape = (data.num_classes, data.d_in)
 
-    def eval_f(x):
-        w = x.reshape(shape)
-        loss, _ = _class_loss_and_grad(w, splits[0], 0)
-        return 0.5 * reg_lambda * float(x @ x) + loss
+    def loss(x, j):
+        return _class_loss_and_grad(x.reshape(shape), splits[j], j)[0]
 
-    def eval_grad_f(x):
-        w = x.reshape(shape)
-        _, grad = _class_loss_and_grad(w, splits[0], 0)
-        return reg_lambda * x + grad.ravel()
+    def loss_grad(x, j):
+        return _class_loss_and_grad(x.reshape(shape), splits[j], j)[1].ravel()
 
-    def eval_g(x):
-        w = x.reshape(shape)
-        vals = np.empty(m)
-        for j in range(1, data.num_classes):
-            loss, _ = _class_loss_and_grad(w, splits[j], j)
-            vals[j - 1] = loss - r[j - 1]
-        return vals
-
-    def eval_jacobian(x):
-        w = x.reshape(shape)
-        jac = np.empty((m, dim))
-        for j in range(1, data.num_classes):
-            _, grad = _class_loss_and_grad(w, splits[j], j)
-            jac[j - 1] = grad.ravel()
-        return jac
-
-    return ConstrainedProblem(
-        dim=dim,
-        num_constraints=m,
-        eval_f=eval_f,
-        eval_grad_f=eval_grad_f,
-        eval_g=eval_g,
-        eval_jacobian=eval_jacobian,
-        projection=ProjectionSpec.identity(),
-        name="mnpc",
-    )
+    return _class_budget_problem(
+        data, data.num_classes * data.d_in, thresholds, "thresholds", "mnpc",
+        lambda x: 0.5 * reg_lambda * float(x @ x) + loss(x, 0),
+        lambda x: reg_lambda * x + loss_grad(x, 0), loss, loss_grad)

@@ -12,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..problem import ConstrainedProblem
-from ..vec import ProjectionSpec, as_vector
 from .datasets import MnpcDataset
-from .mnpc import _logistic
+from .mnpc import _class_budget_problem, _logistic
 
 
 def _split_weights(x: np.ndarray, d_in: int, hidden: int, num_out: int):
@@ -53,45 +52,17 @@ def build_nn_budget(data: MnpcDataset, hidden: int, budgets) -> ConstrainedProbl
     weights. f = MSE loss on class 0; g_i = loss on class i - budgets[i-1]."""
     if hidden < 1:
         raise ValueError("hidden must be positive")
-    b = as_vector(budgets, "budgets")
-    m = data.num_classes - 1
-    if b.size != m:
-        raise ValueError(f"budgets must have length {m}")
     splits = data.class_blocks()
     targets = [np.tile(np.eye(data.num_classes)[cls], (block.shape[0], 1))
                for cls, block in enumerate(splits)]
     d_in, num_out = data.d_in, data.num_classes
-    dim = d_in * hidden + hidden * num_out
 
-    def eval_f(x):
-        w1, w2 = _split_weights(x, d_in, hidden, num_out)
-        return _loss(w1, w2, splits[0], targets[0])
+    def loss(x, j):
+        return _loss(*_split_weights(x, d_in, hidden, num_out), splits[j], targets[j])
 
-    def eval_grad_f(x):
-        w1, w2 = _split_weights(x, d_in, hidden, num_out)
-        return _loss_grad(w1, w2, splits[0], targets[0])
+    def loss_grad(x, j):
+        return _loss_grad(*_split_weights(x, d_in, hidden, num_out), splits[j], targets[j])
 
-    def eval_g(x):
-        w1, w2 = _split_weights(x, d_in, hidden, num_out)
-        return np.array([
-            _loss(w1, w2, splits[i], targets[i]) - b[i - 1]
-            for i in range(1, data.num_classes)
-        ])
-
-    def eval_jacobian(x):
-        w1, w2 = _split_weights(x, d_in, hidden, num_out)
-        return np.vstack([
-            _loss_grad(w1, w2, splits[i], targets[i])
-            for i in range(1, data.num_classes)
-        ])
-
-    return ConstrainedProblem(
-        dim=dim,
-        num_constraints=m,
-        eval_f=eval_f,
-        eval_grad_f=eval_grad_f,
-        eval_g=eval_g,
-        eval_jacobian=eval_jacobian,
-        projection=ProjectionSpec.identity(),
-        name="nn-budget",
-    )
+    return _class_budget_problem(
+        data, d_in * hidden + hidden * num_out, budgets, "budgets", "nn-budget",
+        lambda x: loss(x, 0), lambda x: loss_grad(x, 0), loss, loss_grad)

@@ -14,6 +14,7 @@ whose f also serves the trace row.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -86,7 +87,7 @@ class GdpaConfig:
 
 def _check_types(cfg) -> None:
     """Every field of a config dataclass holds an integer where its default is
-    an int and a real number elsewhere; never a bool."""
+    an int and a real number within the float range elsewhere; never a bool."""
     for name, field in cfg.__dataclass_fields__.items():
         val = getattr(cfg, name)
         integral = type(field.default) is int
@@ -94,6 +95,8 @@ def _check_types(cfg) -> None:
                 val, (int, np.integer) if integral else (int, float, np.integer, np.floating)):
             raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, "
                              f"got {val!r}")
+        if not integral and isinstance(val, int) and abs(val) > sys.float_info.max:
+            raise ValueError(f"{name} is beyond the float range, got {val!r}")
 
 
 @dataclass

@@ -100,7 +100,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("command, override, says", [
         ("solve", {"problem": {"kind": "analytic", "id": "scaled-1d", "x0": ["a"]}},
-         "could not convert string to float"),
+         "'x0' must be a JSON array of numbers"),
         ("solve", {"problem": {"kind": "analytic", "id": "scaled-1d", "x0": [math.nan]}},
          "start point is not finite"),
         ("solve", {"problem": {"kind": "mnpc", "num_classes": 1e300, "d_in": 2,
@@ -584,6 +584,41 @@ class TestConfigSchema:
         cfg = schema_config(tmp_path, section, key, [value] * 3 if key == "alpha" else value)
         assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert_one_line_naming(capsys, key)
+
+    @pytest.mark.parametrize("value", ["0.5", True, None, 10 ** 400],
+                             ids=["string", "bool", "null", "huge"])
+    @pytest.mark.parametrize("section, key", schema_keys(
+        lambda want, default, least: want is cli.NUMBERS))
+    def test_list_entry_that_is_not_a_float_exits_2(self, tmp_path, capsys, section, key,
+                                                     value):
+        # "0.5" and true ran as numbers, null said "contains NaN or Inf", and
+        # 10**400 ended in an OverflowError traceback
+        cfg = schema_config(tmp_path, section, key, [value])
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_naming(capsys, f"'{key}'")
+
+    @pytest.mark.parametrize("section, key", schema_keys(
+        lambda want, default, least: want is float) + [
+        (kind, field.name) for kind, (cls, _) in SOLVERS.items()
+        for field in dataclasses.fields(cls) if type(field.default) is float] + [
+        ("gdpa", "alpha")])
+    def test_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys, section, key):
+        # a solver field ended in an OverflowError traceback, from schedule() or mid-run
+        value = 10 ** 400
+        cfg = schema_config(tmp_path, section, key, [value] * 3 if key == "alpha" else value)
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err and "is beyond the float range" in err, err
+
+    @pytest.mark.parametrize("solver", [{"alpha": [1, 1, 1], "alpha01": 5}, {"alpha": [1, 1]}],
+                             ids=["with-alpha01", "two-entries"])
+    def test_alpha_is_three_numbers_without_alpha01_to_03(self, tmp_path, capsys, solver):
+        # the first ran with alpha01 = 1; the second said "not enough values to unpack"
+        cfg = write_config(tmp_path, {"problem": SECTIONS["analytic"],
+                                      "solver": {"kind": "gdpa", "max_iters": 5, **solver}})
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_naming(capsys, "'alpha' must be a list of 3 numbers, given without "
+                                       "alpha01, alpha02 or alpha03")
 
     @pytest.mark.parametrize("section, key", schema_keys(
         lambda want, default, least: default is cli.REQUIRED))

@@ -11,12 +11,11 @@ from gdpa import (
     ProjectionSpec,
     fit_rate,
     kkt_residual,
-    perturbed_lagrangian,
     schedule,
     solve,
-    stationarity_measure,
     weighted_average,
 )
+from gdpa.metrics import _perturbed_value, _stationarity_from_evals
 from gdpa.problems import build_analytic
 from gdpa.vec import positive_part, project
 from tests.conftest import make_unconstrained, random_quadratic_problem
@@ -25,6 +24,17 @@ from tests.conftest import make_unconstrained, random_quadratic_problem
 def vector_problem(f, grad, g, jac, d, m):
     return ConstrainedProblem(dim=d, num_constraints=m, eval_f=f,
                               eval_grad_f=grad, eval_g=g, eval_jacobian=jac)
+
+
+def perturbed_lagrangian(p, x, lam, beta, tau):
+    """The merit value from the problem's f and g at x."""
+    return _perturbed_value(p.f(x), p.g(x), lam, beta, tau)
+
+
+def stationarity_measure(p, x, lam, alpha, beta):
+    """The stacked residual and its squared norm from the problem's evaluations at x."""
+    return _stationarity_from_evals(x, lam, p.g(x), p.grad_f(x), p.jacobian(x),
+                                    alpha, beta, p.projection)
 
 
 def constant_g_problem(values):

@@ -18,6 +18,7 @@ from gdpa.problems import (
     softmax_policy,
     TabularCmdp,
 )
+from gdpa.problems import mnpc, nn_budget
 
 
 class TestAnalytic:
@@ -170,6 +171,41 @@ class TestNnBudget:
         res = solve(p, cfg, 0.1 * np.random.default_rng(0).standard_normal(p.dim))
         assert np.all(res.lambda_final == 0.0)
         assert all(rec.lambda_norm == 0.0 for rec in res.trace)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("kind", ["mnpc", "nn"])
+def test_each_constraint_row_belongs_to_its_class(kind, m):
+    # at zero weights every class has the same loss, so a permuted row passes
+    # the value tests above; at random weights it does not
+    data = generate_synthetic_mnpc(11, m + 1, 4, 6, 0.5)
+    blocks = data.class_blocks()
+    bounds = 0.1 * np.arange(1, m + 1)
+    if kind == "mnpc":
+        reg = 0.3
+        p = build_mnpc(data, reg, bounds)
+
+        def expected(x, j):
+            loss, grad = mnpc._class_loss_and_grad(x.reshape(m + 1, data.d_in), blocks[j], j)
+            return loss, grad.ravel()
+    else:
+        reg = 0.0  # the net has no regularizer
+        p = build_nn_budget(data, 3, bounds)
+
+        def expected(x, j):
+            weights = nn_budget._split_weights(x, data.d_in, 3, m + 1)
+            target = np.tile(np.eye(m + 1)[j], (blocks[j].shape[0], 1))
+            return (nn_budget._loss(*weights, blocks[j], target),
+                    nn_budget._loss_grad(*weights, blocks[j], target))
+    x = np.random.default_rng(m).standard_normal(p.dim)
+    losses, grads = zip(*(expected(x, j) for j in range(m + 1)))
+    assert len(set(losses)) == m + 1
+    g, jac = p.eval_g(x), p.eval_jacobian(x)
+    for j in range(m):
+        assert g[j] == losses[j + 1] - bounds[j]
+        np.testing.assert_array_equal(jac[j], grads[j + 1])
+    assert p.eval_f(x) == 0.5 * reg * float(x @ x) + losses[0]
+    np.testing.assert_array_equal(p.eval_grad_f(x), reg * x + grads[0])
 
 
 class TestCmdp:

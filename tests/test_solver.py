@@ -559,8 +559,8 @@ def _cmdp_with_fused_oracle():
     return build_cmdp(model)
 
 
-# Each case: run, termination, fused calls per step begun (GDPA adds one at
-# x0; a run that stops early skips the last step's call), separate g calls.
+# Each case: run, termination, fused calls per step begun (one more at x0;
+# a GDPA run that stops early skips the last step's call), separate g calls.
 FUSED_CASES = {
     "gdpa": (lambda p: solve(p, GdpaConfig(
         alpha01=100.0, beta0=0.5, max_iters=1000, eps_feas=1e-4, eps_stat=0.1,
@@ -570,10 +570,10 @@ FUSED_CASES = {
         np.zeros(48)), "budget-exhausted", 1, 0),
     "alm": (lambda p: solve_alm(p, AlmConfig(
         rho0=1.0, inner_iters=50, inner_step=3.0, outer_iters=6, feas_tol=1e-6,
-        record_every=5, dense_until=10), np.zeros(48)), "feasibility-stop", 0, 4),
+        record_every=5, dense_until=10), np.zeros(48)), "feasibility-stop", 1, 0),
     "penalty": (lambda p: solve_penalty(p, PenaltyConfig(
         rho0=1.0, inner_iters=30, inner_step=3.0, outer_iters=3, feas_tol=1e-300,
-        record_every=4, dense_until=5), np.zeros(48)), "budget-exhausted", 0, 3),
+        record_every=4, dense_until=5), np.zeros(48)), "budget-exhausted", 1, 0),
 }
 
 
