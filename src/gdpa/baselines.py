@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .metrics import IterationRecord, _violation_sq, make_record
+from .metrics import IterationRecord, _shifted, _violation_sq, make_record
 from .problem import ConstrainedProblem
 from .solver import (
     TERM_BUDGET,
@@ -113,22 +113,24 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
                     weight_sum += 1.0 / rho
                     x_accum += x / rho
                     lam_accum += lam / rho
+                    shifted = _shifted(lam, gx, rho)  # also the row's stationarity dual half
                     # a round's last step is recorded, as solve() records its last
                     if step % cfg.record_every == 0 or step <= cfg.dense_until or inner == last:
                         # tau=0 turns the merit value into the classic
                         # augmented Lagrangian this method actually minimizes.
                         trace.append(make_record(problem, x, lam, fx, gx, grad, jac, step,
-                                                 cfg.inner_step, rho, 0.0, 0.0, viol))
+                                                 cfg.inner_step, rho, 0.0, 0.0, viol,
+                                                 shifted=shifted))
                     if T_eps is None and math.sqrt(viol) <= cfg.feas_tol:
                         T_eps = step
-                    x = _primal_step_raw(problem.projection, x, lam, grad, jac, gx,
-                                         cfg.inner_step, rho, step)
+                    x = _primal_step_raw(problem.projection, x, grad, jac, shifted,
+                                         cfg.inner_step, step)
                     fx, gx, grad, jac = problem.first_order(x)
                     viol = _violation_sq(gx)
                 if last < cfg.inner_iters:  # stopped at max_steps, within a round
                     break
                 if not frozen:
-                    lam = np.maximum(lam + rho * gx, 0.0)
+                    lam = _shifted(lam, gx, rho)
                 norm = math.sqrt(viol)
                 if norm <= cfg.feas_tol:
                     termination = TERM_FEASIBILITY

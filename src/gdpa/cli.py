@@ -131,7 +131,7 @@ def load_config(path, seed: Optional[int] = None) -> SimpleNamespace:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also non-UTF-8, a huge int, deep nesting
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -229,6 +229,8 @@ def build_problem(spec: dict, seed: int) -> Tuple[ConstrainedProblem, np.ndarray
 _SOLVERS = {"gdpa": ("GdpaConfig", "solve"),
             "penalty": ("PenaltyConfig", "solve_penalty"),
             "alm": ("AlmConfig", "solve_alm")}
+# a benchmark solver's name goes into a file name and a compare.csv field
+_NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")
 
 
 def build_solver_config(spec: dict, record_every: Optional[int], steps: Optional[int] = None):
@@ -443,8 +445,8 @@ def cmd_benchmark(args) -> int:
     for idx, solver_spec in enumerate(cfg.solvers):
         kind, solver_cfg = build_solver_config(solver_spec, cfg.record_every, steps)
         name = solver_spec.get("name") or f"{kind}-{idx}"
-        if not isinstance(name, str) or name in sections:
-            raise ConfigError(f"solver names must be distinct JSON strings, got {name!r}")
+        if not (isinstance(name, str) and set(name) <= _NAME_CHARS) or name in sections:
+            raise ConfigError(f"solver names must be distinct, in [A-Za-z0-9_.-]+, got {name!r}")
         sections[name] = kind, solver_cfg
 
     lines = ["solver,grad_evals,wall_ms,stationarity_sq,feasibility,slackness"]

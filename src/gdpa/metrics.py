@@ -17,7 +17,7 @@ class InsufficientDataError(ValueError):
     """Too few usable records to fit a rate."""
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """One row of a solver trace, taken at the pre-update iterate of step r."""
 
@@ -58,12 +58,17 @@ class RateFit:
     n_points: int
 
 
-def _perturbed_value(f_val: float, gx: np.ndarray, lam: np.ndarray,
-                     beta: float, tau: float) -> float:
+def _shifted(base, g, beta):
+    return np.maximum(base + beta * g, 0.0)
+
+
+def _active_arg(g, lam, beta, tau):
     damped = (1.0 - tau) * lam
-    shifted = np.maximum(gx + damped / beta, 0.0)
-    return f_val + 0.5 * beta * float(shifted @ shifted) \
-        - float(damped @ damped) / (2.0 * beta)
+    return damped, g + damped / beta
+
+
+def _perturbed_value(f_val: float, arg: np.ndarray, damped: np.ndarray, beta: float) -> float:
+    return f_val + 0.5 * beta * _violation_sq(arg) - float(damped @ damped) / (2.0 * beta)
 
 
 def _stationarity_from_evals(
@@ -75,6 +80,7 @@ def _stationarity_from_evals(
     alpha: float,
     beta: float,
     projection: ProjectionSpec,
+    shifted: Optional[np.ndarray] = None,  # [lam + beta*g]_+, when the caller holds it
 ) -> Tuple[np.ndarray, float]:
     # Stacked proximal-gradient residual of the plain (unperturbed)
     # Lagrangian: grad_x L = grad f + J^T lam, grad_lam L = g.
@@ -82,7 +88,7 @@ def _stationarity_from_evals(
     step = require_finite(x - alpha * (grad_fx + jac.T @ lam), "v")
     proj = _project_raw(projection, step)  # step itself when inside X: checked already
     primal = (x - (proj if proj is step else require_finite(proj, "projection output"))) / alpha
-    dual = (lam - np.maximum(lam + beta * gx, 0.0)) / beta
+    dual = (lam - (_shifted(lam, gx, beta) if shifted is None else shifted)) / beta
     stacked = np.concatenate([primal, dual])
     return stacked, float(stacked @ stacked)
 
@@ -185,19 +191,22 @@ def make_record(
     tau: float,
     viol_sq: Optional[float] = None,
     stat_sq: Optional[float] = None,
+    active: Optional[Tuple[np.ndarray, np.ndarray]] = None,  # _active_arg's (damped, arg)
+    shifted: Optional[np.ndarray] = None,  # [lam + beta*g]_+
 ) -> IterationRecord:
-    """Build a trace row from evaluated callbacks and, when given, the squared violation
-    and stationarity; ``fx`` is a fused oracle's f at x, checked here, or None for one f call."""
+    """Build a trace row from evaluated callbacks and, when given, the values its step
+    holds; ``fx`` is a fused oracle's f at x, checked here, or None for one f call."""
     f_val = problem.f(x, fx)
     if stat_sq is None:
         _, stat_sq = _stationarity_from_evals(
-            x, lam, gx, grad_fx, jac, alpha, beta, problem.projection)
+            x, lam, gx, grad_fx, jac, alpha, beta, problem.projection, shifted)
+    damped, arg = _active_arg(gx, lam, beta, tau) if active is None else active
     return IterationRecord(
         r=r, alpha=alpha, beta=beta, gamma=gamma,
         f_value=f_val,
-        F_beta_value=_perturbed_value(f_val, gx, lam, beta, tau),
+        F_beta_value=_perturbed_value(f_val, arg, damped, beta),
         stationarity_sq=stat_sq,
         feasibility=math.sqrt(_violation_sq(gx) if viol_sq is None else viol_sq),
-        slackness=float(np.abs(lam * gx).sum()),
+        slackness=float(np.add.reduce(np.abs(lam * gx))),
         lambda_norm=math.sqrt(float(lam @ lam)),
     )

@@ -50,11 +50,11 @@ class MnpcDataset:
 
     def class_blocks(self) -> list[np.ndarray]:
         """The feature rows of each class in class order; every class needs a sample."""
-        blocks = [self.class_features(cls) for cls in range(self.num_classes)]
-        for cls, block in enumerate(blocks):
-            if block.shape[0] == 0:
-                raise ValueError(f"class {cls} has no samples")
-        return blocks
+        present = np.unique(self.labels)  # sorted, so present[i] == i up to the first gap
+        first_empty = np.count_nonzero(present == np.arange(present.size))
+        if first_empty < self.num_classes:  # checked before any block is built
+            raise ValueError(f"class {first_empty} has no samples")
+        return [self.class_features(cls) for cls in range(self.num_classes)]
 
 
 def generate_synthetic_mnpc(

@@ -20,7 +20,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .metrics import IterationRecord, _stationarity_from_evals, _violation_sq, make_record
+from .metrics import (IterationRecord, _active_arg, _shifted, _stationarity_from_evals,
+                      _violation_sq, make_record)
 from .problem import ConstrainedProblem, ProblemConstants
 from .vec import NonFiniteError, _project_raw, all_finite, as_vector, project
 
@@ -141,16 +142,11 @@ def active_set(g_x: np.ndarray, lam: np.ndarray, beta_r: float, tau: float) -> n
     The inequality is strict, so a constraint sitting exactly on the boundary
     with a zero multiplier stays inactive.
     """
-    return _active_raw(g_x, (1.0 - tau) * lam, beta_r)
+    return _active_arg(g_x, lam, beta_r, tau)[1] > 0.0
 
 
-# Raw kernels take damped = (1-tau)*lam, computed once per step (lam itself when tau=0).
-def _active_raw(g_x, damped, beta_r):
-    return g_x + damped / beta_r > 0.0
-
-
-def _primal_step_raw(projection, x, damped, grad_fx, jac, gx, alpha_r, beta_r, r=None):
-    shifted = np.maximum(damped + beta_r * gx, 0.0)
+# Raw steps take the step's [damped + beta*g]_+ or damped = (1-tau)*lam (lam when tau=0).
+def _primal_step_raw(projection, x, grad_fx, jac, shifted, alpha_r, r=None):
     x_next = _project_raw(projection, x - alpha_r * (grad_fx + jac.T @ shifted))
     if not all_finite(x_next):
         raise NumericalFailure(f"primal step produced non-finite iterate at r={r}")
@@ -164,8 +160,8 @@ def primal_step(problem: ConstrainedProblem, x, lam,
         raise ValueError("alpha_r and beta_r must be positive")
     xv = as_vector(x, "x")
     lv = as_vector(lam, "lambda")
-    return _primal_step_raw(problem.projection, xv, (1.0 - tau) * lv, problem.grad_f(xv),
-                            problem.jacobian(xv), problem.g(xv), alpha_r, beta_r)
+    return _primal_step_raw(problem.projection, xv, problem.grad_f(xv), problem.jacobian(xv),
+                            _shifted((1.0 - tau) * lv, problem.g(xv), beta_r), alpha_r)
 
 
 def dual_step(g_next, lam, mask, beta_r: float, tau: float) -> np.ndarray:
@@ -183,7 +179,7 @@ def dual_step(g_next, lam, mask, beta_r: float, tau: float) -> np.ndarray:
 
 
 def _dual_step_raw(g_next, damped, mask, beta_r):
-    return np.where(mask, np.maximum(damped + beta_r * g_next, 0.0), 0.0)
+    return np.where(mask, _shifted(damped, g_next, beta_r), 0.0)
 
 
 def validate_tau(cfg: GdpaConfig, constants: ProblemConstants) -> ValidationReport:
@@ -295,17 +291,18 @@ def solve(
                     _, stat_sq = _stationarity_from_evals(
                         x, lam, gx, grad, jac, alpha, beta, projection)
                     stopping = stat_sq <= eps_stat_sq
+                damped, arg = _active_arg(gx, lam, beta, tau)
+                mask = arg > 0.0
                 if (stopping or r <= cfg.dense_until or r % cfg.record_every == 0
                         or r == cfg.max_iters):
-                    trace.append(make_record(problem, x, lam, fx, gx, grad, jac, r, alpha,
-                                             beta, gamma, tau, viol, stat_sq))
+                    trace.append(make_record(problem, x, lam, fx, gx, grad, jac, r, alpha, beta,
+                                             gamma, tau, viol, stat_sq, active=(damped, arg)))
                 if stopping:
                     termination = TERM_FEASIBILITY
                     break
 
-                damped = (1.0 - tau) * lam
-                mask = _active_raw(gx, damped, beta)
-                x_next = _primal_step_raw(projection, x, damped, grad, jac, gx, alpha, beta, r)
+                x_next = _primal_step_raw(projection, x, grad, jac, _shifted(damped, gx, beta),
+                                          alpha, r)
                 f_next, g_next, grad, jac = problem.first_order(x_next)
                 lam_next = _dual_step_raw(g_next, damped, mask, beta)
                 if __debug__:  # active and still feasible: contracted; inactive: zeroed

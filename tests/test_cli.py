@@ -93,6 +93,18 @@ class TestSolveCommand:
         bad.write_text("{not json")
         assert cli.main(["solve", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("content, says", [
+        (b'{"seed": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        (b'{"seed": \xff\xfe 0}', "can't decode byte 0xff"),
+        (b"[" * 200_000, "maximum recursion depth exceeded"),
+    ], ids=["4300-digit-int", "non-utf-8", "deep-nesting"])
+    def test_malformed_json_exits_2_in_one_line(self, tmp_path, capsys, content, says):
+        # each of these ended in a traceback with exit 1
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert cli.main(["solve", "--config", str(bad)]) == 2
+        assert_one_line_naming(capsys, says)
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"problem": {"kind": "analytic", "id": "scaled-1d"},
                                       "sover": {}})
@@ -196,6 +208,21 @@ class TestSolveCommand:
         assert len(cli.read_trace(out / "trace.csv")) == 50
         # the decision variable is sized by the file: 3 classes, 2 features
         assert len(json.loads((out / "summary.json").read_text())["x_final"]) == dim
+
+    @pytest.mark.parametrize("problem, top", [
+        ({"kind": "mnpc", "thresholds": [1.0, 1.0]}, 10 ** 9),
+        ({"kind": "nn", "hidden": 2, "budgets": [1.0, 1.0]}, 10 ** 7),  # within the size cap
+    ], ids=["mnpc", "nn"])
+    def test_sparse_class_id_exits_2_at_once(self, tmp_path, capsys, problem, top):
+        # one block per class id was built before the empty class was found,
+        # so time and memory grew with the largest id
+        path = tmp_path / "sparse.csv"
+        path.write_text(f"class,f1\n0,0.1\n1,0.2\n{top},0.3\n")
+        cfg = write_config(tmp_path, {"problem": {**problem, "source": "csv", "path": str(path)}})
+        start = time.perf_counter()
+        code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2 and time.perf_counter() - start < 1.0
+        assert_one_line_naming(capsys, "class 2 has no samples")
 
     def test_oversized_net_on_a_csv_dataset_exits_2_before_allocating(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"problem": {
@@ -425,11 +452,16 @@ class TestBenchmarkCommand:
         ([{"kind": "gdpa"}, {"name": 1, "kind": "alm"}], "got 1"),
         ([{"name": "a", "kind": "gdpa"}, {"name": "b", "kind": "alm", "inner_iters": 0}],
          "bad solver section (alm)"),
-    ], ids=["duplicate-name", "non-string-name", "bad-last-section"])
+        ([{"name": "gd,pa", "kind": "gdpa"}, {"name": "alm", "kind": "alm"}], "got 'gd,pa'"),
+        ([{"name": "gdpa", "kind": "gdpa"}, {"name": "pen/alty", "kind": "penalty"}],
+         "got 'pen/alty'"),
+    ], ids=["duplicate-name", "non-string-name", "bad-last-section", "comma-in-name",
+            "slash-in-last-name"])
     def test_bad_solver_list_exits_2_before_any_solver_runs(self, tmp_path, capsys,
                                                             solvers, says):
-        # the sections before a bad one ran and wrote their traces first, and two
-        # solvers named "a" exited 0 with one trace_a.csv and mixed compare rows
+        # the sections before a bad one ran and wrote their traces first, two
+        # solvers named "a" exited 0 with one trace_a.csv and mixed compare rows,
+        # and "gd,pa" exited 0 with 7-field compare rows under a 6-field header
         out = tmp_path / "bench"
         cfg = write_config(tmp_path, {
             "problem": {"kind": "analytic", "id": "scaled-1d"},
@@ -821,3 +853,29 @@ def test_optimized_interpreter_writes_the_same_trace(tmp_path):
         assert proc.returncode == 0, proc.stderr
         traces.append((out / "trace.csv").read_bytes())
     assert traces[0] == traces[1] and traces[0].count(b"\n") == 301
+
+
+def test_optimized_interpreter_writes_the_same_benchmark(tmp_path):
+    # the baselines run the same step kernels under `python -O`: their traces
+    # and the compare table (less its wall times) match the plain run's
+    raw = json.loads((Path(__file__).parents[1] / "configs" / "benchmark-scaled-1d.json")
+                     .read_text())
+    cfg = write_config(tmp_path, {**raw, "budget_grad_evals": 600})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"run{len(flags)}"
+        proc = subprocess.run([sys.executable, *flags, "-m", "gdpa.cli", "benchmark",
+                               "--config", cfg, "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        compare = [line.split(",") for line in (out / "compare.csv").read_text().splitlines()]
+        runs.append(([row[:2] + row[3:] for row in compare],
+                     {name: (out / f"trace_{name}.csv").read_bytes()
+                      for name in ("gdpa", "penalty", "alm")}))
+    assert runs[0] == runs[1]
+    compare, traces = runs[0]
+    assert compare[0] == ["solver", "grad_evals", "stationarity_sq", "feasibility", "slackness"]
+    assert all(trace.count(b"\n") == 301 for trace in traces.values())

@@ -15,7 +15,7 @@ from gdpa import (
     solve,
     weighted_average,
 )
-from gdpa.metrics import _perturbed_value, _stationarity_from_evals
+from gdpa.metrics import _active_arg, _perturbed_value, _stationarity_from_evals
 from gdpa.problems import build_analytic
 from gdpa.vec import positive_part, project
 from tests.conftest import make_unconstrained, random_quadratic_problem
@@ -28,7 +28,8 @@ def vector_problem(f, grad, g, jac, d, m):
 
 def perturbed_lagrangian(p, x, lam, beta, tau):
     """The merit value from the problem's f and g at x."""
-    return _perturbed_value(p.f(x), p.g(x), lam, beta, tau)
+    damped, arg = _active_arg(p.g(x), lam, beta, tau)
+    return _perturbed_value(p.f(x), arg, damped, beta)
 
 
 def stationarity_measure(p, x, lam, alpha, beta):

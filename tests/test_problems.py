@@ -19,6 +19,7 @@ from gdpa.problems import (
     TabularCmdp,
 )
 from gdpa.problems import mnpc, nn_budget
+from gdpa.problems.datasets import MnpcDataset
 
 
 class TestAnalytic:
@@ -65,6 +66,13 @@ class TestSyntheticDataset:
         d = generate_synthetic_mnpc(2, 3, 7, 10, 0.1)
         assert d.features.shape == (30, 7)
         assert [int((d.labels == c).sum()) for c in range(3)] == [10, 10, 10]
+
+    @pytest.mark.parametrize("labels, first_empty", [
+        ([0, 2, 5], 1), ([0, 1, 1], 2), ([1, 1, 2], 0), ([0, 1, 2], 3)])
+    def test_first_empty_class_is_named(self, labels, first_empty):
+        data = MnpcDataset(np.zeros((3, 1)), labels, 6)
+        with pytest.raises(ValueError, match=f"class {first_empty} has no samples"):
+            data.class_blocks()
 
 
 class TestCsvLoader:

@@ -639,26 +639,29 @@ SHARED_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SHARED_CASES))
 def test_shared_values_equal_fresh_ones(case, monkeypatch):
-    # A trace row reuses its step's squared violation and, after a stop
-    # test, that test's stationarity; each row must equal the row make_record
-    # computes afresh at the same iterate, bit for bit.
+    # A trace row reuses its step's squared violation, its damped multiplier
+    # and active-set argument (GDPA) or its [lam + rho*g]_+ (baselines) and,
+    # after a stop test, that test's stationarity; each row must equal the row
+    # make_record computes afresh at the same iterate, bit for bit.
     import gdpa.baselines
     import gdpa.solver
     problem, run, tau = SHARED_CASES[case]
     module = gdpa.solver if case.startswith("gdpa") else gdpa.baselines
     seen = []
 
-    def spy(p, x, lam, *args):
-        seen.append((x.copy(), lam.copy(), args[-1] is not None))
-        return make_record(p, x, lam, *args)
+    def spy(p, x, lam, *args, **kwargs):
+        seen.append((x.copy(), lam.copy(), args[-1] is not None, sorted(kwargs)))
+        return make_record(p, x, lam, *args, **kwargs)
 
     monkeypatch.setattr(module, "make_record", spy)
     p = problem()
     res = run(p)
     assert res.termination != "numerical-failure" and len(seen) == len(res.trace) > 10
+    shared_kwargs = ["active"] if module is gdpa.solver else ["shifted"]
+    assert all(kwargs == shared_kwargs for *_, kwargs in seen)
     if module is gdpa.solver:  # the stationarity came from a stop test on most rows
-        assert sum(shared for _, _, shared in seen) > len(seen) // 2
-    for rec, (x, lam, _) in zip(res.trace, seen):
+        assert sum(shared for _, _, shared, _ in seen) > len(seen) // 2
+    for rec, (x, lam, _, _) in zip(res.trace, seen):
         if res.iterates is not None:
             assert np.array_equal(x, res.iterates[rec.r - 1][0])
             assert np.array_equal(lam, res.iterates[rec.r - 1][1])
