@@ -387,10 +387,10 @@ def _collect_warnings(problem, cfg, seed: int) -> List[str]:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config, args.seed)
-    out_dir = Path(args.out or cfg.out_dir or "gdpa-run")
-    out_dir.mkdir(parents=True, exist_ok=True)
     problem, x0 = build_problem(cfg.problem, cfg.seed)
     kind, solver_cfg = build_solver_config(cfg.solver or {"kind": "gdpa"}, cfg.record_every)
+    out_dir = Path(args.out or cfg.out_dir or "gdpa-run")  # made once the config checks out
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     warnings: List[str] = []
     if kind == "gdpa":
@@ -432,8 +432,6 @@ def cmd_benchmark(args) -> int:
     top = min(budget, MAX_GRID_POINTS)  # checked before np.logspace allocates
     if cfg.grid_points is not None and not 1 <= cfg.grid_points <= top:
         raise ConfigError(f"'grid_points' must lie in [1, {top}], got {cfg.grid_points}")
-    out_dir = Path(args.out or cfg.out_dir or "gdpa-benchmark")
-    out_dir.mkdir(parents=True, exist_ok=True)
     problem, x0 = build_problem(cfg.problem, cfg.seed)
     # each step of every solver costs one grad f plus, with constraints, one Jacobian
     cost = 2 if problem.num_constraints > 0 else 1
@@ -448,6 +446,8 @@ def cmd_benchmark(args) -> int:
         if not (isinstance(name, str) and set(name) <= _NAME_CHARS) or name in sections:
             raise ConfigError(f"solver names must be distinct, in [A-Za-z0-9_.-]+, got {name!r}")
         sections[name] = kind, solver_cfg
+    out_dir = Path(args.out or cfg.out_dir or "gdpa-benchmark")  # made once all checks out
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     lines = ["solver,grad_evals,wall_ms,stationarity_sq,feasibility,slackness"]
     failures = []

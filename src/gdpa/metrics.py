@@ -188,25 +188,24 @@ def make_record(
     alpha: float,
     beta: float,
     gamma: float,
-    tau: float,
-    viol_sq: Optional[float] = None,
+    viol_sq: float,
+    active: Tuple[np.ndarray, np.ndarray],  # _active_arg's (damped, arg)
     stat_sq: Optional[float] = None,
-    active: Optional[Tuple[np.ndarray, np.ndarray]] = None,  # _active_arg's (damped, arg)
     shifted: Optional[np.ndarray] = None,  # [lam + beta*g]_+
 ) -> IterationRecord:
-    """Build a trace row from evaluated callbacks and, when given, the values its step
-    holds; ``fx`` is a fused oracle's f at x, checked here, or None for one f call."""
+    """Build a trace row from evaluated callbacks and the values its step holds;
+    ``fx`` is a fused oracle's f at x, checked here, or None for one f call."""
     f_val = problem.f(x, fx)
     if stat_sq is None:
         _, stat_sq = _stationarity_from_evals(
             x, lam, gx, grad_fx, jac, alpha, beta, problem.projection, shifted)
-    damped, arg = _active_arg(gx, lam, beta, tau) if active is None else active
+    damped, arg = active
     return IterationRecord(
         r=r, alpha=alpha, beta=beta, gamma=gamma,
         f_value=f_val,
         F_beta_value=_perturbed_value(f_val, arg, damped, beta),
         stationarity_sq=stat_sq,
-        feasibility=math.sqrt(_violation_sq(gx) if viol_sq is None else viol_sq),
+        feasibility=math.sqrt(viol_sq),
         slackness=float(np.add.reduce(np.abs(lam * gx))),
         lambda_norm=math.sqrt(float(lam @ lam)),
     )

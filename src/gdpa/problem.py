@@ -310,9 +310,7 @@ def effective_constants(
     return replace(supplied, **merged)
 
 
-def seeded_check_points(problem: ConstrainedProblem, count: int, seed: int,
-                        scale: float = 1.0) -> List[np.ndarray]:
-    """Deterministic batch of points for gradient checks, projected into X."""
+def seeded_check_points(problem: ConstrainedProblem, count: int, seed: int) -> List[np.ndarray]:
+    """Deterministic batch of standard normal points for gradient checks, projected into X."""
     rng = np.random.default_rng(seed)
-    return [project(problem.projection, scale * rng.standard_normal(problem.dim))
-            for _ in range(count)]
+    return [project(problem.projection, rng.standard_normal(problem.dim)) for _ in range(count)]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..problem import ConstrainedProblem
-from ..vec import ProjectionSpec, all_finite
+from ..vec import all_finite
 
 _ROW_SUM_TOL = 1e-12
 
@@ -120,14 +120,14 @@ def discounted_return(model: TabularCmdp, theta: np.ndarray, table: np.ndarray) 
     return (1.0 - model.discount) * float(rho @ v)
 
 
-def optimal_return(model: TabularCmdp, table: np.ndarray,
-                   tol: float = 1e-13, max_sweeps: int = 100_000) -> float:
-    """Normalized optimal return for ``table`` by value iteration (oracle use)."""
+def optimal_return(model: TabularCmdp, table: np.ndarray) -> float:
+    """Normalized optimal return for ``table`` by value iteration (oracle use): at
+    most 100,000 sweeps, stopped once a sweep moves no value by 1e-13 or more."""
     v = np.zeros(model.num_states)
-    for _ in range(max_sweeps):
+    for _ in range(100_000):
         q = table + model.discount * np.einsum("sat,t->sa", model.transitions, v)
         v_new = q.max(axis=1)
-        if float(np.max(np.abs(v_new - v))) < tol:
+        if float(np.max(np.abs(v_new - v))) < 1e-13:
             v = v_new
             break
         v = v_new
@@ -186,7 +186,6 @@ def build_cmdp(model: TabularCmdp) -> ConstrainedProblem:
         eval_grad_f=eval_grad_f,
         eval_g=eval_g,
         eval_jacobian=eval_jacobian,
-        projection=ProjectionSpec.identity(),
         name="cmdp",
         eval_first_order=eval_first_order,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..problem import ConstrainedProblem
-from ..vec import ProjectionSpec, as_vector
+from ..vec import as_vector
 from .datasets import MnpcDataset
 
 
@@ -59,7 +59,6 @@ def _class_budget_problem(data: MnpcDataset, dim: int, bounds, what: str, name: 
         eval_grad_f=eval_grad_f,
         eval_g=lambda x: np.array([loss(x, j) - b[j - 1] for j in classes]),
         eval_jacobian=lambda x: np.vstack([loss_grad(x, j) for j in classes]),
-        projection=ProjectionSpec.identity(),
         name=name,
     )
 

@@ -28,17 +28,21 @@ def _forward(w1, w2, samples):
     return h, o
 
 
-def _loss(w1, w2, samples, target):
-    _, o = _forward(w1, w2, samples)
-    diff = o - target
+def _residual(o, cls):
+    diff = o.copy()  # o minus class cls's one-hot target: o - 0.0 == o, bit for bit
+    diff[:, cls] -= 1.0
+    return diff
+
+
+def _loss(w1, w2, samples, cls):
+    diff = _residual(_forward(w1, w2, samples)[1], cls)
     return float((diff * diff).mean())
 
 
-def _loss_grad(w1, w2, samples, target):
-    n, k = target.shape
+def _loss_grad(w1, w2, samples, cls):
     h, o = _forward(w1, w2, samples)
-    diff = o - target
-    d_o = (2.0 / (n * k)) * diff
+    n, k = o.shape
+    d_o = (2.0 / (n * k)) * _residual(o, cls)
     d_z2 = d_o * o * (1.0 - o)
     g_w2 = h.T @ d_z2
     d_h = d_z2 @ w2.T
@@ -53,15 +57,13 @@ def build_nn_budget(data: MnpcDataset, hidden: int, budgets) -> ConstrainedProbl
     if hidden < 1:
         raise ValueError("hidden must be positive")
     splits = data.class_blocks()
-    targets = [np.tile(np.eye(data.num_classes)[cls], (block.shape[0], 1))
-               for cls, block in enumerate(splits)]
     d_in, num_out = data.d_in, data.num_classes
 
     def loss(x, j):
-        return _loss(*_split_weights(x, d_in, hidden, num_out), splits[j], targets[j])
+        return _loss(*_split_weights(x, d_in, hidden, num_out), splits[j], j)
 
     def loss_grad(x, j):
-        return _loss_grad(*_split_weights(x, d_in, hidden, num_out), splits[j], targets[j])
+        return _loss_grad(*_split_weights(x, d_in, hidden, num_out), splits[j], j)
 
     return _class_budget_problem(
         data, d_in * hidden + hidden * num_out, budgets, "budgets", "nn-budget",

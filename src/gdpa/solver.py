@@ -296,7 +296,7 @@ def solve(
                 if (stopping or r <= cfg.dense_until or r % cfg.record_every == 0
                         or r == cfg.max_iters):
                     trace.append(make_record(problem, x, lam, fx, gx, grad, jac, r, alpha, beta,
-                                             gamma, tau, viol, stat_sq, active=(damped, arg)))
+                                             gamma, viol, (damped, arg), stat_sq))
                 if stopping:
                     termination = TERM_FEASIBILITY
                     break

@@ -60,6 +60,13 @@ def write_csv(tmp_path, bad=False):
     return str(path)
 
 
+def write_sparse_csv(tmp_path, top):
+    """Classes 0, 1 and ``top`` of one sample each: class 2 has no samples."""
+    path = tmp_path / "sparse.csv"
+    path.write_text(f"class,f1\n0,0.1\n1,0.2\n{top},0.3\n")
+    return str(path)
+
+
 class TestSolveCommand:
     def test_writes_outputs_and_converges(self, tmp_path):
         out = tmp_path / "run"
@@ -216,9 +223,8 @@ class TestSolveCommand:
     def test_sparse_class_id_exits_2_at_once(self, tmp_path, capsys, problem, top):
         # one block per class id was built before the empty class was found,
         # so time and memory grew with the largest id
-        path = tmp_path / "sparse.csv"
-        path.write_text(f"class,f1\n0,0.1\n1,0.2\n{top},0.3\n")
-        cfg = write_config(tmp_path, {"problem": {**problem, "source": "csv", "path": str(path)}})
+        cfg = write_config(tmp_path, {"problem": {**problem, "source": "csv",
+                                                  "path": write_sparse_csv(tmp_path, top)}})
         start = time.perf_counter()
         code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2 and time.perf_counter() - start < 1.0
@@ -828,6 +834,29 @@ class TestCheckCommand:
             "problem": {"kind": "analytic", "id": "scaled-1d"}})
         assert cli.main(["check", "--config", cfg]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, config, says", [
+    ("solve", lambda tmp_path: {"problem": {"kind": "mnpc", "source": "csv",
+                                            "path": write_sparse_csv(tmp_path, 3),
+                                            "thresholds": [1.0, 1.0]}},
+     "class 2 has no samples"),
+    ("solve", lambda tmp_path: {"problem": {**MNPC_SMALL, "noise": 0.1}},
+     "unknown problem keys (mnpc): ['noise']"),
+    ("solve", lambda tmp_path: {"problem": MNPC_SMALL, "solver": {"kind": "gdpa", "tau": 2}},
+     "tau must lie strictly between 0 and 1"),
+    ("benchmark", lambda tmp_path: {
+        "problem": {"kind": "analytic", "id": "scaled-1d"}, "budget_grad_evals": 20,
+        "solvers": [{"name": "gdpa", "kind": "gdpa"}, {"name": "pen/alty", "kind": "penalty"}]},
+     "got 'pen/alty'"),
+], ids=["sparse-class-csv", "unknown-problem-key", "bad-solver-section", "bad-solver-name"])
+def test_rejected_config_creates_no_output_directory(tmp_path, capsys, command, config, says):
+    # the directory was made before the problem and solver sections were checked
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, config(tmp_path))
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert_one_line_naming(capsys, says)
+    assert not out.exists()
 
 
 def test_module_entrypoint_runs():

@@ -30,6 +30,14 @@ junk = st.one_of(st.sampled_from(ODD_NUMBERS), st.none(), st.booleans(), st.text
 
 small = st.integers(1, 40)
 step = st.sampled_from([0.05, 0.1, 0.5, 1.0])
+seeds = st.integers(0, 3)
+names = st.sampled_from(["a", "b"])
+
+
+def starts(*dims):
+    """Start points of one of the given lengths: a section's sizes, so some fit."""
+    return st.sampled_from(dims).flatmap(lambda n: st.lists(
+        st.sampled_from([-1.0, 0.5, 1e200]), min_size=n, max_size=n))
 
 
 def sections(kind, sizes, optional):
@@ -43,36 +51,78 @@ problems = st.one_of(
     st.fixed_dictionaries(
         {"kind": st.just("analytic"),
          "id": st.sampled_from(["scaled-1d", "halfspace-quadratic", "circle-exterior"])},
-        optional={"x0": st.lists(st.sampled_from([-1.0, 0.5, 1e200]), min_size=2, max_size=2)}),
+        optional={"x0": starts(1, 2)}),
     sections("mnpc", [{"num_classes": 2, "d_in": 2, "per_class": 3, "thresholds": [1.0]},
                       {"num_classes": 3, "d_in": 3, "per_class": 2, "thresholds": [1.0, 1.0]}],
-             optional={"x0_scale": step, "reg_lambda": step}),
+             optional={"x0_scale": step, "reg_lambda": step, "x0": starts(4, 9),
+                       "noise_std": step, "dataset_seed": seeds}),
     sections("nn", [{"num_classes": 2, "d_in": 2, "per_class": 2, "hidden": 2, "budgets": [1.0]},
                     {"num_classes": 3, "d_in": 3, "per_class": 2, "hidden": 3,
                      "budgets": [1.0, 1.0]}],
-             optional={"noise_std": step, "dataset_seed": st.integers(0, 3)}),
+             optional={"noise_std": step, "dataset_seed": seeds, "x0": starts(8, 18),
+                       "x0_scale": step}),
     sections("cmdp", [{"num_states": 3, "num_actions": 2}, {"num_states": 5, "num_actions": 3}],
              optional={"num_constraints": st.just(1), "discount": st.just(0.9),
-                       "thresholds": st.just([0.5]), "dataset_seed": st.integers(0, 3)}))
+                       "thresholds": st.just([0.5]), "dataset_seed": seeds,
+                       "x0": starts(6, 15)}))
 gdpa_solvers = st.fixed_dictionaries(
     {"kind": st.just("gdpa"), "max_iters": small},
     optional={"tau": step, "beta0": step, "alpha": st.lists(step, min_size=3, max_size=3),
               "eps_feas": step, "eps_stat": step, "record_every": small,
-              "dense_until": small, "name": st.sampled_from(["a", "b"])})
+              "dense_until": small, "name": names,
+              "preset": st.sampled_from(sorted(cli.GDPA_PRESETS))})
 baseline_solvers = st.fixed_dictionaries(
     {"kind": st.sampled_from(["penalty", "alm"]), "inner_iters": small,
      "outer_iters": st.integers(1, 2)},
     optional={"rho0": step, "rho_growth": st.just(2.0), "inner_step": step,
-              "feas_tol": step, "record_every": small, "dense_until": small})
+              "feas_tol": step, "record_every": small, "dense_until": small,
+              "max_steps": small, "name": names})
 solvers = st.one_of(gdpa_solvers, baseline_solvers)
 solve_configs = st.fixed_dictionaries(
     {"problem": problems, "solver": solvers},
-    optional={"record_every": small, "seed": st.integers(0, 3)})
+    optional={"record_every": small, "seed": seeds})
 benchmark_configs = st.fixed_dictionaries(
     {"problem": problems, "solvers": st.lists(solvers, min_size=2, max_size=3),
      "budget_grad_evals": small},
     optional={"grid_points": st.integers(1, 8), "record_every": small})
-check_configs = st.fixed_dictionaries({"problem": problems}, optional={"seed": st.integers(0, 3)})
+check_configs = st.fixed_dictionaries({"problem": problems}, optional={"seed": seeds})
+
+
+# config keys no strategy draws, with the reason
+UNDRAWN = {"out_dir": "a deployment path", "source": "the csv source needs a file",
+           "path": "the csv source needs a file", "alpha01": "drawn as alpha",
+           "alpha02": "drawn as alpha", "alpha03": "drawn as alpha"}
+
+
+def section_keys(config):
+    """(section, key) for every key of a config: "top", a problem kind, "gdpa"
+    or "baselines" (a penalty or ALM section)."""
+    sections = [("top", config), (config["problem"]["kind"], config["problem"])]
+    for solver in [config.get("solver"), *config.get("solvers", [])]:
+        if solver is not None:
+            sections.append(("gdpa" if solver["kind"] == "gdpa" else "baselines", solver))
+    return {(section, key) for section, keys in sections for key in keys}
+
+
+def test_every_config_key_is_drawn_or_excluded():
+    tables = {"top": cli._TOP_KEYS, **cli._PROBLEMS,
+              "gdpa": [*cli.GdpaConfig.__dataclass_fields__, "name", "preset", "alpha"],
+              "baselines": [*cli.PenaltyConfig.__dataclass_fields__, "name"]}
+    for kind in ("mnpc", "nn"):
+        tables[kind] = [*tables[kind], *(key for source in cli._SOURCES.values()
+                                         for key in source)]
+    keys = {(section, key) for section, table in tables.items() for key in table}
+    assert {key for _, key in keys} >= UNDRAWN.keys()
+    drawn = set()
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(config=st.one_of(solve_configs, benchmark_configs, check_configs))
+    def collect(config):
+        drawn.update(section_keys(config))
+
+    collect()
+    assert sorted(key for key in keys - drawn if key[1] not in UNDRAWN) == []
+    assert not {key for key in drawn if key[1] in UNDRAWN}
 
 
 def slots(value):

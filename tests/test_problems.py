@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,9 +154,53 @@ class TestMnpc:
             build_mnpc(self.data, reg_lambda, [0.1, 0.1])
 
 
+def net_reference(x, samples, cls, num_classes, hidden):
+    """The net's loss and gradient on one class split, against an explicit
+    one-hot target matrix."""
+    w1, w2 = nn_budget._split_weights(x, samples.shape[1], hidden, num_classes)
+    target = np.tile(np.eye(num_classes)[cls], (samples.shape[0], 1))
+    h, o = nn_budget._forward(w1, w2, samples)
+    diff = o - target
+    n, k = target.shape
+    d_z2 = (2.0 / (n * k)) * diff * o * (1.0 - o)
+    d_z1 = d_z2 @ w2.T * h * (1.0 - h)
+    grad = np.concatenate([(samples.T @ d_z1).ravel(), (h.T @ d_z2).ravel()])
+    return float((diff * diff).mean()), grad
+
+
 class TestNnBudget:
     def setup_method(self):
         self.data = generate_synthetic_mnpc(8, 3, 6, 8, 0.5)
+
+    @pytest.mark.parametrize("num_classes", [2, 5, 9])
+    def test_callbacks_equal_the_one_hot_reference(self, num_classes):
+        # the builder subtracts 1.0 from the class's output column in place of
+        # a one-hot target matrix; o - 0.0 == o, so every bit agrees
+        data = generate_synthetic_mnpc(num_classes, num_classes, 3, 4, 0.5)
+        budgets = 0.1 * np.arange(1, num_classes)
+        p = build_nn_budget(data, 3, budgets)
+        blocks = data.class_blocks()
+        for x in np.random.default_rng(num_classes).standard_normal((3, p.dim)):
+            losses, grads = zip(*(net_reference(x, block, cls, num_classes, 3)
+                                  for cls, block in enumerate(blocks)))
+            assert p.eval_f(x) == losses[0]
+            np.testing.assert_array_equal(p.eval_grad_f(x), grads[0])
+            np.testing.assert_array_equal(p.eval_g(x), np.array(losses[1:]) - budgets)
+            np.testing.assert_array_equal(p.eval_jacobian(x), np.vstack(grads[1:]))
+
+    def test_build_holds_no_class_by_class_array(self):
+        # a C x C identity per class made a 1,500-class build take 1.5 s and
+        # peak at 36 MiB; one such array is 18 MB
+        num_classes = 1500
+        data = MnpcDataset(np.random.default_rng(0).standard_normal((num_classes, 2)),
+                           np.arange(num_classes), num_classes)
+        tracemalloc.start()
+        try:
+            build_nn_budget(data, 2, np.ones(num_classes - 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < num_classes * num_classes * 8
 
     def test_zero_weights_loss_is_quarter(self):
         p = build_nn_budget(self.data, hidden=4, budgets=[1.0, 1.0])
@@ -201,10 +247,7 @@ def test_each_constraint_row_belongs_to_its_class(kind, m):
         p = build_nn_budget(data, 3, bounds)
 
         def expected(x, j):
-            weights = nn_budget._split_weights(x, data.d_in, 3, m + 1)
-            target = np.tile(np.eye(m + 1)[j], (blocks[j].shape[0], 1))
-            return (nn_budget._loss(*weights, blocks[j], target),
-                    nn_budget._loss_grad(*weights, blocks[j], target))
+            return net_reference(x, blocks[j], j, m + 1, 3)
     x = np.random.default_rng(m).standard_normal(p.dim)
     losses, grads = zip(*(expected(x, j) for j in range(m + 1)))
     assert len(set(losses)) == m + 1

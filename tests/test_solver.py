@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from gdpa import (
     validate_tau,
     weighted_average,
 )
-from gdpa.metrics import make_record
+from gdpa.metrics import _active_arg, _violation_sq, make_record
 from gdpa.problems import build_analytic, build_cmdp, random_cmdp
 from gdpa.vec import project
 from tests.conftest import make_unconstrained, random_quadratic_problem
@@ -640,31 +641,36 @@ SHARED_CASES = {
 @pytest.mark.parametrize("case", sorted(SHARED_CASES))
 def test_shared_values_equal_fresh_ones(case, monkeypatch):
     # A trace row reuses its step's squared violation, its damped multiplier
-    # and active-set argument (GDPA) or its [lam + rho*g]_+ (baselines) and,
-    # after a stop test, that test's stationarity; each row must equal the row
-    # make_record computes afresh at the same iterate, bit for bit.
+    # and active-set argument ((lam, g + lam/rho) in the baselines), and its
+    # [lam + rho*g]_+ (baselines) or, after a stop test, that test's
+    # stationarity (GDPA); each row must equal the row make_record computes
+    # afresh at the same iterate from the metrics helpers, bit for bit.
     import gdpa.baselines
     import gdpa.solver
     problem, run, tau = SHARED_CASES[case]
     module = gdpa.solver if case.startswith("gdpa") else gdpa.baselines
+    signature = inspect.signature(make_record)
     seen = []
 
-    def spy(p, x, lam, *args, **kwargs):
-        seen.append((x.copy(), lam.copy(), args[-1] is not None, sorted(kwargs)))
-        return make_record(p, x, lam, *args, **kwargs)
+    def spy(*args, **kwargs):
+        given = signature.bind(*args, **kwargs).arguments
+        seen.append((given["x"].copy(), given["lam"].copy(),
+                     given.get("stat_sq") is not None, given.get("shifted") is not None))
+        return make_record(*args, **kwargs)
 
     monkeypatch.setattr(module, "make_record", spy)
     p = problem()
     res = run(p)
     assert res.termination != "numerical-failure" and len(seen) == len(res.trace) > 10
-    shared_kwargs = ["active"] if module is gdpa.solver else ["shifted"]
-    assert all(kwargs == shared_kwargs for *_, kwargs in seen)
+    assert all(shifted == (module is gdpa.baselines) for *_, shifted in seen)
     if module is gdpa.solver:  # the stationarity came from a stop test on most rows
-        assert sum(shared for _, _, shared, _ in seen) > len(seen) // 2
+        assert sum(stat for _, _, stat, _ in seen) > len(seen) // 2
     for rec, (x, lam, _, _) in zip(res.trace, seen):
         if res.iterates is not None:
             assert np.array_equal(x, res.iterates[rec.r - 1][0])
             assert np.array_equal(lam, res.iterates[rec.r - 1][1])
-        fresh = make_record(p, x, lam, None, p.g(x), p.grad_f(x), p.jacobian(x),
-                            rec.r, rec.alpha, rec.beta, rec.gamma, tau)
+        g = p.g(x)
+        fresh = make_record(p, x, lam, None, g, p.grad_f(x), p.jacobian(x), rec.r, rec.alpha,
+                            rec.beta, rec.gamma, _violation_sq(g),
+                            _active_arg(g, lam, rec.beta, tau))
         assert dataclasses.astuple(rec) == dataclasses.astuple(fresh), rec.r
