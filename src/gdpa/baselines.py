@@ -111,8 +111,8 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
                     grad = problem.grad_f(x, grad)
                     jac = problem.jacobian(x, jac)
                     weight_sum += 1.0 / rho
-                    x_accum += x / rho
-                    lam_accum += lam / rho
+                    x_accum = x_accum + x / rho
+                    lam_accum = lam_accum + lam / rho
                     shifted = _shifted(lam, gx, rho)  # also the row's stationarity dual half
                     # a round's last step is recorded, as solve() records its last
                     if step % cfg.record_every == 0 or step <= cfg.dense_until or inner == last:

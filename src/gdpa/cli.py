@@ -355,6 +355,8 @@ def _summary(problem, result, kind, wall_seconds, alpha_last) -> dict:
         "kkt_final": asdict(kkt_final),
         "kkt_avg": asdict(kkt_avg),
         "wall_seconds": wall_seconds,
+        "iterations": result.iterations,
+        "us_per_iter": 1e6 * wall_seconds / result.iterations if result.iterations else None,
         "failure_message": result.failure_message,
     }
     non_finite: List[str] = []

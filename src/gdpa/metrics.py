@@ -68,7 +68,7 @@ def _active_arg(g, lam, beta, tau):
 
 
 def _perturbed_value(f_val: float, arg: np.ndarray, damped: np.ndarray, beta: float) -> float:
-    return f_val + 0.5 * beta * _violation_sq(arg) - float(damped @ damped) / (2.0 * beta)
+    return f_val + 0.5 * beta * _violation_sq(arg) - float(damped.dot(damped)) / (2.0 * beta)
 
 
 def _stationarity_from_evals(
@@ -85,17 +85,17 @@ def _stationarity_from_evals(
     # Stacked proximal-gradient residual of the plain (unperturbed)
     # Lagrangian: grad_x L = grad f + J^T lam, grad_lam L = g.
     # project()'s two checks; the input one catches an Inf step a box clips to finite
-    step = require_finite(x - alpha * (grad_fx + jac.T @ lam), "v")
+    step = require_finite(x - alpha * (grad_fx + jac.T.dot(lam)), "v")
     proj = _project_raw(projection, step)  # step itself when inside X: checked already
     primal = (x - (proj if proj is step else require_finite(proj, "projection output"))) / alpha
     dual = (lam - (_shifted(lam, gx, beta) if shifted is None else shifted)) / beta
     stacked = np.concatenate([primal, dual])
-    return stacked, float(stacked @ stacked)
+    return stacked, float(stacked.dot(stacked))
 
 
 def _violation_sq(gx: np.ndarray) -> float:
     gp = np.maximum(gx, 0.0)
-    return float(gp @ gp)  # math.sqrt of this equals np.linalg.norm(gp) bit for bit
+    return float(gp.dot(gp))  # math.sqrt of this equals np.linalg.norm(gp) bit for bit
 
 
 def kkt_residual(problem: ConstrainedProblem, x, lam, alpha: float = 1.0) -> KktResidual:
@@ -207,5 +207,5 @@ def make_record(
         stationarity_sq=stat_sq,
         feasibility=math.sqrt(viol_sq),
         slackness=float(np.add.reduce(np.abs(lam * gx))),
-        lambda_norm=math.sqrt(float(lam @ lam)),
+        lambda_norm=math.sqrt(float(lam.dot(lam))),
     )

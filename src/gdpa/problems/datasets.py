@@ -45,16 +45,16 @@ class MnpcDataset:
     def d_in(self) -> int:
         return self.features.shape[1]
 
-    def class_features(self, class_id: int) -> np.ndarray:
-        return self.features[self.labels == class_id]
-
     def class_blocks(self) -> list[np.ndarray]:
-        """The feature rows of each class in class order; every class needs a sample."""
-        present = np.unique(self.labels)  # sorted, so present[i] == i up to the first gap
+        """The feature rows of each class in class order (file order within a
+        class), split from one stable sort; every class needs a sample."""
+        # sorted, so present[i] == i up to the first gap; sized by n, not num_classes
+        present, counts = np.unique(self.labels, return_counts=True)
         first_empty = np.count_nonzero(present == np.arange(present.size))
         if first_empty < self.num_classes:  # checked before any block is built
             raise ValueError(f"class {first_empty} has no samples")
-        return [self.class_features(cls) for cls in range(self.num_classes)]
+        order = np.argsort(self.labels, kind="stable")
+        return np.split(self.features[order], np.cumsum(counts)[:-1])
 
 
 def generate_synthetic_mnpc(

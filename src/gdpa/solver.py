@@ -147,7 +147,7 @@ def active_set(g_x: np.ndarray, lam: np.ndarray, beta_r: float, tau: float) -> n
 
 # Raw steps take the step's [damped + beta*g]_+ or damped = (1-tau)*lam (lam when tau=0).
 def _primal_step_raw(projection, x, grad_fx, jac, shifted, alpha_r, r=None):
-    x_next = _project_raw(projection, x - alpha_r * (grad_fx + jac.T @ shifted))
+    x_next = _project_raw(projection, x - alpha_r * (grad_fx + jac.T.dot(shifted)))
     if not all_finite(x_next):
         raise NumericalFailure(f"primal step produced non-finite iterate at r={r}")
     return x_next
@@ -281,8 +281,8 @@ def solve(
                 jac = problem.jacobian(x, jac)
 
                 weight_sum += 1.0 / beta
-                x_sum += x / beta
-                lam_sum += lam / beta
+                x_sum = x_sum + x / beta
+                lam_sum = lam_sum + lam / beta
                 if capture_iterates:
                     iterates.append((x.copy(), lam.copy()))
 

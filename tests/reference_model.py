@@ -31,31 +31,43 @@ def project(kind, x, lower=None, upper=None, center=None, radius=None, block=Non
     raise ValueError(kind)
 
 
+def weighted_averages(pairs, weights):
+    """sum w_r*x_r / sum w_r and sum w_r*lam_r / sum w_r over (x_r, lam_r) pairs."""
+    total = sum(weights)
+    return tuple(sum(w * pair[i] for w, pair in zip(weights, pairs)) / total for i in (0, 1))
+
+
 def gdpa(grad_f, g, jac, proj, x0, tau, beta0, a01, a02, a03, iters):
-    """(x_r, lam_r) for r = 1..iters, then (x_{R+1}, lam_{R+1})."""
-    x, lam, pairs = proj(x0), np.zeros(g(x0).size), []
+    """(x_r, lam_r) for r = 1..iters, then (x_{R+1}, lam_{R+1}), then the
+    1/beta_r-weighted averages of x_r and lam_r over r = 1..iters."""
+    x, lam, pairs, weights = proj(x0), np.zeros(g(x0).size), [], []
     for r in range(1, iters + 1):
         pairs.append((x, lam))
         beta = beta0 * r ** (1.0 / 3.0)
+        weights.append(1.0 / beta)
         alpha = a01 / (a02 + a03 * r ** (1.0 / 3.0))
         active = g(x) + (1.0 - tau) * lam / beta > 0.0
         x = proj(x - alpha * (grad_f(x) + jac(x).T @ np.maximum(
             (1.0 - tau) * lam + beta * g(x), 0.0)))
         lam = np.where(active, np.maximum((1.0 - tau) * lam + beta * g(x), 0.0), 0.0)
-    return pairs, x, lam
+    return (pairs, x, lam, *weighted_averages(pairs, weights))
 
 
 def inner_outer(grad_f, g, jac, proj, x0, rho0, growth, inner, outer, step, feas_tol,
                 max_steps, alm):
-    """Final (x, lam) and the step count of the penalty method (``alm`` False,
-    lam stays 0, rho grows every round) or ALM (lam <- [lam + rho*g]_+ after a
+    """Final (x, lam), the step count and the 1/rho-weighted averages of the
+    (x, lam) each step starts from, of the penalty method (``alm`` False, lam
+    stays 0, rho grows every round) or ALM (lam <- [lam + rho*g]_+ after a
     round, rho grows when the violation is not cut by the factor 0.9)."""
     x, lam, rho, prev, steps = proj(x0), np.zeros(g(x0).size), rho0, math.inf, 0
+    pairs, weights = [], []
     for _ in range(outer):
         for _ in range(inner):
             if steps == max_steps:
-                return x, lam, steps
+                return (x, lam, steps, *weighted_averages(pairs, weights))
             steps += 1
+            pairs.append((x, lam))
+            weights.append(1.0 / rho)
             x = proj(x - step * (grad_f(x) + jac(x).T @ np.maximum(lam + rho * g(x), 0.0)))
         if alm:
             lam = np.maximum(lam + rho * g(x), 0.0)
@@ -65,4 +77,4 @@ def inner_outer(grad_f, g, jac, proj, x0, rho0, growth, inner, outer, step, feas
         if not alm or viol > 0.9 * prev:
             rho *= growth
         prev = viol
-    return x, lam, steps
+    return (x, lam, steps, *weighted_averages(pairs, weights))

@@ -75,8 +75,23 @@ class TestSolveCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert abs(summary["x_final"][0] - 1.0) <= 1e-2
         assert summary["termination"] == "budget-exhausted"
+        assert summary["iterations"] == 30_000
+        assert summary["us_per_iter"] == 1e6 * summary["wall_seconds"] / 30_000
         assert (out / "trace.csv").exists()
         assert (out / "warnings.log").exists()
+
+    def test_failure_before_the_first_step_gives_null_us_per_iter(self, tmp_path):
+        # g(x0) overflows (x0 @ x0 is inf), so the run fails before step 1
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "analytic", "id": "circle-exterior", "x0": [1e200, 0.0]},
+            "solver": {"kind": "gdpa", "max_iters": 10}})
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failure_message"].startswith("initial evaluation: ")
+        assert summary["iterations"] == 0
+        assert summary["us_per_iter"] is None
+        assert "us_per_iter" not in summary["non_finite"]
 
     def test_trace_round_trips_losslessly(self, tmp_path):
         out = tmp_path / "run"

@@ -59,8 +59,7 @@ class TestSyntheticDataset:
 
     def test_zero_noise_collapses_to_means(self):
         d = generate_synthetic_mnpc(1, 2, 4, 5, 0.0)
-        for cls in range(2):
-            block = d.class_features(cls)
+        for block in d.class_blocks():
             assert np.allclose(block, block[0])
             np.testing.assert_allclose(np.linalg.norm(block[0]), 2.0, atol=1e-12)
 
@@ -68,6 +67,17 @@ class TestSyntheticDataset:
         d = generate_synthetic_mnpc(2, 3, 7, 10, 0.1)
         assert d.features.shape == (30, 7)
         assert [int((d.labels == c).sum()) for c in range(3)] == [10, 10, 10]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_class_blocks_equal_the_masked_rows_for_shuffled_labels(self, seed):
+        rng = np.random.default_rng(seed)
+        labels = np.concatenate([np.arange(5), rng.integers(0, 5, 40)])
+        rng.shuffle(labels)
+        data = MnpcDataset(rng.standard_normal((labels.size, 3)), labels, 5)
+        blocks = data.class_blocks()
+        assert len(blocks) == 5
+        for cls, block in enumerate(blocks):  # each class's rows, in file order
+            np.testing.assert_array_equal(block, data.features[data.labels == cls])
 
     @pytest.mark.parametrize("labels, first_empty", [
         ([0, 2, 5], 1), ([0, 1, 1], 2), ([1, 1, 2], 0), ([0, 1, 2], 3)])

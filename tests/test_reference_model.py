@@ -4,7 +4,7 @@ Algorithm 1 (tests/reference_model.py), over the five feasible sets."""
 import dataclasses
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gdpa import (
@@ -56,7 +56,8 @@ def test_solve_matches_the_reference_model(kind, m, seed, tau, beta0, alpha01):
                      eps_feas=1e-300, eps_stat=1e-300, record_every=50, dense_until=0)
     res = solve(problem, cfg, x0, capture_iterates=True)
     assume(res.termination != "numerical-failure")
-    pairs, x, lam = reference_model.gdpa(*model, x0, tau, beta0, alpha01, 1.0, 1.0, 50)
+    pairs, x, lam, x_avg, lam_avg = reference_model.gdpa(
+        *model, x0, tau, beta0, alpha01, 1.0, 1.0, 50)
     # a feasible, exactly stationary iterate stops the run before R
     assert res.iterations == len(res.iterates) <= 50
     for (x_r, lam_r), (want_x, want_lam) in zip(res.iterates, pairs):
@@ -65,12 +66,18 @@ def test_solve_matches_the_reference_model(kind, m, seed, tau, beta0, alpha01):
     if res.termination == "budget-exhausted":
         assert_close(res.x_final, x)
         assert_close(res.lambda_final, lam)
+        assert_close(res.x_avg, x_avg)
+        assert_close(res.lambda_avg, lam_avg)
 
 
 @given(kind=st.sampled_from(SETS), m=st.sampled_from([0, 1, 3]), seed=st.integers(0, 2 ** 16),
        alm=st.booleans(), rho0=st.floats(0.1, 2.0), growth=st.floats(1.5, 4.0),
        inner=st.integers(1, 20), outer=st.integers(1, 4), step=st.floats(0.005, 0.05),
        max_steps=st.integers(1, 60))
+# ALM with multipliers that turn positive after a round and a growing rho, so that
+# the 1/rho weights of lam_avg count: the drawn examples rarely reach such a run
+@example(kind="box", m=3, seed=3, alm=True, rho0=0.5, growth=2.0, inner=10, outer=4,
+         step=0.02, max_steps=60)
 @SETTINGS
 def test_baselines_match_the_reference_model(kind, m, seed, alm, rho0, growth, inner, outer,
                                              step, max_steps):
@@ -80,9 +87,11 @@ def test_baselines_match_the_reference_model(kind, m, seed, alm, rho0, growth, i
     res = (solve_alm(problem, AlmConfig(**settings_), x0) if alm
            else solve_penalty(problem, PenaltyConfig(**settings_), x0))
     assume(res.termination != "numerical-failure")
-    x, lam, steps = reference_model.inner_outer(*model, x0, rho0, growth, inner, outer, step,
-                                                1e-6, max_steps, alm)
+    x, lam, steps, x_avg, lam_avg = reference_model.inner_outer(
+        *model, x0, rho0, growth, inner, outer, step, 1e-6, max_steps, alm)
     assert res.iterations == steps <= max_steps
     assert res.trace[-1].r == steps
     assert_close(res.x_final, x)
     assert_close(res.lambda_final, lam)
+    assert_close(res.x_avg, x_avg)
+    assert_close(res.lambda_avg, lam_avg)
