@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .metrics import IterationRecord, _shifted, _violation_sq, make_record
+from .metrics import IterationRecord, _const, _shifted, _violation_sq, make_record
 from .problem import ConstrainedProblem
 from .solver import (
     TERM_BUDGET,
@@ -28,9 +28,10 @@ from .solver import (
     _averages,
     _check_types,
     _initial_multiplier,
+    _initial_point,
     _primal_step_raw,
 )
-from .vec import NonFiniteError, as_vector, project
+from .vec import NonFiniteError
 
 STALL_FACTOR = 0.9  # see AlmConfig
 
@@ -87,7 +88,7 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
     augmented Lagrangian. ``frozen`` keeps the multipliers at their start
     (zero for the penalty method) and grows rho after every outer round
     instead of only when feasibility stalls."""
-    x = project(problem.projection, as_vector(x0, "x0"))
+    x = _initial_point(problem, x0)
     trace: List[IterationRecord] = []
     termination = TERM_BUDGET
     failure = ""
@@ -98,6 +99,7 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
     lam_accum = np.zeros_like(lam)
     rho = cfg.rho0
     prev_norm = np.inf
+    inner_step = _const(cfg.inner_step)  # a 0-d operand, as solve()'s beta_r
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             # as in solve(): one evaluation per point, whose g (and squared
@@ -105,32 +107,33 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
             fx, gx, grad, jac = problem.first_order(x)
             viol = _violation_sq(gx)
             for _outer in range(cfg.outer_iters):
+                rho_r = _const(rho)
                 last = min(cfg.inner_iters, cfg.max_steps - step)
                 for inner in range(1, last + 1):
                     step += 1
                     grad = problem.grad_f(x, grad)
                     jac = problem.jacobian(x, jac)
                     weight_sum += 1.0 / rho
-                    x_accum = x_accum + x / rho
-                    lam_accum = lam_accum + lam / rho
-                    shifted = _shifted(lam, gx, rho)  # also the row's stationarity dual half
+                    x_accum = x_accum + x / rho_r
+                    lam_accum = lam_accum + lam / rho_r
+                    shifted = _shifted(lam, gx, rho_r)  # also the row's stationarity dual half
                     # a round's last step is recorded, as solve() records its last
                     if step % cfg.record_every == 0 or step <= cfg.dense_until or inner == last:
                         # tau=0 turns the merit value into the classic augmented Lagrangian
                         # this method minimizes; (lam, g + lam/rho) is _active_arg's at tau=0
                         trace.append(make_record(problem, x, lam, fx, gx, grad, jac, step,
                                                  cfg.inner_step, rho, 0.0, viol,
-                                                 (lam, gx + lam / rho), shifted=shifted))
+                                                 (lam, gx + lam / rho_r), shifted=shifted))
                     if T_eps is None and math.sqrt(viol) <= cfg.feas_tol:
                         T_eps = step
                     x = _primal_step_raw(problem.projection, x, grad, jac, shifted,
-                                         cfg.inner_step, step)
+                                         inner_step, step)
                     fx, gx, grad, jac = problem.first_order(x)
                     viol = _violation_sq(gx)
                 if last < cfg.inner_iters:  # stopped at max_steps, within a round
                     break
                 if not frozen:
-                    lam = _shifted(lam, gx, rho)
+                    lam = _shifted(lam, gx, rho_r)
                 norm = math.sqrt(viol)
                 if norm <= cfg.feas_tol:
                     termination = TERM_FEASIBILITY

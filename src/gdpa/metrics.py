@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .problem import ConstrainedProblem
-from .vec import ProjectionSpec, _project_raw, as_vector, require_finite
+from .vec import ProjectionSpec, _project_raw, as_vector, check_length, require_finite
 
 
 class InsufficientDataError(ValueError):
@@ -58,12 +58,24 @@ class RateFit:
     n_points: int
 
 
+def _const(value: float) -> np.ndarray:
+    """A read-only 0-d float64 array of ``value``, the form in which the hot loops
+    pass the step kernels their scalars: numpy 2 (NEP 50) converts a Python-float
+    operand on every ufunc call, which costs more on small arrays, for the same bits."""
+    arr = np.array(value, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+_ZERO = _const(0.0)
+
+
 def _shifted(base, g, beta):
-    return np.maximum(base + beta * g, 0.0)
+    return np.maximum(base + beta * g, _ZERO)
 
 
-def _active_arg(g, lam, beta, tau):
-    damped = (1.0 - tau) * lam
+def _active_arg(g, lam, beta, one_minus_tau):
+    damped = one_minus_tau * lam
     return damped, g + damped / beta
 
 
@@ -94,16 +106,20 @@ def _stationarity_from_evals(
 
 
 def _violation_sq(gx: np.ndarray) -> float:
-    gp = np.maximum(gx, 0.0)
+    gp = np.maximum(gx, _ZERO)
     return float(gp.dot(gp))  # math.sqrt of this equals np.linalg.norm(gp) bit for bit
+
+
+def _slackness(lam: np.ndarray, g: np.ndarray) -> float:
+    return float(np.add.reduce(np.abs(lam * g)))  # ndarray.sum without its Python wrapper
 
 
 def kkt_residual(problem: ConstrainedProblem, x, lam, alpha: float = 1.0) -> KktResidual:
     """KKT residual triple at the pair (x, lam)."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    xv = as_vector(x, "x")
-    lv = as_vector(lam, "lambda")
+    xv = check_length(as_vector(x, "x"), problem.dim, "x")
+    lv = check_length(as_vector(lam, "lambda"), problem.num_constraints, "lambda")
     gx = problem.g(xv)
     # the dual half of the stacked residual is discarded, so its scaling
     # (beta=1) does not matter
@@ -112,7 +128,7 @@ def kkt_residual(problem: ConstrainedProblem, x, lam, alpha: float = 1.0) -> Kkt
     return KktResidual(
         stationarity=float(np.linalg.norm(stacked[:xv.size])),
         feasibility=math.sqrt(_violation_sq(gx)),
-        slackness=float(np.abs(lv * gx).sum()),
+        slackness=_slackness(lv, gx),
     )
 
 
@@ -206,6 +222,6 @@ def make_record(
         F_beta_value=_perturbed_value(f_val, arg, damped, beta),
         stationarity_sq=stat_sq,
         feasibility=math.sqrt(viol_sq),
-        slackness=float(np.add.reduce(np.abs(lam * gx))),
+        slackness=_slackness(lam, gx),
         lambda_norm=math.sqrt(float(lam.dot(lam))),
     )

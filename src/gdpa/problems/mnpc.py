@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..problem import ConstrainedProblem
-from ..vec import as_vector
+from ..vec import as_vector, check_length
 from .datasets import MnpcDataset
 
 
@@ -47,10 +47,8 @@ def _class_budget_problem(data: MnpcDataset, dim: int, bounds, what: str, name: 
                           eval_f, eval_grad_f, loss, loss_grad) -> ConstrainedProblem:
     """Minimize ``eval_f`` (class 0's loss) subject to ``loss(x, j) <= bounds[j-1]``
     for each class j = 1..num_classes-1; ``loss_grad(x, j)`` is that loss's gradient."""
-    b = as_vector(bounds, what)
     m = data.num_classes - 1
-    if b.size != m:
-        raise ValueError(f"{what} must have length {m}")
+    b = check_length(as_vector(bounds, what), m, what)
     classes = range(1, data.num_classes)
     return ConstrainedProblem(
         dim=dim,

@@ -20,14 +20,16 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .metrics import (IterationRecord, _active_arg, _shifted, _stationarity_from_evals,
-                      _violation_sq, make_record)
+from .metrics import (_ZERO, IterationRecord, _active_arg, _const, _shifted,
+                      _stationarity_from_evals, _violation_sq, make_record)
 from .problem import ConstrainedProblem, ProblemConstants
-from .vec import NonFiniteError, _project_raw, all_finite, as_vector, project
+from .vec import NonFiniteError, _project_raw, all_finite, as_vector, check_length, project
 
 TERM_FEASIBILITY = "feasibility-stop"
 TERM_BUDGET = "budget-exhausted"
 TERM_NUMERICAL = "numerical-failure"
+
+_DUAL_TOL = _const(1e-15)  # slack of the debug check on the dual contraction
 
 
 class NumericalFailure(RuntimeError):
@@ -142,7 +144,16 @@ def active_set(g_x: np.ndarray, lam: np.ndarray, beta_r: float, tau: float) -> n
     The inequality is strict, so a constraint sitting exactly on the boundary
     with a zero multiplier stays inactive.
     """
-    return _active_arg(g_x, lam, beta_r, tau)[1] > 0.0
+    _check_steps(beta_r, tau)
+    return _active_arg(g_x, lam, beta_r, 1.0 - tau)[1] > _ZERO
+
+
+def _check_steps(beta_r: float, tau: float) -> None:
+    """The public step functions take tau in GdpaConfig's range and a positive beta_r."""
+    if not beta_r > 0:
+        raise ValueError("beta_r must be positive")
+    if not 0.0 < tau < 1.0:
+        raise ValueError("tau must lie strictly between 0 and 1")
 
 
 # Raw steps take the step's [damped + beta*g]_+ or damped = (1-tau)*lam (lam when tau=0).
@@ -156,10 +167,11 @@ def _primal_step_raw(projection, x, grad_fx, jac, shifted, alpha_r, r=None):
 def primal_step(problem: ConstrainedProblem, x, lam,
                 alpha_r: float, beta_r: float, tau: float) -> np.ndarray:
     """Projected gradient step on the merit function at fixed dual variable."""
-    if not (alpha_r > 0 and beta_r > 0):
-        raise ValueError("alpha_r and beta_r must be positive")
-    xv = as_vector(x, "x")
-    lv = as_vector(lam, "lambda")
+    if not alpha_r > 0:
+        raise ValueError("alpha_r must be positive")
+    _check_steps(beta_r, tau)
+    xv = check_length(as_vector(x, "x"), problem.dim, "x")
+    lv = check_length(as_vector(lam, "lambda"), problem.num_constraints, "lambda")
     return _primal_step_raw(problem.projection, xv, problem.grad_f(xv), problem.jacobian(xv),
                             _shifted((1.0 - tau) * lv, problem.g(xv), beta_r), alpha_r)
 
@@ -170,6 +182,7 @@ def dual_step(g_next, lam, mask, beta_r: float, tau: float) -> np.ndarray:
     ``g_next`` must be the constraint vector at the NEW primal point: the
     primal moves first, the dual reacts to the updated violation.
     """
+    _check_steps(beta_r, tau)
     gv = as_vector(g_next, "g_next")
     lv = as_vector(lam, "lambda")
     m = np.asarray(mask, dtype=bool)
@@ -179,7 +192,7 @@ def dual_step(g_next, lam, mask, beta_r: float, tau: float) -> np.ndarray:
 
 
 def _dual_step_raw(g_next, damped, mask, beta_r):
-    return np.where(mask, _shifted(damped, g_next, beta_r), 0.0)
+    return np.where(mask, _shifted(damped, g_next, beta_r), _ZERO)
 
 
 def validate_tau(cfg: GdpaConfig, constants: ProblemConstants) -> ValidationReport:
@@ -223,12 +236,15 @@ def _initial_multiplier(lambda0, m: int) -> np.ndarray:
     """Validated copy of a user-supplied multiplier start; zeros when None."""
     if lambda0 is None:
         return np.zeros(m)
-    lam = as_vector(lambda0, "lambda0").copy()
-    if lam.size != m:
-        raise ValueError(f"lambda0 must have length {m}")
+    lam = check_length(as_vector(lambda0, "lambda0").copy(), m, "lambda0")
     if np.any(lam < 0):
         raise ValueError("lambda0 must be componentwise nonnegative")
     return lam
+
+
+def _initial_point(problem: ConstrainedProblem, x0) -> np.ndarray:
+    """``x0`` projected into the feasible set, checked against the problem's dim."""
+    return check_length(project(problem.projection, as_vector(x0, "x0")), problem.dim, "x0")
 
 
 def solve(
@@ -252,8 +268,7 @@ def solve(
     ``on_iteration(r, x_next, lam_prev, lam_next, mask, g_next)`` is invoked
     after every dual update; intended for diagnostics and invariant checks.
     """
-    tau = cfg.tau
-    x = project(problem.projection, as_vector(x0, "x0"))
+    x = _initial_point(problem, x0)
     lam = _initial_multiplier(lambda0, problem.num_constraints)
     projection = problem.projection
     trace: List[IterationRecord] = []
@@ -265,6 +280,7 @@ def solve(
     weight_sum = 0.0
     x_sum = np.zeros_like(x)
     lam_sum = np.zeros_like(lam)
+    one_minus_tau = _const(1.0 - cfg.tau)
 
     r = 0
     try:
@@ -277,12 +293,13 @@ def solve(
             viol = _violation_sq(gx)  # of each g, shared by the stop test and the trace row
             for r in range(1, cfg.max_iters + 1):
                 alpha, beta, gamma = schedule(cfg, r)
+                beta_r = np.asarray(beta)  # the step kernels' operand; beta for the row
                 grad = problem.grad_f(x, grad)
                 jac = problem.jacobian(x, jac)
 
                 weight_sum += 1.0 / beta
-                x_sum = x_sum + x / beta
-                lam_sum = lam_sum + lam / beta
+                x_sum = x_sum + x / beta_r
+                lam_sum = lam_sum + lam / beta_r
                 if capture_iterates:
                     iterates.append((x.copy(), lam.copy()))
 
@@ -291,8 +308,8 @@ def solve(
                     _, stat_sq = _stationarity_from_evals(
                         x, lam, gx, grad, jac, alpha, beta, projection)
                     stopping = stat_sq <= eps_stat_sq
-                damped, arg = _active_arg(gx, lam, beta, tau)
-                mask = arg > 0.0
+                damped, arg = _active_arg(gx, lam, beta_r, one_minus_tau)
+                mask = arg > _ZERO
                 if (stopping or r <= cfg.dense_until or r % cfg.record_every == 0
                         or r == cfg.max_iters):
                     trace.append(make_record(problem, x, lam, fx, gx, grad, jac, r, alpha, beta,
@@ -301,13 +318,13 @@ def solve(
                     termination = TERM_FEASIBILITY
                     break
 
-                x_next = _primal_step_raw(projection, x, grad, jac, _shifted(damped, gx, beta),
+                x_next = _primal_step_raw(projection, x, grad, jac, _shifted(damped, gx, beta_r),
                                           alpha, r)
                 f_next, g_next, grad, jac = problem.first_order(x_next)
-                lam_next = _dual_step_raw(g_next, damped, mask, beta)
+                lam_next = _dual_step_raw(g_next, damped, mask, beta_r)
                 if __debug__:  # active and still feasible: contracted; inactive: zeroed
-                    ok = np.where(mask, (g_next > 0.0) | (lam_next <= damped + 1e-15),
-                                  lam_next == 0.0)
+                    ok = np.where(mask, (g_next > _ZERO) | (lam_next <= damped + _DUAL_TOL),
+                                  lam_next == _ZERO)
                     assert np.count_nonzero(ok) == ok.size, (
                         ("inactive multiplier not zeroed" if ok[mask].all()
                          else "dual contraction violated") + f" at r={r}")

@@ -40,6 +40,12 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def check_length(v: np.ndarray, n: int, name: str) -> np.ndarray:
+    if v.size != n:
+        raise DimensionMismatchError(f"{name} must have length {n}")
+    return v
+
+
 @dataclass(frozen=True)
 class ProjectionSpec:
     """Description of one of the five supported feasible sets.

@@ -1,8 +1,10 @@
 """The step and trace-row kernels against the forms they replace.
 
 The kernels use ``ndarray.dot`` where the plain form is the ``@`` operator,
-which costs about twice as much per call on tiny arrays; both must give the
-same bits, so every comparison here is ``==``.
+which costs about twice as much per call on tiny arrays, and the hot loops
+pass their scalars as 0-d float64 arrays, which a ufunc takes faster than a
+Python float; both must give the same bits, so every comparison here is
+``==`` (on the bytes, where a -0.0 could hide behind a 0.0).
 """
 
 import itertools
@@ -10,8 +12,11 @@ import itertools
 import numpy as np
 import pytest
 
-from gdpa.metrics import _perturbed_value, _stationarity_from_evals, _violation_sq
-from gdpa.solver import _primal_step_raw
+import gdpa.metrics
+import gdpa.solver
+from gdpa.metrics import (_active_arg, _perturbed_value, _shifted, _stationarity_from_evals,
+                          _violation_sq)
+from gdpa.solver import _dual_step_raw, _primal_step_raw, active_set
 from gdpa.vec import ProjectionSpec, _project_raw
 
 CASES = list(itertools.product([1, 4, 1000], [0, 1, 3]))
@@ -66,3 +71,47 @@ def test_stationarity_equals_the_matmul_form(d, m):
             stacked, value = _stationarity_from_evals(x, lam, g, grad, jac, alpha, beta, spec)
             assert np.array_equal(stacked, want)
             assert value == float(want @ want)
+
+
+def signed_zeros_and_infs(g):
+    """``g`` with its first entries set to +0.0, -0.0, +inf and -inf, as far as it reaches."""
+    g = g.copy()
+    special = np.array([0.0, -0.0, np.inf, -np.inf])[:g.size]
+    g[:special.size] = special
+    return g
+
+
+def same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d, m", CASES)
+def test_zero_d_operands_equal_the_python_float_forms(d, m):
+    for rng, _, _, _, drawn in draws(d, m):
+        lam = np.abs(rng.standard_normal(m))
+        beta, tau = rng.uniform(1e-2, 10.0), rng.uniform(0.01, 0.99)
+        beta_0d, omt_0d = np.asarray(beta), np.asarray(1.0 - tau)
+        for g in (drawn, signed_zeros_and_infs(drawn)):
+            damped = (1.0 - tau) * lam
+            arg = g + damped / beta
+            for beta_op, omt_op in ((beta, 1.0 - tau), (beta_0d, omt_0d)):
+                assert all(map(same, _active_arg(g, lam, beta_op, omt_op), (damped, arg)))
+            assert same(_shifted(damped, g, beta_0d), np.maximum(damped + beta * g, 0.0))
+            mask = arg > 0.0
+            assert same(arg > gdpa.metrics._ZERO, mask)
+            assert same(_dual_step_raw(g, damped, mask, beta_0d),
+                        np.where(mask, np.maximum(damped + beta * g, 0.0), 0.0))
+            gp = np.maximum(g, 0.0)
+            assert _violation_sq(g) == float(gp.dot(gp))
+            assert same(active_set(g, lam, beta, tau), mask)
+            assert same(damped + gdpa.solver._DUAL_TOL, damped + 1e-15)
+
+
+@pytest.mark.parametrize("const", [gdpa.metrics._ZERO, gdpa.solver._DUAL_TOL])
+def test_module_constants_are_read_only_0d_float64(const):
+    assert const.shape == () and const.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        const[...] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        np.add(const, 1.0, out=const)

@@ -28,7 +28,7 @@ def vector_problem(f, grad, g, jac, d, m):
 
 def perturbed_lagrangian(p, x, lam, beta, tau):
     """The merit value from the problem's f and g at x."""
-    damped, arg = _active_arg(p.g(x), lam, beta, tau)
+    damped, arg = _active_arg(p.g(x), lam, beta, 1.0 - tau)
     return _perturbed_value(p.f(x), arg, damped, beta)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gdpa import (
     ProjectionSpec,
     active_set,
     dual_step,
+    kkt_residual,
     primal_step,
     schedule,
     solve,
@@ -125,6 +127,84 @@ class TestDualStep:
         # 0.5*1.0 + 2*0.25 = 1.0
         out = dual_step(np.array([0.25]), np.array([1.0]), np.array([True]), 2.0, 0.5)
         assert out[0] == pytest.approx(1.0)
+
+
+def _untouchable(problem):
+    """Copy of ``problem`` whose callbacks fail if any of them runs."""
+    def boom(x):
+        raise AssertionError("a callback ran")
+    return dataclasses.replace(problem, eval_f=boom, eval_grad_f=boom, eval_g=boom,
+                               eval_jacobian=boom, eval_first_order=None)
+
+
+class TestStepChecks:
+    # the public step functions take beta_r > 0 and tau in (0, 1), as GdpaConfig does
+    G, LAM, MASK = np.array([0.5]), np.array([1.0]), np.array([True])
+
+    def test_dual_step_rejects_nan_beta(self):
+        with pytest.raises(ValueError, match="beta_r must be positive"):
+            dual_step(self.G, self.LAM, self.MASK, float("nan"), 0.1)
+
+    def test_dual_step_rejects_negative_beta(self):
+        with pytest.raises(ValueError, match="beta_r must be positive"):
+            dual_step(self.G, self.LAM, self.MASK, -1.0, 0.1)
+
+    def test_active_set_rejects_zero_beta_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beta_r must be positive"):
+                active_set(self.G, self.LAM, 0.0, 0.1)
+
+    def test_primal_step_rejects_tau_above_one(self):
+        p = _untouchable(build_analytic("scaled-1d").problem)
+        with pytest.raises(ValueError, match="tau must lie strictly between 0 and 1"):
+            primal_step(p, np.zeros(1), self.LAM, 0.1, 1.0, 5.0)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, float("nan")])
+    def test_every_step_function_rejects_tau_outside_the_open_interval(self, tau):
+        p = _untouchable(build_analytic("scaled-1d").problem)
+        for call in (lambda: active_set(self.G, self.LAM, 1.0, tau),
+                     lambda: primal_step(p, np.zeros(1), self.LAM, 0.1, 1.0, tau),
+                     lambda: dual_step(self.G, self.LAM, self.MASK, 1.0, tau)):
+            with pytest.raises(ValueError, match="tau must lie strictly between 0 and 1"):
+                call()
+
+
+class TestLengthChecks:
+    # a wrong-length point or multiplier is named before any callback runs
+
+    @pytest.mark.parametrize("run", [
+        lambda p, x0: solve(p, GdpaConfig(max_iters=5), x0),
+        lambda p, x0: solve_penalty(p, PenaltyConfig(inner_iters=5, outer_iters=1), x0),
+        lambda p, x0: solve_alm(p, AlmConfig(inner_iters=5, outer_iters=1), x0),
+    ], ids=["solve", "solve_penalty", "solve_alm"])
+    def test_solvers_name_a_wrong_length_start(self, run):
+        p = _untouchable(build_analytic("scaled-1d").problem)
+        with pytest.raises(ValueError, match=r"^x0 must have length 1$"):
+            run(p, np.zeros(3))
+        p.projection = ProjectionSpec.box(-np.ones(1), np.ones(1))  # check_dim's message stays
+        with pytest.raises(ValueError, match="box is 1-dimensional, vector is 3-dimensional"):
+            run(p, np.zeros(3))
+
+    def test_primal_step_names_a_wrong_length_point(self):
+        p = _untouchable(build_analytic("circle-exterior").problem)
+        with pytest.raises(ValueError, match=r"^x must have length 2$"):
+            primal_step(p, np.zeros(3), np.zeros(1), 0.1, 1.0, 0.5)
+
+    def test_primal_step_names_a_wrong_length_multiplier(self):
+        p = _untouchable(build_analytic("circle-exterior").problem)
+        with pytest.raises(ValueError, match=r"^lambda must have length 1$"):
+            primal_step(p, np.zeros(2), np.zeros(2), 0.1, 1.0, 0.5)
+
+    def test_kkt_residual_names_a_wrong_length_point(self):
+        p = _untouchable(build_analytic("circle-exterior").problem)
+        with pytest.raises(ValueError, match=r"^x must have length 2$"):
+            kkt_residual(p, np.zeros(3), np.zeros(1))
+
+    def test_kkt_residual_names_a_wrong_length_multiplier(self):
+        p = _untouchable(build_analytic("circle-exterior").problem)
+        with pytest.raises(ValueError, match=r"^lambda must have length 1$"):
+            kkt_residual(p, np.zeros(2), np.zeros(2))
 
 
 class TestValidation:
@@ -672,5 +752,5 @@ def test_shared_values_equal_fresh_ones(case, monkeypatch):
         g = p.g(x)
         fresh = make_record(p, x, lam, None, g, p.grad_f(x), p.jacobian(x), rec.r, rec.alpha,
                             rec.beta, rec.gamma, _violation_sq(g),
-                            _active_arg(g, lam, rec.beta, tau))
+                            _active_arg(g, lam, rec.beta, 1.0 - tau))
         assert dataclasses.astuple(rec) == dataclasses.astuple(fresh), rec.r
