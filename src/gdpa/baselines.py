@@ -25,11 +25,11 @@ from .solver import (
     TERM_NUMERICAL,
     NumericalFailure,
     SolveResult,
-    _averages,
     _check_types,
     _initial_multiplier,
     _initial_point,
     _primal_step_raw,
+    _RunLedger,
 )
 from .vec import NonFiniteError
 
@@ -94,9 +94,8 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
     failure = ""
     T_eps: Optional[int] = None
     step = 0
-    weight_sum = 0.0
-    x_accum = np.zeros_like(x)
-    lam_accum = np.zeros_like(lam)
+    ledger = _RunLedger(x, lam)
+    add_step, block = ledger.steps.append, ledger.block
     rho = cfg.rho0
     prev_norm = np.inf
     inner_step = _const(cfg.inner_step)  # a 0-d operand, as solve()'s beta_r
@@ -113,9 +112,7 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
                     step += 1
                     grad = problem.grad_f(x, grad)
                     jac = problem.jacobian(x, jac)
-                    weight_sum += 1.0 / rho
-                    x_accum = x_accum + x / rho_r
-                    lam_accum = lam_accum + lam / rho_r
+                    add_step((x, lam, rho))
                     shifted = _shifted(lam, gx, rho_r)  # also the row's stationarity dual half
                     # a round's last step is recorded, as solve() records its last
                     if step % cfg.record_every == 0 or step <= cfg.dense_until or inner == last:
@@ -130,6 +127,8 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
                                          inner_step, step)
                     fx, gx, grad, jac = problem.first_order(x)
                     viol = _violation_sq(gx)
+                    if step % block == 0:
+                        ledger.flush()
                 if last < cfg.inner_iters:  # stopped at max_steps, within a round
                     break
                 if not frozen:
@@ -146,5 +145,5 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
     except (NumericalFailure, NonFiniteError) as exc:
         termination = TERM_NUMERICAL
         failure = str(exc)
-    return SolveResult(x, lam, *_averages(weight_sum, x_accum, lam_accum, x, lam), termination,
+    return SolveResult(x, lam, *ledger.averages(x, lam), termination,
                        T_eps, trace, None, failure, step)

@@ -132,20 +132,42 @@ def kkt_residual(problem: ConstrainedProblem, x, lam, alpha: float = 1.0) -> Kkt
     )
 
 
+_BLOCK_STEPS = 64  # rows summed at once: at most this many steps,
+_BLOCK_FLOATS = 8192  # and about this many floats, so one block stays small
+
+
+def _block_steps(floats_per_step: int) -> int:
+    return max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // max(floats_per_step, 1)))
+
+
+def _weighted_sum(acc: np.ndarray, rows: Sequence[np.ndarray], betas: Sequence[float]):
+    """acc + rows[0]/betas[0] + rows[1]/betas[1] + ..., added left to right: the bits
+    of rebinding ``acc = acc + row / beta`` once per row. ``np.add.accumulate`` adds
+    down axis 0 in order, where ``np.add.reduce`` would sum a (K, 1) block pairwise."""
+    block = np.empty((len(rows) + 1, acc.size))
+    block[0] = acc
+    np.divide(rows, np.array(betas)[:, None], out=block[1:])
+    return np.add.accumulate(block)[-1]
+
+
 def weighted_average(iterates: Sequence[np.ndarray], betas: Sequence[float]) -> np.ndarray:
-    """(sum 1/beta_r)^-1 * sum x_r/beta_r over the trace."""
+    """(sum 1/beta_r)^-1 * sum x_r/beta_r over the trace, summed as ``solve()``
+    sums its averages, so the two agree bit for bit."""
     if len(iterates) == 0:
         raise ValueError("weighted_average needs a nonempty trace")
     if len(iterates) != len(betas):
         raise ValueError("iterates and betas differ in length")
+    size = as_vector(iterates[0], "iterate").size
+    rows = [check_length(as_vector(xr, "iterate"), size, "iterate") for xr in iterates]
     wsum = 0.0
-    acc = np.zeros_like(as_vector(iterates[0], "iterate"))
-    for xr, br in zip(iterates, betas):
+    for br in betas:
         if not br > 0:
             raise ValueError("betas must be positive")
-        w = 1.0 / br
-        wsum += w
-        acc = acc + w * as_vector(xr, "iterate")
+        wsum += 1.0 / br
+    acc = np.zeros_like(rows[0])
+    step = _block_steps(acc.size)
+    for k in range(0, len(rows), step):
+        acc = _weighted_sum(acc, rows[k:k + step], betas[k:k + step])
     return acc / wsum
 
 

@@ -20,8 +20,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .metrics import (_ZERO, IterationRecord, _active_arg, _const, _shifted,
-                      _stationarity_from_evals, _violation_sq, make_record)
+from .metrics import (_ZERO, IterationRecord, _active_arg, _block_steps, _const, _shifted,
+                      _stationarity_from_evals, _violation_sq, _weighted_sum, make_record)
 from .problem import ConstrainedProblem, ProblemConstants
 from .vec import NonFiniteError, _project_raw, all_finite, as_vector, check_length, project
 
@@ -145,7 +145,9 @@ def active_set(g_x: np.ndarray, lam: np.ndarray, beta_r: float, tau: float) -> n
     with a zero multiplier stays inactive.
     """
     _check_steps(beta_r, tau)
-    return _active_arg(g_x, lam, beta_r, 1.0 - tau)[1] > _ZERO
+    gv = as_vector(g_x, "g_x")
+    lv = check_length(as_vector(lam, "lambda"), gv.size, "lambda")
+    return _active_arg(gv, lv, beta_r, 1.0 - tau)[1] > _ZERO
 
 
 def _check_steps(beta_r: float, tau: float) -> None:
@@ -193,6 +195,45 @@ def dual_step(g_next, lam, mask, beta_r: float, tau: float) -> np.ndarray:
 
 def _dual_step_raw(g_next, damped, mask, beta_r):
     return np.where(mask, _shifted(damped, g_next, beta_r), _ZERO)
+
+
+class _RunLedger:
+    """A run's 1/beta-weighted sums of (x_r, lam_r) and, without -O, its dual-update
+    checks, applied once per block of steps. It holds references to the arrays it
+    is given, which nobody may change before the next ``flush``."""
+
+    def __init__(self, x: np.ndarray, lam: np.ndarray):
+        self.block = _block_steps(x.size + 2 * lam.size)  # x, lam and the damped lam
+        self.x_sum, self.lam_sum, self.weight_sum = np.zeros_like(x), np.zeros_like(lam), 0.0
+        self.steps: list = []  # (x_r, lam_r, beta_r)
+        self.checks: list = []  # (r, mask, g_next > 0, lam_next, (1-tau)*lam)
+
+    def flush(self) -> None:
+        if self.steps:
+            xs, lams, betas = zip(*self.steps)
+            self.steps.clear()
+            self.x_sum = _weighted_sum(self.x_sum, xs, betas)
+            self.lam_sum = _weighted_sum(self.lam_sum, lams, betas)
+            for beta in betas:
+                self.weight_sum += 1.0 / beta
+        if self.checks:
+            rs, *rows = zip(*self.checks)
+            self.checks.clear()
+            mask, g_pos, lam_next, damped = map(np.array, rows)
+            # active and still feasible: contracted; inactive: zeroed
+            ok = np.where(mask, g_pos | (lam_next <= damped + _DUAL_TOL), lam_next == _ZERO)
+            if np.count_nonzero(ok) != ok.size:
+                k = int(np.argmin(ok.all(axis=1)))  # the first step with a failed entry
+                raise AssertionError(("inactive multiplier not zeroed" if ok[k][mask[k]].all()
+                                      else "dual contraction violated") + f" at r={rs[k]}")
+
+    def averages(self, x, lam) -> Tuple[np.ndarray, np.ndarray]:
+        """The run's 1/beta-weighted averages of x and lambda, or copies of the
+        last iterate when no step began."""
+        self.flush()
+        if self.weight_sum > 0:
+            return self.x_sum / self.weight_sum, self.lam_sum / self.weight_sum
+        return x.copy(), lam.copy()
 
 
 def validate_tau(cfg: GdpaConfig, constants: ProblemConstants) -> ValidationReport:
@@ -266,7 +307,9 @@ def solve(
     ``eps_stat``. Numerical failures abort with the partial trace preserved.
 
     ``on_iteration(r, x_next, lam_prev, lam_next, mask, g_next)`` is invoked
-    after every dual update; intended for diagnostics and invariant checks.
+    after every dual update; intended for diagnostics and invariant checks. It
+    must treat its arrays as read-only: the run's averages and its debug check
+    of the dual update read them once per block of steps.
     """
     x = _initial_point(problem, x0)
     lam = _initial_multiplier(lambda0, problem.num_constraints)
@@ -277,9 +320,8 @@ def solve(
     termination = TERM_BUDGET
     failure_message = ""
     eps_stat_sq = cfg.eps_stat ** 2 if cfg.eps_stat < 1e154 else math.inf  # ** can overflow
-    weight_sum = 0.0
-    x_sum = np.zeros_like(x)
-    lam_sum = np.zeros_like(lam)
+    ledger = _RunLedger(x, lam)
+    add_step, add_check, block = ledger.steps.append, ledger.checks.append, ledger.block
     one_minus_tau = _const(1.0 - cfg.tau)
 
     r = 0
@@ -297,9 +339,7 @@ def solve(
                 grad = problem.grad_f(x, grad)
                 jac = problem.jacobian(x, jac)
 
-                weight_sum += 1.0 / beta
-                x_sum = x_sum + x / beta_r
-                lam_sum = lam_sum + lam / beta_r
+                add_step((x, lam, beta))
                 if capture_iterates:
                     iterates.append((x.copy(), lam.copy()))
 
@@ -322,29 +362,20 @@ def solve(
                                           alpha, r)
                 f_next, g_next, grad, jac = problem.first_order(x_next)
                 lam_next = _dual_step_raw(g_next, damped, mask, beta_r)
-                if __debug__:  # active and still feasible: contracted; inactive: zeroed
-                    ok = np.where(mask, (g_next > _ZERO) | (lam_next <= damped + _DUAL_TOL),
-                                  lam_next == _ZERO)
-                    assert np.count_nonzero(ok) == ok.size, (
-                        ("inactive multiplier not zeroed" if ok[mask].all()
-                         else "dual contraction violated") + f" at r={r}")
+                if __debug__:  # g_next may be the callback's buffer: its sign is kept
+                    add_check((r, mask, g_next > _ZERO, lam_next, damped))
                 if on_iteration is not None:
                     on_iteration(r, x_next, lam, lam_next, mask, g_next)
                 x, lam, fx, gx, viol = x_next, lam_next, f_next, g_next, _violation_sq(g_next)
                 if T_eps is None and viol <= cfg.eps_feas:
                     T_eps = r
+                if r % block == 0:
+                    ledger.flush()
     except (NumericalFailure, NonFiniteError) as exc:
         termination = TERM_NUMERICAL
         where = f"iteration {r}" if r else "initial evaluation"
         failure_message = f"{where}: {exc}"
 
-    return SolveResult(x, lam, *_averages(weight_sum, x_sum, lam_sum, x, lam), termination,
+    # flushed on every exit, so a pending failed check raises before a result exists
+    return SolveResult(x, lam, *ledger.averages(x, lam), termination,
                        T_eps, trace, iterates, failure_message, r)
-
-
-def _averages(weight_sum: float, x_sum, lam_sum, x, lam) -> Tuple[np.ndarray, np.ndarray]:
-    """A run's 1/beta-weighted averages of x and lambda from their weighted
-    sums, or copies of the last iterate when no step began."""
-    if weight_sum > 0:
-        return x_sum / weight_sum, lam_sum / weight_sum
-    return x.copy(), lam.copy()

@@ -883,20 +883,25 @@ def test_module_entrypoint_runs():
 
 def test_optimized_interpreter_writes_the_same_trace(tmp_path):
     # `python -O` drops the debug check of the dual update, so the check must
-    # not change what the solver computes
+    # not change what the solver computes: the trace, nor the run's averages,
+    # which the run ledger sums without the check's rows under -O
     cfg = scaled_1d_config(tmp_path, tmp_path / "unused", max_iters=300)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    traces = []
+    runs = []
     for flags in ([], ["-O"]):
         out = tmp_path / f"run{len(flags)}"
         proc = subprocess.run([sys.executable, *flags, "-m", "gdpa.cli", "solve",
                                "--config", cfg, "--out", str(out)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        traces.append((out / "trace.csv").read_bytes())
-    assert traces[0] == traces[1] and traces[0].count(b"\n") == 301
+        summary = json.loads((out / "summary.json").read_text())
+        for timed in ("wall_seconds", "us_per_iter"):
+            del summary[timed]
+        runs.append(((out / "trace.csv").read_bytes(), summary))
+    assert runs[0] == runs[1] and runs[0][0].count(b"\n") == 301
+    assert runs[0][1]["x_avg"] != runs[0][1]["x_final"]
 
 
 def test_optimized_interpreter_writes_the_same_benchmark(tmp_path):

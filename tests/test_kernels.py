@@ -17,7 +17,7 @@ import gdpa.solver
 from gdpa.metrics import (_active_arg, _perturbed_value, _shifted, _stationarity_from_evals,
                           _violation_sq)
 from gdpa.solver import _dual_step_raw, _primal_step_raw, active_set
-from gdpa.vec import ProjectionSpec, _project_raw
+from gdpa.vec import NonFiniteError, ProjectionSpec, _project_raw
 
 CASES = list(itertools.product([1, 4, 1000], [0, 1, 3]))
 DRAWS = 20
@@ -104,7 +104,11 @@ def test_zero_d_operands_equal_the_python_float_forms(d, m):
                         np.where(mask, np.maximum(damped + beta * g, 0.0), 0.0))
             gp = np.maximum(g, 0.0)
             assert _violation_sq(g) == float(gp.dot(gp))
-            assert same(active_set(g, lam, beta, tau), mask)
+            if np.count_nonzero(np.isfinite(g)) == g.size:
+                assert same(active_set(g, lam, beta, tau), mask)
+            else:  # the public function takes finite vectors only
+                with pytest.raises(NonFiniteError):
+                    active_set(g, lam, beta, tau)
             assert same(damped + gdpa.solver._DUAL_TOL, damped + 1e-15)
 
 

@@ -27,7 +27,7 @@ from gdpa import (
 )
 from gdpa.metrics import _active_arg, _violation_sq, make_record
 from gdpa.problems import build_analytic, build_cmdp, random_cmdp
-from gdpa.vec import project
+from gdpa.vec import NonFiniteError, project
 from tests.conftest import make_unconstrained, random_quadratic_problem
 from tests.test_acceptance import _counting
 
@@ -82,6 +82,19 @@ class TestActiveSet:
     def test_boundary_is_inactive(self):
         mask = active_set(np.zeros(1), np.zeros(1), beta_r=1.0, tau=0.5)
         assert mask.tolist() == [False]
+
+    # the inputs are checked as dual_step checks them
+    def test_shorter_multiplier_rejected(self):
+        with pytest.raises(ValueError, match=r"^lambda must have length 2$"):
+            active_set(np.array([0.5, -1.0]), np.array([1.0]), 1.0, 0.5)
+
+    def test_list_multiplier_taken(self):
+        mask = active_set(np.array([0.5, -1.0]), [1.0, 0.0], 1.0, 0.5)
+        assert mask.tolist() == [True, False]
+
+    def test_nan_constraint_value_rejected(self):
+        with pytest.raises(NonFiniteError, match="g_x contains NaN or Inf"):
+            active_set(np.array([np.nan, -1.0]), np.zeros(2), 1.0, 0.5)
 
 
 class TestPrimalStep:
@@ -582,8 +595,9 @@ class TestSolve:
         betas = [schedule(cfg, r)[1] for r in range(1, len(res.iterates) + 1)]
         x_re = weighted_average([it[0] for it in res.iterates], betas)
         lam_re = weighted_average([it[1] for it in res.iterates], betas)
-        np.testing.assert_allclose(x_re, res.x_avg, rtol=1e-10)
-        np.testing.assert_allclose(lam_re, res.lambda_avg, rtol=1e-10)
+        # weighted_average sums as solve() does: the same bits
+        assert np.array_equal(x_re, res.x_avg)
+        assert np.array_equal(lam_re, res.lambda_avg)
 
     def test_trace_respects_record_policy(self):
         inst = build_analytic("scaled-1d")
