@@ -116,11 +116,11 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.nd
                     shifted = _shifted(lam, gx, rho_r)  # also the row's stationarity dual half
                     # a round's last step is recorded, as solve() records its last
                     if step % cfg.record_every == 0 or step <= cfg.dense_until or inner == last:
-                        # tau=0 turns the merit value into the classic augmented Lagrangian
-                        # this method minimizes; (lam, g + lam/rho) is _active_arg's at tau=0
+                        # tau=0 (active=None) turns the merit value into the classic
+                        # augmented Lagrangian this method minimizes
                         trace.append(make_record(problem, x, lam, fx, gx, grad, jac, step,
-                                                 cfg.inner_step, rho, 0.0, viol,
-                                                 (lam, gx + lam / rho_r), shifted=shifted))
+                                                 cfg.inner_step, rho, 0.0, viol, None,
+                                                 shifted=shifted, ledger=ledger))
                     if T_eps is None and math.sqrt(viol) <= cfg.feas_tol:
                         T_eps = step
                     x = _primal_step_raw(problem.projection, x, grad, jac, shifted,

@@ -287,13 +287,10 @@ def _run(kind: str, config, problem: ConstrainedProblem, x0, trace_path):
 def write_trace(path, records: Sequence[IterationRecord]) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for rec in records:
-            fh.write(",".join([
-                str(rec.r), repr(rec.alpha), repr(rec.beta), repr(rec.gamma),
-                repr(rec.f_value), repr(rec.F_beta_value),
-                repr(rec.stationarity_sq), repr(rec.feasibility),
-                repr(rec.slackness), repr(rec.lambda_norm),
-            ]) + "\n")
+        fh.writelines(  # a generator: the text of every row at once would raise the peak RSS
+            f"{rec.r},{rec.alpha!r},{rec.beta!r},{rec.gamma!r},{rec.f_value!r},"
+            f"{rec.F_beta_value!r},{rec.stationarity_sq!r},{rec.feasibility!r},"
+            f"{rec.slackness!r},{rec.lambda_norm!r}\n" for rec in records)
 
 
 def read_trace(path) -> List[IterationRecord]:

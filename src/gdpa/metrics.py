@@ -19,7 +19,9 @@ class InsufficientDataError(ValueError):
 
 @dataclass(slots=True)
 class IterationRecord:
-    """One row of a solver trace, taken at the pre-update iterate of step r."""
+    """One row of a solver trace, taken at the pre-update iterate of step r. Its merit
+    value, stationarity, slackness and multiplier norm are None until the run's
+    ledger fills them, before the solver returns."""
 
     r: int
     alpha: float
@@ -79,45 +81,53 @@ def _active_arg(g, lam, beta, one_minus_tau):
     return damped, g + damped / beta
 
 
-def _perturbed_value(f_val: float, arg: np.ndarray, damped: np.ndarray, beta: float) -> float:
-    return f_val + 0.5 * beta * _violation_sq(arg) - float(damped.dot(damped)) / (2.0 * beta)
+def _sq_norms(a: np.ndarray):
+    """Squared norm along the last axis, with ndarray.dot's bits: a float for a
+    vector, and the K values of a (K, n) block's rows, where matmul on the
+    stacked rows keeps dot's bits (einsum does not)."""
+    if a.ndim == 1:
+        return float(a.dot(a))
+    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
 
 
-def _stationarity_from_evals(
-    x: np.ndarray,
-    lam: np.ndarray,
-    gx: np.ndarray,
-    grad_fx: np.ndarray,
-    jac: np.ndarray,
-    alpha: float,
-    beta: float,
-    projection: ProjectionSpec,
-    shifted: Optional[np.ndarray] = None,  # [lam + beta*g]_+, when the caller holds it
-) -> Tuple[np.ndarray, float]:
-    # Stacked proximal-gradient residual of the plain (unperturbed)
-    # Lagrangian: grad_x L = grad f + J^T lam, grad_lam L = g.
-    # project()'s two checks; the input one catches an Inf step a box clips to finite
+def _perturbed_value(f_val, arg: np.ndarray, damped: np.ndarray, beta):
+    return f_val + 0.5 * beta * _violation_sq(arg) - _sq_norms(damped) / (2.0 * beta)
+
+
+def _residual_step(x, lam, grad_fx, jac, alpha, projection: ProjectionSpec) -> np.ndarray:
+    """The projected step of the stationarity residual, with project()'s two checks;
+    the input one catches an Inf step a box clips to finite."""
     step = require_finite(x - alpha * (grad_fx + jac.T.dot(lam)), "v")
     proj = _project_raw(projection, step)  # step itself when inside X: checked already
-    primal = (x - (proj if proj is step else require_finite(proj, "projection output"))) / alpha
-    dual = (lam - (_shifted(lam, gx, beta) if shifted is None else shifted)) / beta
-    stacked = np.concatenate([primal, dual])
-    return stacked, float(stacked.dot(stacked))
+    return proj if proj is step else require_finite(proj, "projection output")
 
 
-def _violation_sq(gx: np.ndarray) -> float:
-    gp = np.maximum(gx, _ZERO)
-    return float(gp.dot(gp))  # math.sqrt of this equals np.linalg.norm(gp) bit for bit
+def _stationarity(x, proj, lam, shifted, alpha, beta):
+    # Stacked proximal-gradient residual of the plain (unperturbed)
+    # Lagrangian: grad_x L = grad f + J^T lam, grad_lam L = g.
+    stacked = np.concatenate([(x - proj) / alpha, (lam - shifted) / beta], axis=-1)
+    return stacked, _sq_norms(stacked)
 
 
-def _slackness(lam: np.ndarray, g: np.ndarray) -> float:
-    return float(np.add.reduce(np.abs(lam * g)))  # ndarray.sum without its Python wrapper
+def _stationarity_from_evals(x: np.ndarray, lam: np.ndarray, gx: np.ndarray, grad_fx: np.ndarray,
+                             jac: np.ndarray, alpha: float, beta: float,
+                             projection: ProjectionSpec) -> Tuple[np.ndarray, float]:
+    proj = _residual_step(x, lam, grad_fx, jac, alpha, projection)
+    return _stationarity(x, proj, lam, _shifted(lam, gx, beta), alpha, beta)
+
+
+def _violation_sq(gx: np.ndarray):
+    return _sq_norms(np.maximum(gx, _ZERO))  # math.sqrt of this equals np.linalg.norm bit for bit
+
+
+def _slackness(lam: np.ndarray, g: np.ndarray):
+    return np.add.reduce(np.abs(lam * g), axis=-1)  # ndarray.sum without its Python wrapper
 
 
 def kkt_residual(problem: ConstrainedProblem, x, lam, alpha: float = 1.0) -> KktResidual:
     """KKT residual triple at the pair (x, lam)."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     xv = check_length(as_vector(x, "x"), problem.dim, "x")
     lv = check_length(as_vector(lam, "lambda"), problem.num_constraints, "lambda")
     gx = problem.g(xv)
@@ -128,12 +138,13 @@ def kkt_residual(problem: ConstrainedProblem, x, lam, alpha: float = 1.0) -> Kkt
     return KktResidual(
         stationarity=float(np.linalg.norm(stacked[:xv.size])),
         feasibility=math.sqrt(_violation_sq(gx)),
-        slackness=_slackness(lv, gx),
+        slackness=float(_slackness(lv, gx)),
     )
 
 
 _BLOCK_STEPS = 64  # rows summed at once: at most this many steps,
-_BLOCK_FLOATS = 8192  # and about this many floats, so one block stays small
+_BLOCK_FLOATS = 16384  # and about this many floats (8 recorded d = 1000 steps), so one block
+# stays small while a flush's fixed cost is shared by several steps
 
 
 def _block_steps(floats_per_step: int) -> int:
@@ -214,36 +225,53 @@ def fit_rate(
                    r_squared=r2, n_points=int(keep.sum()))
 
 
-def make_record(
-    problem: ConstrainedProblem,
-    x: np.ndarray,
-    lam: np.ndarray,
-    fx: Optional[float],
-    gx: np.ndarray,
-    grad_fx: np.ndarray,
-    jac: np.ndarray,
-    r: int,
-    alpha: float,
-    beta: float,
-    gamma: float,
-    viol_sq: float,
-    active: Tuple[np.ndarray, np.ndarray],  # _active_arg's (damped, arg)
-    stat_sq: Optional[float] = None,
-    shifted: Optional[np.ndarray] = None,  # [lam + beta*g]_+
-) -> IterationRecord:
+def make_record(problem: ConstrainedProblem, x: np.ndarray, lam: np.ndarray,
+                fx: Optional[float], gx: np.ndarray, grad_fx: np.ndarray, jac: np.ndarray,
+                r: int, alpha: float, beta: float, gamma: float, viol_sq: float,
+                active: Optional[Tuple[np.ndarray, np.ndarray]],  # _active_arg's; None: tau=0
+                stat_sq: Optional[float] = None,
+                shifted: Optional[np.ndarray] = None,  # [lam + beta*g]_+
+                ledger=None) -> IterationRecord:
     """Build a trace row from evaluated callbacks and the values its step holds;
-    ``fx`` is a fused oracle's f at x, checked here, or None for one f call."""
+    ``fx`` is a fused oracle's f at x, checked here, or None for one f call.
+
+    The checks run here: f, and the residual's projected step unless the stop
+    test's ``stat_sq`` is given. The rest of the row is arithmetic, filled by
+    ``_fill_rows``: here, or in ``ledger.rows`` once per block of steps, when the
+    arrays given here must stay unchanged until then (``gx`` is copied)."""
     f_val = problem.f(x, fx)
-    if stat_sq is None:
-        _, stat_sq = _stationarity_from_evals(
-            x, lam, gx, grad_fx, jac, alpha, beta, problem.projection, shifted)
-    damped, arg = active
-    return IterationRecord(
-        r=r, alpha=alpha, beta=beta, gamma=gamma,
-        f_value=f_val,
-        F_beta_value=_perturbed_value(f_val, arg, damped, beta),
-        stationarity_sq=stat_sq,
-        feasibility=math.sqrt(viol_sq),
-        slackness=_slackness(lam, gx),
-        lambda_norm=math.sqrt(float(lam.dot(lam))),
-    )
+    proj = None if stat_sq is not None else _residual_step(
+        x, lam, grad_fx, jac, alpha, problem.projection)
+    rec = IterationRecord(r, alpha, beta, gamma, f_val, None, stat_sq, math.sqrt(viol_sq),
+                          None, None)
+    row = (rec, x, proj, lam, gx.copy(), shifted, active)
+    if ledger is None:
+        _fill_rows([row])
+    else:
+        ledger.rows.append(row)
+    return rec
+
+
+def _fill_rows(rows: Sequence[tuple]) -> None:
+    """Fill the merit value, stationarity, slackness and multiplier norm of the
+    records of ``make_record``'s rows in place, from the rows' stacked arrays:
+    elementwise ops as on one row, and reductions with one row's bits. A run's
+    rows hold the same kinds of values: all or none give ``shifted`` and ``active``."""
+    recs, xs, projs, lams, gs, shifteds, actives = zip(*rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads inf or nan, as on one row
+        lam, g = np.array(lams), np.array(gs)
+        beta = np.array([rec.beta for rec in recs])
+        beta_col = beta[:, None]
+        damped, arg = (_active_arg(g, lam, beta_col, 1.0) if actives[0] is None
+                       else map(np.array, zip(*actives)))
+        merit = _perturbed_value(np.array([rec.f_value for rec in recs]), arg, damped, beta)
+        slack, norm = _slackness(lam, g), np.sqrt(_sq_norms(lam))
+        shifted = _shifted(lam, g, beta_col) if shifteds[0] is None else np.array(shifteds)
+        alpha = np.array([[rec.alpha] for rec in recs])
+        # a row with the stop test's value gets a dummy residual: stacking a subset costs more
+        projs = [x if proj is None else proj for x, proj in zip(xs, projs)]
+        _, stat = _stationarity(np.array(xs), np.array(projs), lam, shifted, alpha, beta_col)
+    for rec, *values in zip(recs, merit.tolist(), slack.tolist(), norm.tolist(), stat.tolist()):
+        rec.F_beta_value, rec.slackness, rec.lambda_norm, stat_sq = values
+        if rec.stationarity_sq is None:
+            rec.stationarity_sq = stat_sq

@@ -20,8 +20,9 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .metrics import (_ZERO, IterationRecord, _active_arg, _block_steps, _const, _shifted,
-                      _stationarity_from_evals, _violation_sq, _weighted_sum, make_record)
+from .metrics import (_ZERO, IterationRecord, _active_arg, _block_steps, _const, _fill_rows,
+                      _shifted, _stationarity_from_evals, _violation_sq, _weighted_sum,
+                      make_record)
 from .problem import ConstrainedProblem, ProblemConstants
 from .vec import NonFiniteError, _project_raw, all_finite, as_vector, check_length, project
 
@@ -90,7 +91,7 @@ class GdpaConfig:
 
 def _check_types(cfg) -> None:
     """Every field of a config dataclass holds an integer where its default is
-    an int and a real number within the float range elsewhere; never a bool."""
+    an int and a finite real number elsewhere; never a bool."""
     for name, field in cfg.__dataclass_fields__.items():
         val = getattr(cfg, name)
         integral = type(field.default) is int
@@ -100,6 +101,8 @@ def _check_types(cfg) -> None:
                              f"got {val!r}")
         if not integral and isinstance(val, int) and abs(val) > sys.float_info.max:
             raise ValueError(f"{name} is beyond the float range, got {val!r}")
+        if not integral and not math.isfinite(val):
+            raise ValueError(f"{name} must be finite, got {val!r}")
 
 
 @dataclass
@@ -151,9 +154,9 @@ def active_set(g_x: np.ndarray, lam: np.ndarray, beta_r: float, tau: float) -> n
 
 
 def _check_steps(beta_r: float, tau: float) -> None:
-    """The public step functions take tau in GdpaConfig's range and a positive beta_r."""
-    if not beta_r > 0:
-        raise ValueError("beta_r must be positive")
+    """The public step functions take tau in GdpaConfig's range and a finite positive beta_r."""
+    if not 0 < beta_r < math.inf:
+        raise ValueError("beta_r must be positive and finite")
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie strictly between 0 and 1")
 
@@ -169,8 +172,8 @@ def _primal_step_raw(projection, x, grad_fx, jac, shifted, alpha_r, r=None):
 def primal_step(problem: ConstrainedProblem, x, lam,
                 alpha_r: float, beta_r: float, tau: float) -> np.ndarray:
     """Projected gradient step on the merit function at fixed dual variable."""
-    if not alpha_r > 0:
-        raise ValueError("alpha_r must be positive")
+    if not 0 < alpha_r < math.inf:
+        raise ValueError("alpha_r must be positive and finite")
     _check_steps(beta_r, tau)
     xv = check_length(as_vector(x, "x"), problem.dim, "x")
     lv = check_length(as_vector(lam, "lambda"), problem.num_constraints, "lambda")
@@ -198,15 +201,18 @@ def _dual_step_raw(g_next, damped, mask, beta_r):
 
 
 class _RunLedger:
-    """A run's 1/beta-weighted sums of (x_r, lam_r) and, without -O, its dual-update
-    checks, applied once per block of steps. It holds references to the arrays it
-    is given, which nobody may change before the next ``flush``."""
+    """A run's 1/beta-weighted sums of (x_r, lam_r), its trace rows' arithmetic and,
+    without -O, its dual-update checks, applied once per block of steps. It holds
+    references to the arrays it is given, which nobody may change before the next
+    ``flush``."""
 
     def __init__(self, x: np.ndarray, lam: np.ndarray):
-        self.block = _block_steps(x.size + 2 * lam.size)  # x, lam and the damped lam
+        # a recorded step holds x, its projected step, lam, g, the damped lam and the argument
+        self.block = _block_steps(2 * x.size + 4 * lam.size)
         self.x_sum, self.lam_sum, self.weight_sum = np.zeros_like(x), np.zeros_like(lam), 0.0
         self.steps: list = []  # (x_r, lam_r, beta_r)
         self.checks: list = []  # (r, mask, g_next > 0, lam_next, (1-tau)*lam)
+        self.rows: list = []  # make_record's, for _fill_rows
 
     def flush(self) -> None:
         if self.steps:
@@ -226,10 +232,13 @@ class _RunLedger:
                 k = int(np.argmin(ok.all(axis=1)))  # the first step with a failed entry
                 raise AssertionError(("inactive multiplier not zeroed" if ok[k][mask[k]].all()
                                       else "dual contraction violated") + f" at r={rs[k]}")
+        if self.rows:
+            _fill_rows(self.rows)
+            self.rows.clear()
 
     def averages(self, x, lam) -> Tuple[np.ndarray, np.ndarray]:
         """The run's 1/beta-weighted averages of x and lambda, or copies of the
-        last iterate when no step began."""
+        last iterate when no step began; the run's trace rows are complete after it."""
         self.flush()
         if self.weight_sum > 0:
             return self.x_sum / self.weight_sum, self.lam_sum / self.weight_sum
@@ -305,6 +314,8 @@ def solve(
     with squared positive violation of the new iterate at most ``eps_feas``;
     the run only terminates early once the stationarity norm also drops below
     ``eps_stat``. Numerical failures abort with the partial trace preserved.
+    A row's checks run at its step; its arithmetic once per block of steps, so
+    the trace rows are complete once this function returns.
 
     ``on_iteration(r, x_next, lam_prev, lam_next, mask, g_next)`` is invoked
     after every dual update; intended for diagnostics and invariant checks. It
@@ -353,7 +364,7 @@ def solve(
                 if (stopping or r <= cfg.dense_until or r % cfg.record_every == 0
                         or r == cfg.max_iters):
                     trace.append(make_record(problem, x, lam, fx, gx, grad, jac, r, alpha, beta,
-                                             gamma, viol, (damped, arg), stat_sq))
+                                             gamma, viol, (damped, arg), stat_sq, ledger=ledger))
                 if stopping:
                     termination = TERM_FEASIBILITY
                     break

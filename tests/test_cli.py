@@ -160,6 +160,16 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1 and says in err
 
+    @pytest.mark.parametrize("solver", [{"kind": "gdpa", "beta0": math.inf},
+                                        {"kind": "penalty", "rho0": math.inf}],
+                             ids=["gdpa-beta0", "penalty-rho0"])
+    def test_infinite_step_constant_exits_2(self, tmp_path, capsys, solver):
+        # "beta0": Infinity ran, and exited 3 as a numerical failure
+        key = "beta0" if "beta0" in solver else "rho0"
+        cfg = write_config(tmp_path, {"problem": SECTIONS["analytic"], "solver": solver})
+        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_naming(capsys, f"{key} must be finite, got inf")
+
     @pytest.mark.parametrize("problem", [
         {"kind": "mnpc", "num_classes": 10 ** 300, "d_in": 2, "thresholds": [1.0]},
         {"kind": "nn", "num_classes": 2, "d_in": 2, "hidden": 10 ** 300, "budgets": [1.0]},

@@ -182,6 +182,30 @@ class TestStepChecks:
             with pytest.raises(ValueError, match="tau must lie strictly between 0 and 1"):
                 call()
 
+    def test_every_step_size_rejects_infinity_without_a_warning(self):
+        # each ran on and leaked "invalid value encountered in multiply"
+        p = _untouchable(build_analytic("scaled-1d").problem)
+        for call, says in (
+                (lambda: active_set(self.G, self.LAM, math.inf, 0.1), "beta_r"),
+                (lambda: dual_step(self.G, self.LAM, self.MASK, math.inf, 0.1), "beta_r"),
+                (lambda: primal_step(p, np.zeros(1), self.LAM, 0.1, math.inf, 0.1), "beta_r"),
+                (lambda: primal_step(p, np.zeros(1), self.LAM, math.inf, 1.0, 0.1), "alpha_r"),
+                (lambda: kkt_residual(p, np.zeros(1), self.LAM, alpha=math.inf), "alpha")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=rf"^{says} must be positive and finite$"):
+                    call()
+
+    @pytest.mark.parametrize("config, field", [
+        (GdpaConfig, "beta0"), (GdpaConfig, "alpha01"), (GdpaConfig, "eps_stat"),
+        (PenaltyConfig, "rho0"), (PenaltyConfig, "inner_step"), (AlmConfig, "rho0"),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_configs_reject_a_non_finite_number(self, config, field, value):
+        # an infinite beta0 or rho0 ran and ended as a numerical failure
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value!r}$"):
+            config(**{field: value})
+
 
 class TestLengthChecks:
     # a wrong-length point or multiplier is named before any callback runs
