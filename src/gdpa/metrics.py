@@ -72,8 +72,12 @@ def _const(value: float) -> np.ndarray:
 _ZERO = _const(0.0)
 
 
-def _shifted(base, g, beta):
-    return np.maximum(base + beta * g, _ZERO)
+def _shift_sum(base, g, beta):
+    return base + beta * g
+
+
+def _shifted(base, g, beta, total=None):  # [base + beta*g]_+; total: _shift_sum's, if made
+    return np.maximum(_shift_sum(base, g, beta) if total is None else total, _ZERO)
 
 
 def _active_arg(g, lam, beta, one_minus_tau):
@@ -172,8 +176,8 @@ def weighted_average(iterates: Sequence[np.ndarray], betas: Sequence[float]) -> 
     rows = [check_length(as_vector(xr, "iterate"), size, "iterate") for xr in iterates]
     wsum = 0.0
     for br in betas:
-        if not br > 0:
-            raise ValueError("betas must be positive")
+        if not 0 < br < math.inf:
+            raise ValueError("betas must be positive and finite")
         wsum += 1.0 / br
     acc = np.zeros_like(rows[0])
     step = _block_steps(acc.size)

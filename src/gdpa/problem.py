@@ -22,6 +22,7 @@ from .vec import (
     DimensionMismatchError,
     NonFiniteError,
     ProjectionSpec,
+    _float64,
     all_finite,
     as_vector,
     positive_part,
@@ -118,7 +119,7 @@ class ConstrainedProblem:
     @staticmethod
     def _checked(x: np.ndarray, out, shape: Tuple[int, ...], what: str) -> np.ndarray:
         """``out`` as float64, checked for its shape first, then for finiteness."""
-        out = np.asarray(out, dtype=np.float64)
+        out = _float64(out, what)
         if out.shape != shape:
             raise DimensionMismatchError(f"{what} must have shape {shape}, got {out.shape}")
         if not all_finite(out):

@@ -21,10 +21,11 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .metrics import (_ZERO, IterationRecord, _active_arg, _block_steps, _const, _fill_rows,
-                      _shifted, _stationarity_from_evals, _violation_sq, _weighted_sum,
-                      make_record)
+                      _shift_sum, _shifted, _stationarity_from_evals, _violation_sq,
+                      _weighted_sum, make_record)
 from .problem import ConstrainedProblem, ProblemConstants
-from .vec import NonFiniteError, _project_raw, all_finite, as_vector, check_length, project
+from .vec import (_F64, DimensionMismatchError, NonFiniteError, _project_raw, all_finite,
+                  as_vector, check_length, project)
 
 TERM_FEASIBILITY = "feasibility-stop"
 TERM_BUDGET = "budget-exhausted"
@@ -148,9 +149,22 @@ def active_set(g_x: np.ndarray, lam: np.ndarray, beta_r: float, tau: float) -> n
     with a zero multiplier stays inactive.
     """
     _check_steps(beta_r, tau)
+    arg = None
+    if _vector_pair(g_x, lam):
+        try:  # +, * and / by finite positive scalars keep a NaN or Inf of either input
+            arg = _active_arg(g_x, lam, beta_r, 1.0 - tau)[1]
+        except (RuntimeWarning, FloatingPointError):  # -W error: check the inputs first
+            pass
+        if arg is not None and all_finite(arg):
+            return arg > _ZERO
     gv = as_vector(g_x, "g_x")
     lv = check_length(as_vector(lam, "lambda"), gv.size, "lambda")
-    return _active_arg(gv, lv, beta_r, 1.0 - tau)[1] > _ZERO
+    return (_active_arg(gv, lv, beta_r, 1.0 - tau)[1] if arg is None else arg) > _ZERO
+
+
+def _vector_pair(a, b) -> bool:  # arrays that as_vector returns unchanged, if finite
+    return (type(a) is np.ndarray and type(b) is np.ndarray and a.dtype is _F64
+            and b.dtype is _F64 and a.ndim == 1 and a.shape == b.shape)
 
 
 def _check_steps(beta_r: float, tau: float) -> None:
@@ -188,16 +202,27 @@ def dual_step(g_next, lam, mask, beta_r: float, tau: float) -> np.ndarray:
     primal moves first, the dual reacts to the updated violation.
     """
     _check_steps(beta_r, tau)
+    total = None
+    if (_vector_pair(g_next, lam) and type(mask) is np.ndarray and mask.dtype.kind == "b"
+            and mask.shape == lam.shape):
+        try:  # checked before the clamp, which turns a -inf into 0
+            total = _shift_sum((1.0 - tau) * lam, g_next, beta_r)
+        except (RuntimeWarning, FloatingPointError):
+            pass
+        if total is not None and all_finite(total):
+            return _dual_step_raw(g_next, None, mask, beta_r, total)
     gv = as_vector(g_next, "g_next")
     lv = as_vector(lam, "lambda")
     m = np.asarray(mask, dtype=bool)
     if not (gv.size == lv.size == m.size):
         raise ValueError("g_next, lambda, and mask must have equal length")
-    return _dual_step_raw(gv, (1.0 - tau) * lv, m, beta_r)
+    if m.ndim != 1:
+        raise DimensionMismatchError(f"mask must be 1-d, got shape {m.shape}")
+    return _dual_step_raw(gv, (1.0 - tau) * lv, m, beta_r, total)
 
 
-def _dual_step_raw(g_next, damped, mask, beta_r):
-    return np.where(mask, _shifted(damped, g_next, beta_r), _ZERO)
+def _dual_step_raw(g_next, damped, mask, beta_r, total=None):
+    return np.where(mask, _shifted(damped, g_next, beta_r, total), _ZERO)
 
 
 class _RunLedger:
@@ -239,9 +264,10 @@ class _RunLedger:
     def averages(self, x, lam) -> Tuple[np.ndarray, np.ndarray]:
         """The run's 1/beta-weighted averages of x and lambda, or copies of the
         last iterate when no step began; the run's trace rows are complete after it."""
-        self.flush()
-        if self.weight_sum > 0:
-            return self.x_sum / self.weight_sum, self.lam_sum / self.weight_sum
+        with np.errstate(over="ignore", invalid="ignore"):  # as the flushes in the loops
+            self.flush()
+            if self.weight_sum > 0:
+                return self.x_sum / self.weight_sum, self.lam_sum / self.weight_sum
         return x.copy(), lam.copy()
 
 

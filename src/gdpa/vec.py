@@ -12,6 +12,8 @@ from typing import Optional
 
 import numpy as np
 
+_F64 = np.dtype(np.float64)
+
 
 class DimensionMismatchError(ValueError):
     """Operand shapes are incompatible with each other or with a ProjectionSpec."""
@@ -31,9 +33,19 @@ def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def _float64(v, name: str) -> np.ndarray:
+    """``v`` as float64, itself if it is; TypeError for complex values, which the cast
+    would turn into their real parts with a ComplexWarning."""
+    if type(v) is np.ndarray and v.dtype is _F64:
+        return v
+    if np.asarray(v).dtype.kind == "c":
+        raise TypeError(f"{name} must be real, got complex values")
+    return np.asarray(v, dtype=np.float64)
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Coerce ``v`` to a finite 1-d float64 array."""
-    arr = np.asarray(v, dtype=np.float64)
+    arr = _float64(v, name)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"{name} must be 1-d, got shape {arr.shape}")
     require_finite(arr, name)
@@ -129,7 +141,7 @@ def _project_raw(spec: ProjectionSpec, x: np.ndarray) -> np.ndarray:
     if kind == "identity":
         return x
     if kind == "box":
-        return np.clip(x, spec.lower, spec.upper)
+        return x.clip(spec.lower, spec.upper)  # np.clip's method, without its Python wrapper
     if kind == "ball":
         diff = x - spec.center
         nrm = float(np.linalg.norm(diff))

@@ -170,6 +170,18 @@ class TestSolveCommand:
         assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert_one_line_naming(capsys, f"{key} must be finite, got inf")
 
+    def test_overflowing_average_leaks_no_warning(self, tmp_path, capsys):
+        # the exit flush of the run's averages printed "overflow encountered in divide"
+        cfg = write_config(tmp_path, {
+            "problem": {**SECTIONS["analytic"], "x0": [1e10]},
+            "solver": {"kind": "gdpa", "beta0": 1e-300, "max_iters": 50}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["x_avg"] == [None]
+
     @pytest.mark.parametrize("problem", [
         {"kind": "mnpc", "num_classes": 10 ** 300, "d_in": 2, "thresholds": [1.0]},
         {"kind": "nn", "num_classes": 2, "d_in": 2, "hidden": 10 ** 300, "budgets": [1.0]},

@@ -119,3 +119,13 @@ def test_module_constants_are_read_only_0d_float64(const):
         const[...] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         np.add(const, 1.0, out=const)
+
+
+@pytest.mark.parametrize("lower, upper", [(-1.0, 1.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)])
+def test_box_projection_equals_np_clip(lower, upper):
+    # the projection calls ndarray.clip, the method np.clip ends in
+    x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.5, -0.5, 3.0, -3.0, 5e-324])
+    rng = np.random.default_rng(0)
+    for v in (x, rng.permutation(x), np.repeat(x, 2)[::2], 10.0 * rng.standard_normal(10)):
+        spec = ProjectionSpec.box(np.full(10, lower), np.full(10, upper))
+        assert same(_project_raw(spec, v), np.clip(v, spec.lower, spec.upper))

@@ -8,6 +8,7 @@ ends before its block does.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -196,3 +197,16 @@ def test_check_keeps_each_step_s_constraint_sign():
                            eval_jacobian=lambda x: np.zeros((1, 1)))
     res = solve(p, GdpaConfig(max_iters=3 * BLOCK, **NO_STOP), np.zeros(1))
     assert res.termination == "budget-exhausted" and res.lambda_avg[0] > 0
+
+
+@pytest.mark.parametrize("run", [
+    lambda p, x0: solve(p, GdpaConfig(beta0=1e-300, max_iters=5), x0),
+    lambda p, x0: solve_penalty(p, PenaltyConfig(rho0=1e-300, inner_iters=5, outer_iters=1), x0),
+    lambda p, x0: solve_alm(p, AlmConfig(rho0=1e-300, inner_iters=5, outer_iters=1), x0),
+], ids=["gdpa", "penalty", "alm"])
+def test_exit_flush_of_an_overflowing_average_leaks_no_warning(run):
+    # x/beta overflows; the flushes in the loop ran under its errstate, the exit one did not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run(build_analytic("scaled-1d").problem, np.full(1, 1e10))
+    assert res.iterations == 5 and not np.isfinite(res.x_avg).all()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,14 @@ class TestWeightedAverage:
         c = np.array([0.7, -0.2])
         out = weighted_average([c, c, c], [1.0, 2.0, 3.0])
         np.testing.assert_allclose(out, c, atol=1e-15)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+    def test_beta_must_be_positive_and_finite(self, beta):
+        # an infinite beta gave nan, with "invalid value encountered in divide"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^betas must be positive and finite$"):
+                weighted_average([np.array([2.0])], [beta])
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gdpa import (
     ConstrainedProblem,
+    GdpaConfig,
     NonFiniteError,
     ProblemConstants,
     ProjectionSpec,
@@ -12,6 +14,7 @@ from gdpa import (
     check_gradients,
     effective_constants,
     estimate_sigma,
+    solve,
 )
 from gdpa.problem import seeded_check_points
 from gdpa.problems import build_analytic
@@ -172,6 +175,20 @@ class TestConstrainedProblemValidation:
                                eval_grad_f=lambda x: np.zeros(3))
         with pytest.raises(Exception):
             p.grad_f(np.zeros(2))
+
+    @pytest.mark.parametrize("callback, what", [
+        ("eval_grad_f", "grad f"), ("eval_g", "g"), ("eval_jacobian", "jacobian")])
+    def test_complex_callback_output_raises_type_error_without_a_warning(self, callback, what):
+        # the accessors cast it to its real part, with a ComplexWarning
+        parts = {"eval_f": lambda x: float(x[0] ** 2), "eval_grad_f": lambda x: 2.0 * x,
+                 "eval_g": lambda x: 1.0 - x, "eval_jacobian": lambda x: -np.ones((1, 1))}
+        real = parts[callback]
+        parts[callback] = lambda x: real(x) + 0j
+        p = ConstrainedProblem(dim=1, num_constraints=1, **parts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError, match=f"^{what} must be real, got complex values$"):
+                solve(p, GdpaConfig(max_iters=5), np.ones(1))
 
     def test_constants_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,9 @@ from gdpa.vec import (
     DimensionMismatchError,
     NonFiniteError,
     ProjectionSpec,
+    _float64,
     all_finite,
+    as_vector,
     positive_part,
     project,
 )
@@ -117,3 +121,42 @@ class TestKernels:
         # NaN, +-Inf, empty, 2-d and non-contiguous arrays
         v = {"whole": a, "strided": a[::2], "transposed": a.T}[view]
         assert all_finite(v) == np.isfinite(v).all()
+
+
+def coerced(fn, v):
+    """The array a coercion gives, with its dtype and shape, or its error's type and message."""
+    try:
+        out = fn(v)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+class TestFloat64Coercion:
+    @pytest.mark.parametrize("value", [
+        np.array([1 + 0j]), np.array([1.5 - 2j], dtype=np.complex64), np.complex128(1.0),
+        [np.complex128(1 + 2j)], [1 + 0j],
+    ], ids=["complex128-array", "complex64-array", "complex-scalar", "list-of-numpy-complex",
+            "complex-list"])
+    def test_complex_input_raises_type_error_without_a_warning(self, value):
+        # all but the complex list were cast to their real parts with a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError, match="^v must be real, got complex values$"):
+                as_vector(value, "v")
+
+    @pytest.mark.parametrize("value", [
+        [1, 2], [True, False], [None], ["1.5"], ["x"], [10 ** 20], [[1], [1, 2]], [],
+        [1.5, None], np.array([1.5, -2.25, 1e30], dtype=np.float32), np.array([3, 4]),
+        np.array(2.5), np.arange(6.0)[::2], iter([1.0]),
+    ], ids=["ints", "bools", "none", "string", "bad-string", "big-int", "ragged", "empty",
+            "float-and-none", "float32", "int-array", "0-d", "strided", "iterator"])
+    def test_same_result_or_error_as_np_asarray(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert coerced(lambda v: _float64(v, "v"), value) == coerced(
+                lambda v: np.asarray(v, dtype=np.float64), value)
+
+    def test_a_float64_array_is_returned_as_it_is(self):
+        v = np.arange(4.0)[::2]
+        assert _float64(v, "v") is v
