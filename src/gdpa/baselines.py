@@ -13,25 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .metrics import IterationRecord, _const, _shifted, _violation_sq, make_record
+from .metrics import _const, _shifted, _violation_sq, make_record
 from .problem import ConstrainedProblem
-from .solver import (
-    TERM_BUDGET,
-    TERM_FEASIBILITY,
-    TERM_NUMERICAL,
-    NumericalFailure,
-    SolveResult,
-    _check_types,
-    _initial_multiplier,
-    _initial_point,
-    _primal_step_raw,
-    _RunLedger,
-)
-from .vec import NonFiniteError
+from .solver import TERM_BUDGET, TERM_FEASIBILITY, SolveResult, _check_types, _primal_step_raw, _Run
 
 STALL_FACTOR = 0.9  # see AlmConfig
 
@@ -70,80 +58,68 @@ class AlmConfig(PenaltyConfig):
 def solve_penalty(problem: ConstrainedProblem, cfg: PenaltyConfig, x0) -> SolveResult:
     """Outer loop over growing penalties, inner projected-gradient descent on
     f(x) + (rho/2)||g_+(x)||^2. The trace carries a zero multiplier."""
-    return _inner_outer(problem, cfg, x0, np.zeros(problem.num_constraints), frozen=True)
+    return _inner_outer(problem, cfg, x0, None, frozen=True)
 
 
 def solve_alm(problem: ConstrainedProblem, cfg: AlmConfig, x0, lambda0=None) -> SolveResult:
     """Inexact augmented Lagrangian: inner projected-gradient minimization of
     f + (rho/2)||[g + lam/rho]_+||^2 - ||lam||^2/(2*rho), then the classical
     multiplier update."""
-    lam = _initial_multiplier(lambda0, problem.num_constraints)
-    return _inner_outer(problem, cfg, x0, lam, frozen=False)
+    return _inner_outer(problem, cfg, x0, lambda0, frozen=False)
 
 
-def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lam: np.ndarray,
+def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lambda0,
                  frozen: bool) -> SolveResult:
     """Inner/outer loop shared by both baselines. Each inner step is the GDPA
     primal step with tau=0 and beta=rho: projected gradient descent on the
     augmented Lagrangian. ``frozen`` keeps the multipliers at their start
     (zero for the penalty method) and grows rho after every outer round
     instead of only when feasibility stalls."""
-    x = _initial_point(problem, x0)
-    trace: List[IterationRecord] = []
+    run = _Run(problem, cfg, x0, lambda0)
+    x, lam = run.start
     termination = TERM_BUDGET
-    failure = ""
     T_eps: Optional[int] = None
-    step = 0
-    ledger = _RunLedger(x, lam)
-    add_step, block = ledger.steps.append, ledger.block
+    add_step = run.pending.append
     rho = cfg.rho0
     prev_norm = np.inf
     inner_step = _const(cfg.inner_step)  # a 0-d operand, as solve()'s beta_r
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            # as in solve(): one evaluation per point, whose g (and squared
-            # violation) also serves the round end that reaches that point
-            fx, gx, grad, jac = problem.first_order(x)
-            viol = _violation_sq(gx)
-            for _outer in range(cfg.outer_iters):
-                rho_r = _const(rho)
-                last = min(cfg.inner_iters, cfg.max_steps - step)
-                for inner in range(1, last + 1):
-                    step += 1
-                    grad = problem.grad_f(x, grad)
-                    jac = problem.jacobian(x, jac)
-                    add_step((x, lam, rho))
-                    shifted = _shifted(lam, gx, rho_r)  # also the row's stationarity dual half
-                    # a round's last step is recorded, as solve() records its last
-                    if step % cfg.record_every == 0 or step <= cfg.dense_until or inner == last:
-                        # tau=0 (active=None) turns the merit value into the classic
-                        # augmented Lagrangian this method minimizes
-                        trace.append(make_record(problem, x, lam, fx, gx, grad, jac, step,
+    with run.guard():
+        # as in solve(): one evaluation per point, whose g (and squared
+        # violation) also serves the round end that reaches that point
+        fx, gx, grad, jac = problem.first_order(x)
+        viol = _violation_sq(gx)
+        for _outer in range(cfg.outer_iters):
+            rho_r = _const(rho)
+            begun = run.r
+            last = min(begun + cfg.inner_iters, cfg.max_steps)
+            for step in run.steps(begun + 1, last):
+                grad = problem.grad_f(x, grad)
+                jac = problem.jacobian(x, jac)
+                add_step((x, lam, rho))
+                shifted = _shifted(lam, gx, rho_r)  # also the row's stationarity dual half
+                # a round's last step is recorded, as solve() records its last
+                if run.recorded(step == last):
+                    # tau=0 (active=None) turns the merit value into the classic
+                    # augmented Lagrangian this method minimizes
+                    run.trace.append(make_record(problem, x, lam, fx, gx, grad, jac, step,
                                                  cfg.inner_step, rho, 0.0, viol, None,
-                                                 shifted=shifted, ledger=ledger))
-                    if T_eps is None and math.sqrt(viol) <= cfg.feas_tol:
-                        T_eps = step
-                    x = _primal_step_raw(problem.projection, x, grad, jac, shifted,
-                                         inner_step, step)
-                    fx, gx, grad, jac = problem.first_order(x)
-                    viol = _violation_sq(gx)
-                    if step % block == 0:
-                        ledger.flush()
-                if last < cfg.inner_iters:  # stopped at max_steps, within a round
-                    break
-                if not frozen:
-                    lam = _shifted(lam, gx, rho_r)
-                norm = math.sqrt(viol)
-                if norm <= cfg.feas_tol:
-                    termination = TERM_FEASIBILITY
-                    if T_eps is None:
-                        T_eps = step
-                    break
-                if frozen or norm > STALL_FACTOR * prev_norm:
-                    rho *= cfg.rho_growth
-                prev_norm = norm
-    except (NumericalFailure, NonFiniteError) as exc:
-        termination = TERM_NUMERICAL
-        failure = str(exc)
-    return SolveResult(x, lam, *ledger.averages(x, lam), termination,
-                       T_eps, trace, None, failure, step)
+                                                 shifted=shifted, ledger=run))
+                if T_eps is None and math.sqrt(viol) <= cfg.feas_tol:
+                    T_eps = step
+                x = _primal_step_raw(problem.projection, x, grad, jac, shifted, inner_step, step)
+                fx, gx, grad, jac = problem.first_order(x)
+                viol = _violation_sq(gx)
+            if last < begun + cfg.inner_iters:  # stopped at max_steps, within a round
+                break
+            if not frozen:
+                lam = _shifted(lam, gx, rho_r)
+            norm = math.sqrt(viol)
+            if norm <= cfg.feas_tol:
+                termination = TERM_FEASIBILITY
+                if T_eps is None:
+                    T_eps = run.r
+                break
+            if frozen or norm > STALL_FACTOR * prev_norm:
+                rho *= cfg.rho_growth
+            prev_norm = norm
+    return run.result(x, lam, termination, T_eps)

@@ -181,9 +181,10 @@ def weighted_average(iterates: Sequence[np.ndarray], betas: Sequence[float]) -> 
         wsum += 1.0 / br
     acc = np.zeros_like(rows[0])
     step = _block_steps(acc.size)
-    for k in range(0, len(rows), step):
-        acc = _weighted_sum(acc, rows[k:k + step], betas[k:k + step])
-    return acc / wsum
+    with np.errstate(over="ignore", invalid="ignore"):  # as a run's: overflow reads inf or nan
+        for k in range(0, len(rows), step):
+            acc = _weighted_sum(acc, rows[k:k + step], betas[k:k + step])
+        return acc / wsum
 
 
 _FIT_COLUMNS = ("stationarity_sq", "feasibility", "slackness")

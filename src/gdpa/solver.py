@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -30,8 +31,6 @@ from .vec import (_F64, DimensionMismatchError, NonFiniteError, _project_raw, al
 TERM_FEASIBILITY = "feasibility-stop"
 TERM_BUDGET = "budget-exhausted"
 TERM_NUMERICAL = "numerical-failure"
-
-_DUAL_TOL = _const(1e-15)  # slack of the debug check on the dual contraction
 
 
 class NumericalFailure(RuntimeError):
@@ -225,52 +224,6 @@ def _dual_step_raw(g_next, damped, mask, beta_r, total=None):
     return np.where(mask, _shifted(damped, g_next, beta_r, total), _ZERO)
 
 
-class _RunLedger:
-    """A run's 1/beta-weighted sums of (x_r, lam_r), its trace rows' arithmetic and,
-    without -O, its dual-update checks, applied once per block of steps. It holds
-    references to the arrays it is given, which nobody may change before the next
-    ``flush``."""
-
-    def __init__(self, x: np.ndarray, lam: np.ndarray):
-        # a recorded step holds x, its projected step, lam, g, the damped lam and the argument
-        self.block = _block_steps(2 * x.size + 4 * lam.size)
-        self.x_sum, self.lam_sum, self.weight_sum = np.zeros_like(x), np.zeros_like(lam), 0.0
-        self.steps: list = []  # (x_r, lam_r, beta_r)
-        self.checks: list = []  # (r, mask, g_next > 0, lam_next, (1-tau)*lam)
-        self.rows: list = []  # make_record's, for _fill_rows
-
-    def flush(self) -> None:
-        if self.steps:
-            xs, lams, betas = zip(*self.steps)
-            self.steps.clear()
-            self.x_sum = _weighted_sum(self.x_sum, xs, betas)
-            self.lam_sum = _weighted_sum(self.lam_sum, lams, betas)
-            for beta in betas:
-                self.weight_sum += 1.0 / beta
-        if self.checks:
-            rs, *rows = zip(*self.checks)
-            self.checks.clear()
-            mask, g_pos, lam_next, damped = map(np.array, rows)
-            # active and still feasible: contracted; inactive: zeroed
-            ok = np.where(mask, g_pos | (lam_next <= damped + _DUAL_TOL), lam_next == _ZERO)
-            if np.count_nonzero(ok) != ok.size:
-                k = int(np.argmin(ok.all(axis=1)))  # the first step with a failed entry
-                raise AssertionError(("inactive multiplier not zeroed" if ok[k][mask[k]].all()
-                                      else "dual contraction violated") + f" at r={rs[k]}")
-        if self.rows:
-            _fill_rows(self.rows)
-            self.rows.clear()
-
-    def averages(self, x, lam) -> Tuple[np.ndarray, np.ndarray]:
-        """The run's 1/beta-weighted averages of x and lambda, or copies of the
-        last iterate when no step began; the run's trace rows are complete after it."""
-        with np.errstate(over="ignore", invalid="ignore"):  # as the flushes in the loops
-            self.flush()
-            if self.weight_sum > 0:
-                return self.x_sum / self.weight_sum, self.lam_sum / self.weight_sum
-        return x.copy(), lam.copy()
-
-
 def validate_tau(cfg: GdpaConfig, constants: ProblemConstants) -> ValidationReport:
     """Check tau against the theoretical lower bound 1 - s/sqrt(66*U_J^2 + s^2).
 
@@ -308,19 +261,86 @@ def validate_alpha(cfg: GdpaConfig, constants: ProblemConstants,
     return ValidationReport(ok, required, msg)
 
 
-def _initial_multiplier(lambda0, m: int) -> np.ndarray:
-    """Validated copy of a user-supplied multiplier start; zeros when None."""
-    if lambda0 is None:
-        return np.zeros(m)
-    lam = check_length(as_vector(lambda0, "lambda0").copy(), m, "lambda0")
-    if np.any(lam < 0):
-        raise ValueError("lambda0 must be componentwise nonnegative")
-    return lam
+class _Run:
+    """The plumbing of one run of GDPA or of a baseline, around the solver's own step
+    arithmetic and stop rules: the start, the step counter ``r``, the trace and its
+    row rule, the 1/beta-weighted sums of (x_r, lam_r) and the trace rows' arithmetic,
+    applied once per block of steps, the capture of a numerical failure and the
+    result. It holds references to the arrays it is given, which nobody may change
+    before the next ``flush``."""
 
+    def __init__(self, problem: ConstrainedProblem, cfg, x0, lambda0=None):
+        """``start``: ``x0`` projected into the feasible set, and a copy of ``lambda0``
+        (zeros when None), both checked against the problem."""
+        m = problem.num_constraints
+        x = check_length(project(problem.projection, as_vector(x0, "x0")), problem.dim, "x0")
+        lam = np.zeros(m) if lambda0 is None else check_length(
+            as_vector(lambda0, "lambda0").copy(), m, "lambda0")
+        if np.any(lam < 0):
+            raise ValueError("lambda0 must be componentwise nonnegative")
+        self.start = x, lam
+        self.record_every, self.dense_until = cfg.record_every, cfg.dense_until
+        # a recorded step holds x, its projected step, lam, g, the damped lam and the argument
+        self.block = _block_steps(2 * x.size + 4 * lam.size)
+        self.x_sum, self.lam_sum, self.weight_sum = np.zeros_like(x), np.zeros_like(lam), 0.0
+        self.pending: list = []  # (x_r, lam_r, beta_r) not yet summed
+        self.rows: list = []  # make_record's, for _fill_rows
+        self.trace: List[IterationRecord] = []
+        self.r = 0  # the step begun last
+        self.failure = ""
 
-def _initial_point(problem: ConstrainedProblem, x0) -> np.ndarray:
-    """``x0`` projected into the feasible set, checked against the problem's dim."""
-    return check_length(project(problem.projection, as_vector(x0, "x0")), problem.dim, "x0")
+    def steps(self, first: int, last: int):
+        """Steps first..last as ``r``; the run flushes after each block's last step
+        that completes."""
+        block = self.block
+        for r in range(first, last + 1):
+            self.r = r
+            yield r
+            if r % block == 0:
+                self.flush()
+
+    def recorded(self, forced: bool) -> bool:
+        """Whether step ``r`` gets a trace row: forced, dense, or on the modulus."""
+        return forced or self.r <= self.dense_until or self.r % self.record_every == 0
+
+    @contextmanager
+    def guard(self):
+        """The loop's context: overflow in a diverging run must surface as a checked
+        numerical failure, not a numpy warning, and such a failure ends the run with
+        a message naming its step."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                yield
+        except (NumericalFailure, NonFiniteError) as exc:
+            where = f"iteration {self.r}" if self.r else "initial evaluation"
+            self.failure = f"{where}: {exc}"
+
+    def flush(self) -> None:
+        if self.pending:
+            xs, lams, betas = zip(*self.pending)
+            self.pending.clear()
+            self.x_sum = _weighted_sum(self.x_sum, xs, betas)
+            self.lam_sum = _weighted_sum(self.lam_sum, lams, betas)
+            for beta in betas:
+                self.weight_sum += 1.0 / beta
+        if self.rows:
+            _fill_rows(self.rows)
+            self.rows.clear()
+
+    def result(self, x, lam, termination: str, T_eps: Optional[int],
+               iterates=None) -> SolveResult:
+        """The run's result at its last pair. Its averages are the 1/beta-weighted
+        ones, or copies of the last pair when no step began; its trace rows are
+        complete. A numerical failure overrides ``termination``."""
+        with np.errstate(over="ignore", invalid="ignore"):  # as the flushes in the loops
+            self.flush()
+            if self.weight_sum > 0:
+                x_avg, lam_avg = self.x_sum / self.weight_sum, self.lam_sum / self.weight_sum
+            else:
+                x_avg, lam_avg = x.copy(), lam.copy()
+        return SolveResult(x, lam, x_avg, lam_avg,
+                           TERM_NUMERICAL if self.failure else termination, T_eps, self.trace,
+                           iterates, self.failure, self.r)
 
 
 def solve(
@@ -345,74 +365,55 @@ def solve(
 
     ``on_iteration(r, x_next, lam_prev, lam_next, mask, g_next)`` is invoked
     after every dual update; intended for diagnostics and invariant checks. It
-    must treat its arrays as read-only: the run's averages and its debug check
-    of the dual update read them once per block of steps.
+    must treat its arrays as read-only: the run's averages read them once per
+    block of steps.
     """
-    x = _initial_point(problem, x0)
-    lam = _initial_multiplier(lambda0, problem.num_constraints)
+    run = _Run(problem, cfg, x0, lambda0)
+    x, lam = run.start
     projection = problem.projection
-    trace: List[IterationRecord] = []
     iterates: Optional[List[Tuple[np.ndarray, np.ndarray]]] = [] if capture_iterates else None
     T_eps: Optional[int] = None
     termination = TERM_BUDGET
-    failure_message = ""
     eps_stat_sq = cfg.eps_stat ** 2 if cfg.eps_stat < 1e154 else math.inf  # ** can overflow
-    ledger = _RunLedger(x, lam)
-    add_step, add_check, block = ledger.steps.append, ledger.checks.append, ledger.block
+    add_step = run.pending.append
     one_minus_tau = _const(1.0 - cfg.tau)
 
-    r = 0
-    try:
-        # overflow in a diverging run must surface as a checked numerical
-        # failure, not a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            # a fused oracle's grad f and J come with g, checked at the loop
-            # top, and its f, checked in a trace row
-            fx, gx, grad, jac = problem.first_order(x)
-            viol = _violation_sq(gx)  # of each g, shared by the stop test and the trace row
-            for r in range(1, cfg.max_iters + 1):
-                alpha, beta, gamma = schedule(cfg, r)
-                beta_r = np.asarray(beta)  # the step kernels' operand; beta for the row
-                grad = problem.grad_f(x, grad)
-                jac = problem.jacobian(x, jac)
+    with run.guard():
+        # a fused oracle's grad f and J come with g, checked at the loop top, and
+        # its f, checked in a trace row
+        fx, gx, grad, jac = problem.first_order(x)
+        viol = _violation_sq(gx)  # of each g, shared by the stop test and the trace row
+        for r in run.steps(1, cfg.max_iters):
+            alpha, beta, gamma = schedule(cfg, r)
+            beta_r = np.asarray(beta)  # the step kernels' operand; beta for the row
+            grad = problem.grad_f(x, grad)
+            jac = problem.jacobian(x, jac)
 
-                add_step((x, lam, beta))
-                if capture_iterates:
-                    iterates.append((x.copy(), lam.copy()))
+            add_step((x, lam, beta))
+            if capture_iterates:
+                iterates.append((x.copy(), lam.copy()))
 
-                stopping, stat_sq = False, None
-                if T_eps is not None and viol <= cfg.eps_feas:
-                    _, stat_sq = _stationarity_from_evals(
-                        x, lam, gx, grad, jac, alpha, beta, projection)
-                    stopping = stat_sq <= eps_stat_sq
-                damped, arg = _active_arg(gx, lam, beta_r, one_minus_tau)
-                mask = arg > _ZERO
-                if (stopping or r <= cfg.dense_until or r % cfg.record_every == 0
-                        or r == cfg.max_iters):
-                    trace.append(make_record(problem, x, lam, fx, gx, grad, jac, r, alpha, beta,
-                                             gamma, viol, (damped, arg), stat_sq, ledger=ledger))
-                if stopping:
-                    termination = TERM_FEASIBILITY
-                    break
+            stopping, stat_sq = False, None
+            if T_eps is not None and viol <= cfg.eps_feas:
+                _, stat_sq = _stationarity_from_evals(
+                    x, lam, gx, grad, jac, alpha, beta, projection)
+                stopping = stat_sq <= eps_stat_sq
+            damped, arg = _active_arg(gx, lam, beta_r, one_minus_tau)
+            mask = arg > _ZERO
+            if run.recorded(stopping or r == cfg.max_iters):
+                run.trace.append(make_record(problem, x, lam, fx, gx, grad, jac, r, alpha, beta,
+                                             gamma, viol, (damped, arg), stat_sq, ledger=run))
+            if stopping:
+                termination = TERM_FEASIBILITY
+                break
 
-                x_next = _primal_step_raw(projection, x, grad, jac, _shifted(damped, gx, beta_r),
-                                          alpha, r)
-                f_next, g_next, grad, jac = problem.first_order(x_next)
-                lam_next = _dual_step_raw(g_next, damped, mask, beta_r)
-                if __debug__:  # g_next may be the callback's buffer: its sign is kept
-                    add_check((r, mask, g_next > _ZERO, lam_next, damped))
-                if on_iteration is not None:
-                    on_iteration(r, x_next, lam, lam_next, mask, g_next)
-                x, lam, fx, gx, viol = x_next, lam_next, f_next, g_next, _violation_sq(g_next)
-                if T_eps is None and viol <= cfg.eps_feas:
-                    T_eps = r
-                if r % block == 0:
-                    ledger.flush()
-    except (NumericalFailure, NonFiniteError) as exc:
-        termination = TERM_NUMERICAL
-        where = f"iteration {r}" if r else "initial evaluation"
-        failure_message = f"{where}: {exc}"
-
-    # flushed on every exit, so a pending failed check raises before a result exists
-    return SolveResult(x, lam, *ledger.averages(x, lam), termination,
-                       T_eps, trace, iterates, failure_message, r)
+            x_next = _primal_step_raw(projection, x, grad, jac, _shifted(damped, gx, beta_r),
+                                      alpha, r)
+            f_next, g_next, grad, jac = problem.first_order(x_next)
+            lam_next = _dual_step_raw(g_next, damped, mask, beta_r)
+            if on_iteration is not None:
+                on_iteration(r, x_next, lam, lam_next, mask, g_next)
+            x, lam, fx, gx, viol = x_next, lam_next, f_next, g_next, _violation_sq(g_next)
+            if T_eps is None and viol <= cfg.eps_feas:
+                T_eps = r
+    return run.result(x, lam, termination, T_eps, iterates)

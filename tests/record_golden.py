@@ -1,0 +1,154 @@
+"""Golden digests of whole solver runs: GDPA, the penalty method and ALM on the
+analytic instances, on random quadratics, on a small CMDP and on one run per
+solver that ends in a numerical failure.
+
+Each case's sha256 covers the bytes of its trace rows, final pair, averages,
+termination, T_eps and iteration count. It leaves out the failure message, whose
+wording may change without a change in what the run computed.
+
+    PYTHONPATH=src python -m tests.record_golden   # rewrites tests/golden.json
+
+``tests/test_golden.py`` checks every case against the file.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from gdpa import (
+    AlmConfig,
+    ConstrainedProblem,
+    GdpaConfig,
+    PenaltyConfig,
+    ProjectionSpec,
+    solve,
+    solve_alm,
+    solve_penalty,
+)
+from gdpa.problems import ANALYTIC_IDS, build_analytic, build_cmdp, random_cmdp
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+# record_every and dense_until small enough that every run has dense and sparse rows
+GDPA = dict(tau=0.25, beta0=0.5, alpha01=0.5, max_iters=300, eps_feas=1e-30, eps_stat=1e-30,
+            record_every=7, dense_until=20)
+BASELINE = dict(inner_iters=70, outer_iters=4, inner_step=1e-2, record_every=7, dense_until=20)
+
+
+def quadratic(d: int, m: int, seed: int) -> ConstrainedProblem:
+    """Convex quadratic objective under m random (indefinite) quadratic
+    constraints, on the box [-2, 2]^d."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) / np.sqrt(d)
+    hess, lin = a.T @ a + np.eye(d), rng.standard_normal(d)
+    b = rng.standard_normal((m, d, d)) / np.sqrt(d)
+    quads = 0.5 * (b + b.transpose(0, 2, 1))
+    slopes, offsets = rng.standard_normal((m, d)), rng.uniform(-1.0, 1.0, m)
+    return ConstrainedProblem(
+        dim=d, num_constraints=m,
+        eval_f=lambda x: 0.5 * float(x @ hess @ x) + float(lin @ x),
+        eval_grad_f=lambda x: hess @ x + lin,
+        eval_g=lambda x: 0.5 * (quads @ x) @ x + slopes @ x + offsets,
+        eval_jacobian=lambda x: quads @ x + slopes,
+        projection=ProjectionSpec.box(np.full(d, -2.0), np.full(d, 2.0)))
+
+
+def cmdp() -> ConstrainedProblem:
+    return build_cmdp(random_cmdp(seed=4, num_states=6, num_actions=3, num_constraints=2,
+                                  discount=0.9, thresholds=np.array([0.55, 0.6])))
+
+
+def _at(value):
+    return lambda p: np.full(p.dim, value)
+
+
+def _instances() -> dict:
+    """name -> (problem builder, start builder) of each instance."""
+    instances = {aid: (lambda aid=aid: build_analytic(aid).problem, _at(0.3))
+                 for aid in ANALYTIC_IDS}
+    for d in (1, 4, 50):
+        for m in (0, 1, 3):
+            instances[f"qq-d{d}-m{m}"] = (
+                lambda d=d, m=m: quadratic(d, m, 10 * d + m),
+                lambda p: np.random.default_rng(p.dim).uniform(-2.0, 2.0, p.dim))
+    instances["cmdp-6x3"] = (cmdp, _at(0.0))
+    return instances
+
+
+def _cases() -> dict:
+    """name -> (solver kind, problem builder, start builder, settings)."""
+    instances = _instances()
+    lam0 = {"lambda0": np.array([0.5, 0.25])}
+    cmdp_settings = {"gdpa": {"beta0": 0.5, "alpha01": 50.0, **lam0},
+                     "penalty": {"inner_step": 5.0}, "alm": {"inner_step": 5.0, **lam0}}
+    cases = {f"{kind}/{name}": (kind, *instance,
+                                cmdp_settings[kind] if name == "cmdp-6x3" else {})
+             for name, instance in instances.items() for kind in ("gdpa", "penalty", "alm")}
+    # the other exits: a feasibility stop, a step cap within a round, a numerical failure
+    scaled, halfspace, circle = (instances[aid][0] for aid in ANALYTIC_IDS)
+    first_round = {"inner_iters": 30, "outer_iters": 5, "feas_tol": 1e-2}
+    cases.update({
+        "gdpa/feasibility-stop": ("gdpa", scaled, _at(0.3), {
+            "tau": 0.1, "beta0": 1.0, "alpha01": 1.0, "max_iters": 400, "eps_feas": 1e-3,
+            "eps_stat": 1e-1}),
+        "penalty/feasibility-stop": ("penalty", circle, _at(0.3), first_round),
+        "alm/feasibility-stop": ("alm", circle, _at(0.3), first_round),
+        "penalty/step-cap": ("penalty", halfspace, _at(0.3), {"max_steps": 250}),
+        "alm/step-cap": ("alm", halfspace, _at(0.3), {"max_steps": 250}),
+        "gdpa/numerical-failure": ("gdpa", scaled, _at(0.0), {
+            "tau": 0.1, "beta0": 1.0, "alpha01": 1e3, "max_iters": 400}),
+        "penalty/numerical-failure": ("penalty", scaled, _at(0.3), {"inner_step": 300.0}),
+        "alm/numerical-failure": ("alm", scaled, _at(0.3), {"inner_step": 300.0}),
+    })
+    return cases
+
+
+CASES = _cases()
+
+
+def _update(h, *parts) -> None:
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype.str}{part.shape}".encode() + part.tobytes())
+        elif isinstance(part, float):
+            h.update(part.hex().encode())
+        else:
+            h.update(repr(part).encode())
+        h.update(b"|")
+
+
+def run_case(name: str):
+    kind, problem, start, settings = CASES[name]
+    p, settings = problem(), dict(settings)
+    x0, lambda0 = start(p), settings.pop("lambda0", None)
+    if kind == "gdpa":
+        return solve(p, GdpaConfig(**{**GDPA, **settings}), x0, lambda0)
+    if kind == "penalty":
+        return solve_penalty(p, PenaltyConfig(**{**BASELINE, **settings}), x0)
+    return solve_alm(p, AlmConfig(**{**BASELINE, **settings}), x0, lambda0)
+
+
+def digest(res) -> str:
+    """sha256 of the run's trace rows, final pair, averages, termination, T_eps and
+    iterations."""
+    h = hashlib.sha256()
+    for rec in res.trace:
+        _update(h, *dataclasses.astuple(rec))
+    _update(h, res.x_final, res.lambda_final, res.x_avg, res.lambda_avg, res.termination,
+            res.T_eps, res.iterations)
+    return h.hexdigest()
+
+
+def record() -> dict:
+    return {"numpy": np.__version__,
+            "cases": {name: digest(run_case(name)) for name in CASES}}
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(CASES)} digests to {GOLDEN}")

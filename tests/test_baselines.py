@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -124,6 +127,36 @@ class TestAgreement:
                           np.zeros(1))
         for res in (res_g, res_p, res_a):
             assert abs(res.x_final[0] - 1.0) <= 5e-2
+
+
+RUNS = {  # a baseline's second round begins at step 31
+    "gdpa": lambda p: solve(p, GdpaConfig(max_iters=90), np.zeros(1)),
+    "penalty": lambda p: solve_penalty(p, PenaltyConfig(inner_iters=30, outer_iters=3,
+                                                        feas_tol=1e-300), np.zeros(1)),
+    "alm": lambda p: solve_alm(p, AlmConfig(inner_iters=30, outer_iters=3, feas_tol=1e-300),
+                               np.zeros(1)),
+}
+
+
+class TestFailure:
+    @pytest.mark.parametrize("step", [1, 45])
+    @pytest.mark.parametrize("kind", list(RUNS))
+    def test_failure_names_its_step(self, kind, step):
+        # grad f is evaluated once per step, at that step's iterate
+        base, calls = problem_a(), itertools.count(1)
+        p = dataclasses.replace(base, eval_grad_f=lambda x: base.eval_grad_f(x) * (
+            np.nan if next(calls) == step else 1.0))
+        res = RUNS[kind](p)
+        assert (res.termination, res.iterations) == ("numerical-failure", step)
+        assert res.failure_message.startswith(
+            f"iteration {step}: grad f(x) is not finite at x=array(")
+
+    @pytest.mark.parametrize("kind", list(RUNS))
+    def test_failure_before_the_first_step_names_the_initial_evaluation(self, kind):
+        base = problem_a()
+        res = RUNS[kind](dataclasses.replace(base, eval_g=lambda x: np.array([np.nan])))
+        assert (res.termination, res.iterations, res.trace) == ("numerical-failure", 0, [])
+        assert res.failure_message == "initial evaluation: g(x) is not finite at x=array([0.])"
 
 
 class TestTrace:

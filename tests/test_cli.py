@@ -904,9 +904,8 @@ def test_module_entrypoint_runs():
 
 
 def test_optimized_interpreter_writes_the_same_trace(tmp_path):
-    # `python -O` drops the debug check of the dual update, so the check must
-    # not change what the solver computes: the trace, nor the run's averages,
-    # which the run ledger sums without the check's rows under -O
+    # `python -O` drops asserts and __debug__ blocks, which must not change what
+    # the solver computes: the trace, nor the run's averages
     cfg = scaled_1d_config(tmp_path, tmp_path / "unused", max_iters=300)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -1,10 +1,8 @@
-"""The run ledger: solve() and both baselines sum their 1/beta-weighted averages,
-and solve() runs the debug check of its dual update, once per block of steps.
+"""The run's sums: solve() and both baselines sum their 1/beta-weighted averages
+once per block of steps (``solver._Run``).
 
 The averages must have the bits of the per-step form ``x_sum = x_sum + x / beta``
-whatever the run's length and exit, so every comparison here is on the bytes;
-the check must name the first failing step, and must still fire when the run
-ends before its block does.
+whatever the run's length and exit, so every comparison here is on the bytes.
 """
 
 import itertools
@@ -14,7 +12,6 @@ import numpy as np
 import pytest
 
 import gdpa.baselines
-import gdpa.solver
 from gdpa import (
     AlmConfig,
     ConstrainedProblem,
@@ -27,10 +24,18 @@ from gdpa import (
 )
 from gdpa.metrics import _block_steps
 from gdpa.problems import build_analytic
-from gdpa.solver import _RunLedger
+from gdpa.solver import _Run
 from tests.conftest import make_unconstrained
 
-BLOCK = _RunLedger(np.zeros(1), np.zeros(1)).block  # scaled-1d's: d = m = 1
+
+def run_block(d: int, m: int) -> int:
+    """The block of a run on a problem with d variables and m constraints."""
+    p = ConstrainedProblem(dim=d, num_constraints=m, eval_f=None, eval_grad_f=None,
+                           eval_g=lambda x: None, eval_jacobian=lambda x: None)
+    return _Run(p, GdpaConfig(), np.zeros(d)).block
+
+
+BLOCK = run_block(1, 1)  # scaled-1d's
 LENGTHS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
 NO_STOP = {"eps_feas": 1e-300, "eps_stat": 1e-300}
 
@@ -57,8 +62,8 @@ def assert_per_step_averages(res, pairs, betas):
 
 def test_block_is_at_most_64_steps_and_one_for_a_million_entries():
     assert BLOCK == 64
-    assert _RunLedger(np.zeros(1000), np.zeros(3)).block == 8  # cmdp-100x10's
-    assert _RunLedger(np.zeros(10 ** 6), np.zeros(0)).block == 1
+    assert run_block(1000, 3) == 8  # cmdp-100x10's
+    assert run_block(10 ** 6, 0) == 1
     assert _block_steps(0) == 64
 
 
@@ -121,71 +126,11 @@ def test_baseline_averages_equal_the_per_step_form(monkeypatch, alm, aid, settin
     assert_per_step_averages(res, [(x, lam) for x, lam, _ in rows], [rho for *_, rho in rows])
 
 
-def never_active(nan_grad_at=None):
-    """f(x) = x, never stationary, and g = -1 everywhere, so a correct dual update
-    keeps lam at 0; the gradient turns NaN on its ``nan_grad_at``-th evaluation."""
-    calls = itertools.count(1)
-    return ConstrainedProblem(
-        dim=1, num_constraints=1, eval_f=lambda x: float(x[0]),
-        eval_grad_f=lambda x: np.array([np.nan if next(calls) == nan_grad_at else 1.0]),
-        eval_g=lambda x: np.array([-1.0]), eval_jacobian=lambda x: np.zeros((1, 1)))
-
-
-def break_dual_kernel(monkeypatch, bad_steps):
-    """The dual kernel leaves a multiplier at 1 more than it should at ``bad_steps``."""
-    real, calls = gdpa.solver._dual_step_raw, itertools.count(1)
-
-    def kernel(g, damped, mask, beta):
-        lam_next = real(g, damped, mask, beta)
-        return lam_next + 1.0 if next(calls) in bad_steps else lam_next
-
-    monkeypatch.setattr(gdpa.solver, "_dual_step_raw", kernel)
-
-
-@pytest.mark.parametrize("bad_steps, max_iters", [
-    ({30, 31, 100}, 200),  # mid-block, with more failures after it
-    ({140}, 150),  # in the last, partial block
-], ids=["mid-block", "last-partial-block"])
-def test_check_names_the_first_failing_step(monkeypatch, bad_steps, max_iters):
-    break_dual_kernel(monkeypatch, bad_steps)
-    with pytest.raises(AssertionError, match=rf"^inactive multiplier not zeroed at "
-                                             rf"r={min(bad_steps)}$"):
-        solve(never_active(), GdpaConfig(max_iters=max_iters, **NO_STOP), np.ones(1))
-
-
-def test_check_wins_over_a_later_failure_in_its_block(monkeypatch):
-    cfg = GdpaConfig(max_iters=200, **NO_STOP)
-    res = solve(never_active(nan_grad_at=25), cfg, np.ones(1))
-    assert res.termination == "numerical-failure" and res.iterations == 25
-    break_dual_kernel(monkeypatch, {20})
-    with pytest.raises(AssertionError, match=r"^inactive multiplier not zeroed at r=20$"):
-        solve(never_active(nan_grad_at=25), cfg, np.ones(1))
-
-
-@pytest.mark.parametrize("second, message", [
-    ("contracted", "inactive multiplier not zeroed at r=6"),
-    ("zeroed", "dual contraction violated at r=6"),
-])
-def test_check_message_belongs_to_the_first_failing_step(second, message):
-    # r=5 passes; r=6 fails one way and r=7 the other: the message is r=6's
-    ledger = _RunLedger(np.zeros(1), np.zeros(1))
-    active, inactive = np.array([True]), np.array([False])
-    feasible, one, half = np.array([False]), np.array([1.0]), np.array([0.5])
-    contraction_fails = (active, feasible, one, half)  # active, g <= 0, lam grew
-    not_zeroed = (inactive, feasible, one, half)
-    rows = [not_zeroed, contraction_fails] if second == "contracted" else [
-        contraction_fails, not_zeroed]
-    ledger.checks.append((5, active, feasible, half, one))
-    ledger.checks.extend((r, *row) for r, row in zip((6, 7), rows))
-    with pytest.raises(AssertionError, match=rf"^{message}$"):
-        ledger.flush()
-    assert ledger.checks == []
-
-
-def test_check_keeps_each_step_s_constraint_sign():
+def test_averages_keep_each_step_s_multiplier_when_g_reuses_its_buffer():
     # a callback may hand back one buffer on every call: g runs +1, +1, -1, ...
     # in it, and a correct dual update grows the multiplier on a step from +1 to
-    # +1; a block's end finds -1 in the buffer on some blocks
+    # +1; a block's end finds -1 in the buffer on some blocks, which must not
+    # change the multipliers the block sums
     buf, calls = np.empty(1), itertools.count()
 
     def eval_g(x):

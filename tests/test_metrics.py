@@ -148,6 +148,14 @@ class TestWeightedAverage:
         with pytest.raises(ValueError):
             weighted_average([], [])
 
+    def test_overflowing_sum_reads_inf_without_a_warning(self):
+        # 1e10/1e-300 overflows; a run's averages read inf here with no warning, and
+        # this raised "overflow encountered in divide" under -W error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = weighted_average([np.array([1e10])], [1e-300])
+        assert out.tolist() == [math.inf]
+
     @pytest.mark.parametrize("spec", [
         ProjectionSpec.box(-np.ones(4), np.ones(4)),
         ProjectionSpec.ball(np.zeros(4), 2.0),

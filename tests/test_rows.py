@@ -1,5 +1,5 @@
 """Trace rows: their checks run at their step, their arithmetic once per block of
-steps (``metrics._fill_rows``, from the run ledger).
+steps (``metrics._fill_rows``, from the run's flush).
 
 Every row of a run must carry the bytes that the per-row formulas give at its
 step, whatever the run's length and exit, so the rows are compared on the bytes
@@ -33,14 +33,13 @@ from gdpa import (
     solve_penalty,
 )
 from gdpa.cli import TRACE_HEADER, write_trace
-from gdpa.metrics import IterationRecord, _slackness, _sq_norms, make_record
+from gdpa.metrics import IterationRecord, _block_steps, _slackness, _sq_norms, make_record
 from gdpa.problems import build_analytic
-from gdpa.solver import _RunLedger
 from gdpa.vec import _project_raw
 from tests.conftest import make_unconstrained
 
 ROOT = Path(__file__).resolve().parent.parent
-BLOCK = _RunLedger(np.zeros(1), np.zeros(1)).block  # scaled-1d's: d = m = 1
+BLOCK = _block_steps(2 * 1 + 4 * 1)  # scaled-1d's: d = m = 1
 LENGTHS = (1, BLOCK - 1, BLOCK, BLOCK + 1)
 NO_STOP = {"eps_feas": 1e-300, "eps_stat": 1e-300}
 
@@ -211,7 +210,7 @@ def trace_digest() -> str:
 
 
 def test_rows_are_the_same_under_python_O():
-    # without -O the ledger also holds the dual-update checks, flushed before the rows
+    # nothing the solvers compute may depend on asserts or __debug__
     proc = subprocess.run(
         [sys.executable, "-O", "-c", "from tests.test_rows import trace_digest as d; print(d())"],
         cwd=ROOT, env={"PYTHONPATH": f"{ROOT / 'src'}:{ROOT}"}, capture_output=True, text=True,
