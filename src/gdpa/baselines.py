@@ -75,7 +75,7 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lambda0,
     augmented Lagrangian. ``frozen`` keeps the multipliers at their start
     (zero for the penalty method) and grows rho after every outer round
     instead of only when feasibility stalls."""
-    run = _Run(problem, cfg, x0, lambda0)
+    run = _Run(problem, cfg, x0, lambda0, 0.0)
     x, lam = run.start
     termination = TERM_BUDGET
     T_eps: Optional[int] = None
@@ -96,19 +96,17 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lambda0,
                 grad = problem.grad_f(x, grad)
                 jac = problem.jacobian(x, jac)
                 add_step((x, lam, rho))
-                shifted = _shifted(lam, gx, rho_r)  # also the row's stationarity dual half
-                # a round's last step is recorded, as solve() records its last
+                # a round's last step is recorded, as solve() records its last; the run's
+                # tau=0 turns a row's merit value into the classic augmented Lagrangian
+                # this method minimizes
                 if run.recorded(step == last):
-                    # tau=0 (active=None) turns the merit value into the classic
-                    # augmented Lagrangian this method minimizes
-                    run.trace.append(make_record(problem, x, lam, fx, gx, grad, jac, step,
-                                                 cfg.inner_step, rho, 0.0, viol, None,
-                                                 shifted=shifted, ledger=run))
-                if T_eps is None and math.sqrt(viol) <= cfg.feas_tol:
-                    T_eps = step
-                x = _primal_step_raw(problem.projection, x, grad, jac, shifted, inner_step, step)
+                    make_record(run, x, lam, fx, gx, grad, jac, cfg.inner_step, rho, 0.0, viol)
+                x = _primal_step_raw(problem.projection, x, grad, jac, _shifted(lam, gx, rho_r),
+                                     inner_step, step)
                 fx, gx, grad, jac = problem.first_order(x)
                 viol = _violation_sq(gx)
+                if T_eps is None and math.sqrt(viol) <= cfg.feas_tol:  # as solve(): x after step
+                    T_eps = step
             if last < begun + cfg.inner_iters:  # stopped at max_steps, within a round
                 break
             if not frozen:
@@ -116,8 +114,6 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lambda0,
             norm = math.sqrt(viol)
             if norm <= cfg.feas_tol:
                 termination = TERM_FEASIBILITY
-                if T_eps is None:
-                    T_eps = run.r
                 break
             if frozen or norm > STALL_FACTOR * prev_norm:
                 rho *= cfg.rho_growth

@@ -380,7 +380,6 @@ def _collect_warnings(problem, cfg, seed: int) -> List[str]:
             notes.append(rep.message)
             if not rep.ok:
                 log.warning(rep.message)
-    notes.extend(cfg.validate())
     return notes
 
 

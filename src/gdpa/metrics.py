@@ -20,8 +20,8 @@ class InsufficientDataError(ValueError):
 @dataclass(slots=True)
 class IterationRecord:
     """One row of a solver trace, taken at the pre-update iterate of step r. Its merit
-    value, stationarity, slackness and multiplier norm are None until the run's
-    ledger fills them, before the solver returns."""
+    value, stationarity, slackness and multiplier norm are None until the run
+    that holds it flushes its rows, before the solver returns."""
 
     r: int
     alpha: float
@@ -230,52 +230,44 @@ def fit_rate(
                    r_squared=r2, n_points=int(keep.sum()))
 
 
-def make_record(problem: ConstrainedProblem, x: np.ndarray, lam: np.ndarray,
-                fx: Optional[float], gx: np.ndarray, grad_fx: np.ndarray, jac: np.ndarray,
-                r: int, alpha: float, beta: float, gamma: float, viol_sq: float,
-                active: Optional[Tuple[np.ndarray, np.ndarray]],  # _active_arg's; None: tau=0
-                stat_sq: Optional[float] = None,
-                shifted: Optional[np.ndarray] = None,  # [lam + beta*g]_+
-                ledger=None) -> IterationRecord:
-    """Build a trace row from evaluated callbacks and the values its step holds;
-    ``fx`` is a fused oracle's f at x, checked here, or None for one f call.
+def make_record(run, x: np.ndarray, lam: np.ndarray, fx: Optional[float], gx: np.ndarray,
+                grad_fx: np.ndarray, jac: np.ndarray, alpha: float, beta: float, gamma: float,
+                viol_sq: float, stat_sq: Optional[float] = None) -> None:
+    """Add the trace row of ``run``'s step ``run.r`` at (x, lam), from evaluated
+    callbacks and the values its step holds; ``fx`` is a fused oracle's f at x,
+    checked here, or None for one f call.
 
     The checks run here: f, and the residual's projected step unless the stop
     test's ``stat_sq`` is given. The rest of the row is arithmetic, filled by
-    ``_fill_rows``: here, or in ``ledger.rows`` once per block of steps, when the
-    arrays given here must stay unchanged until then (``gx`` is copied)."""
+    ``_fill_rows`` when the run flushes, so the arrays given here must stay
+    unchanged until then (``gx`` is copied)."""
+    problem = run.problem
     f_val = problem.f(x, fx)
     proj = None if stat_sq is not None else _residual_step(
         x, lam, grad_fx, jac, alpha, problem.projection)
-    rec = IterationRecord(r, alpha, beta, gamma, f_val, None, stat_sq, math.sqrt(viol_sq),
+    rec = IterationRecord(run.r, alpha, beta, gamma, f_val, None, stat_sq, math.sqrt(viol_sq),
                           None, None)
-    row = (rec, x, proj, lam, gx.copy(), shifted, active)
-    if ledger is None:
-        _fill_rows([row])
-    else:
-        ledger.rows.append(row)
-    return rec
+    run.trace.append(rec)
+    run.rows.append((rec, x, proj, lam, gx.copy()))
 
 
-def _fill_rows(rows: Sequence[tuple]) -> None:
+def _fill_rows(rows: Sequence[tuple], one_minus_tau) -> None:
     """Fill the merit value, stationarity, slackness and multiplier norm of the
     records of ``make_record``'s rows in place, from the rows' stacked arrays:
-    elementwise ops as on one row, and reductions with one row's bits. A run's
-    rows hold the same kinds of values: all or none give ``shifted`` and ``active``."""
-    recs, xs, projs, lams, gs, shifteds, actives = zip(*rows)
+    elementwise ops as on one row, and reductions with one row's bits."""
+    recs, xs, projs, lams, gs = zip(*rows)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow reads inf or nan, as on one row
         lam, g = np.array(lams), np.array(gs)
         beta = np.array([rec.beta for rec in recs])
         beta_col = beta[:, None]
-        damped, arg = (_active_arg(g, lam, beta_col, 1.0) if actives[0] is None
-                       else map(np.array, zip(*actives)))
+        damped, arg = _active_arg(g, lam, beta_col, one_minus_tau)
         merit = _perturbed_value(np.array([rec.f_value for rec in recs]), arg, damped, beta)
         slack, norm = _slackness(lam, g), np.sqrt(_sq_norms(lam))
-        shifted = _shifted(lam, g, beta_col) if shifteds[0] is None else np.array(shifteds)
         alpha = np.array([[rec.alpha] for rec in recs])
         # a row with the stop test's value gets a dummy residual: stacking a subset costs more
         projs = [x if proj is None else proj for x, proj in zip(xs, projs)]
-        _, stat = _stationarity(np.array(xs), np.array(projs), lam, shifted, alpha, beta_col)
+        _, stat = _stationarity(np.array(xs), np.array(projs), lam, _shifted(lam, g, beta_col),
+                                alpha, beta_col)
     for rec, *values in zip(recs, merit.tolist(), slack.tolist(), norm.tolist(), stat.tolist()):
         rec.F_beta_value, rec.slackness, rec.lambda_norm, stat_sq = values
         if rec.stationarity_sq is None:

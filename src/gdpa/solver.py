@@ -79,15 +79,6 @@ class GdpaConfig:
         if not schedule(self, self.max_iters)[0] > 0:
             raise ValueError("alpha_r underflows to 0 before r reaches max_iters")
 
-    def validate(self) -> List[str]:
-        """Non-fatal sanity warnings (empty list when everything looks fine)."""
-        notes = []
-        if not self.alpha01 < self.alpha02:
-            notes.append(
-                f"alpha01={self.alpha01} >= alpha02={self.alpha02}; the recommended "
-                "relation alpha01 < alpha02 is not satisfied (not enforced)")
-        return notes
-
 
 def _check_types(cfg) -> None:
     """Every field of a config dataclass holds an integer where its default is
@@ -269,9 +260,10 @@ class _Run:
     result. It holds references to the arrays it is given, which nobody may change
     before the next ``flush``."""
 
-    def __init__(self, problem: ConstrainedProblem, cfg, x0, lambda0=None):
+    def __init__(self, problem: ConstrainedProblem, cfg, x0, lambda0, tau: float):
         """``start``: ``x0`` projected into the feasible set, and a copy of ``lambda0``
-        (zeros when None), both checked against the problem."""
+        (zeros when None), both checked against the problem. ``tau``: the solver's dual
+        damping (0 for the baselines), with which the run's rows form their merit values."""
         m = problem.num_constraints
         x = check_length(project(problem.projection, as_vector(x0, "x0")), problem.dim, "x0")
         lam = np.zeros(m) if lambda0 is None else check_length(
@@ -279,9 +271,10 @@ class _Run:
         if np.any(lam < 0):
             raise ValueError("lambda0 must be componentwise nonnegative")
         self.start = x, lam
+        self.problem, self.one_minus_tau = problem, _const(1.0 - tau)
         self.record_every, self.dense_until = cfg.record_every, cfg.dense_until
-        # a recorded step holds x, its projected step, lam, g, the damped lam and the argument
-        self.block = _block_steps(2 * x.size + 4 * lam.size)
+        # a recorded step holds x, its projected step, lam and a copy of g
+        self.block = _block_steps(2 * x.size + 2 * lam.size)
         self.x_sum, self.lam_sum, self.weight_sum = np.zeros_like(x), np.zeros_like(lam), 0.0
         self.pending: list = []  # (x_r, lam_r, beta_r) not yet summed
         self.rows: list = []  # make_record's, for _fill_rows
@@ -324,7 +317,7 @@ class _Run:
             for beta in betas:
                 self.weight_sum += 1.0 / beta
         if self.rows:
-            _fill_rows(self.rows)
+            _fill_rows(self.rows, self.one_minus_tau)
             self.rows.clear()
 
     def result(self, x, lam, termination: str, T_eps: Optional[int],
@@ -368,7 +361,7 @@ def solve(
     must treat its arrays as read-only: the run's averages read them once per
     block of steps.
     """
-    run = _Run(problem, cfg, x0, lambda0)
+    run = _Run(problem, cfg, x0, lambda0, cfg.tau)
     x, lam = run.start
     projection = problem.projection
     iterates: Optional[List[Tuple[np.ndarray, np.ndarray]]] = [] if capture_iterates else None
@@ -376,7 +369,6 @@ def solve(
     termination = TERM_BUDGET
     eps_stat_sq = cfg.eps_stat ** 2 if cfg.eps_stat < 1e154 else math.inf  # ** can overflow
     add_step = run.pending.append
-    one_minus_tau = _const(1.0 - cfg.tau)
 
     with run.guard():
         # a fused oracle's grad f and J come with g, checked at the loop top, and
@@ -398,11 +390,10 @@ def solve(
                 _, stat_sq = _stationarity_from_evals(
                     x, lam, gx, grad, jac, alpha, beta, projection)
                 stopping = stat_sq <= eps_stat_sq
-            damped, arg = _active_arg(gx, lam, beta_r, one_minus_tau)
+            damped, arg = _active_arg(gx, lam, beta_r, run.one_minus_tau)
             mask = arg > _ZERO
             if run.recorded(stopping or r == cfg.max_iters):
-                run.trace.append(make_record(problem, x, lam, fx, gx, grad, jac, r, alpha, beta,
-                                             gamma, viol, (damped, arg), stat_sq, ledger=run))
+                make_record(run, x, lam, fx, gx, grad, jac, alpha, beta, gamma, viol, stat_sq)
             if stopping:
                 termination = TERM_FEASIBILITY
                 break

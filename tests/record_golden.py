@@ -1,10 +1,13 @@
 """Golden digests of whole solver runs: GDPA, the penalty method and ALM on the
-analytic instances, on random quadratics, on a small CMDP and on one run per
+analytic instances, on random quadratics (on a box, and on each other feasible
+set), on a separable quadratic with d = 1000, on a small CMDP and on one run per
 solver that ends in a numerical failure.
 
-Each case's sha256 covers the bytes of its trace rows, final pair, averages,
-termination, T_eps and iteration count. It leaves out the failure message, whose
-wording may change without a change in what the run computed.
+Each case holds one sha256 per field of its result (``FIELDS``): the bytes of its
+trace rows, final pair, averages, termination, T_eps and iteration count, so a
+mismatch names the field that moved. The failure message is left out, as its
+wording may change without a change in what the run computed. The file also
+records the numpy version and BLAS build it was made with.
 
     PYTHONPATH=src python -m tests.record_golden   # rewrites tests/golden.json
 
@@ -40,9 +43,9 @@ GDPA = dict(tau=0.25, beta0=0.5, alpha01=0.5, max_iters=300, eps_feas=1e-30, eps
 BASELINE = dict(inner_iters=70, outer_iters=4, inner_step=1e-2, record_every=7, dense_until=20)
 
 
-def quadratic(d: int, m: int, seed: int) -> ConstrainedProblem:
+def quadratic(d: int, m: int, seed: int, projection=None) -> ConstrainedProblem:
     """Convex quadratic objective under m random (indefinite) quadratic
-    constraints, on the box [-2, 2]^d."""
+    constraints, on ``projection`` (default the box [-2, 2]^d)."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d)) / np.sqrt(d)
     hess, lin = a.T @ a + np.eye(d), rng.standard_normal(d)
@@ -55,12 +58,39 @@ def quadratic(d: int, m: int, seed: int) -> ConstrainedProblem:
         eval_grad_f=lambda x: hess @ x + lin,
         eval_g=lambda x: 0.5 * (quads @ x) @ x + slopes @ x + offsets,
         eval_jacobian=lambda x: quads @ x + slopes,
+        projection=projection or ProjectionSpec.box(np.full(d, -2.0), np.full(d, 2.0)))
+
+
+def separable(d: int, m: int, seed: int) -> ConstrainedProblem:
+    """``quadratic`` with diagonal Hessians, so that each evaluation costs O(m*d)."""
+    rng = np.random.default_rng(seed)
+    hess, lin = 1.0 + rng.uniform(0.0, 1.0, d), rng.standard_normal(d)
+    quads, slopes = rng.standard_normal((2, m, d)) / np.sqrt(d)
+    offsets = rng.uniform(-1.0, 1.0, m)
+    return ConstrainedProblem(
+        dim=d, num_constraints=m,
+        eval_f=lambda x: 0.5 * float(x @ (hess * x)) + float(lin @ x),
+        eval_grad_f=lambda x: hess * x + lin,
+        eval_g=lambda x: 0.5 * (quads * x) @ x + slopes @ x + offsets,
+        eval_jacobian=lambda x: quads * x + slopes,
         projection=ProjectionSpec.box(np.full(d, -2.0), np.full(d, 2.0)))
+
+
+PROJECTIONS = {
+    "identity": ProjectionSpec.identity(),
+    "ball": ProjectionSpec.ball(np.zeros(4), 1.0),
+    "nonnegative": ProjectionSpec.nonnegative(),
+    "simplex": ProjectionSpec.simplex_blocks(2),
+}
 
 
 def cmdp() -> ConstrainedProblem:
     return build_cmdp(random_cmdp(seed=4, num_states=6, num_actions=3, num_constraints=2,
                                   discount=0.9, thresholds=np.array([0.55, 0.6])))
+
+
+def _uniform(p):
+    return np.random.default_rng(p.dim).uniform(-2.0, 2.0, p.dim)
 
 
 def _at(value):
@@ -73,9 +103,10 @@ def _instances() -> dict:
                  for aid in ANALYTIC_IDS}
     for d in (1, 4, 50):
         for m in (0, 1, 3):
-            instances[f"qq-d{d}-m{m}"] = (
-                lambda d=d, m=m: quadratic(d, m, 10 * d + m),
-                lambda p: np.random.default_rng(p.dim).uniform(-2.0, 2.0, p.dim))
+            instances[f"qq-d{d}-m{m}"] = (lambda d=d, m=m: quadratic(d, m, 10 * d + m), _uniform)
+    for kind, spec in PROJECTIONS.items():
+        instances[f"qq-d4-m2-{kind}"] = (lambda spec=spec: quadratic(4, 2, 42, spec), _uniform)
+    instances["sq-d1000-m3"] = (lambda: separable(1000, 3, 1003), _uniform)
     instances["cmdp-6x3"] = (cmdp, _at(0.0))
     return instances
 
@@ -111,7 +142,8 @@ def _cases() -> dict:
 CASES = _cases()
 
 
-def _update(h, *parts) -> None:
+def _sha256(parts) -> str:
+    h = hashlib.sha256()
     for part in parts:
         if isinstance(part, np.ndarray):
             h.update(f"{part.dtype.str}{part.shape}".encode() + part.tobytes())
@@ -120,6 +152,7 @@ def _update(h, *parts) -> None:
         else:
             h.update(repr(part).encode())
         h.update(b"|")
+    return h.hexdigest()
 
 
 def run_case(name: str):
@@ -133,22 +166,28 @@ def run_case(name: str):
     return solve_alm(p, AlmConfig(**{**BASELINE, **settings}), x0, lambda0)
 
 
-def digest(res) -> str:
-    """sha256 of the run's trace rows, final pair, averages, termination, T_eps and
-    iterations."""
-    h = hashlib.sha256()
-    for rec in res.trace:
-        _update(h, *dataclasses.astuple(rec))
-    _update(h, res.x_final, res.lambda_final, res.x_avg, res.lambda_avg, res.termination,
-            res.T_eps, res.iterations)
-    return h.hexdigest()
+FIELDS = ("trace", "final", "averages", "termination", "T_eps", "iterations")
+
+
+def digests(res) -> dict:
+    """field -> sha256 of that part of the run's result, for each of ``FIELDS``."""
+    parts = {"trace": [part for rec in res.trace for part in dataclasses.astuple(rec)],
+             "final": [res.x_final, res.lambda_final], "averages": [res.x_avg, res.lambda_avg],
+             "termination": [res.termination], "T_eps": [res.T_eps],
+             "iterations": [res.iterations]}
+    return {field: _sha256(parts[field]) for field in FIELDS}
+
+
+def build() -> dict:
+    """The numpy version and BLAS build that a run's bits may depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
 def record() -> dict:
-    return {"numpy": np.__version__,
-            "cases": {name: digest(run_case(name)) for name in CASES}}
+    return {**build(), "cases": {name: digests(run_case(name)) for name in CASES}}
 
 
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(CASES)} digests to {GOLDEN}")
+    print(f"wrote the digests of {len(CASES)} cases to {GOLDEN}")

@@ -183,3 +183,16 @@ class TestTrace:
         assert (res.termination, res.iterations) == (termination, iterations)
         assert res.trace[-1].r == res.iterations
         assert [rec.r for rec in res.trace if rec.r % 10] == list(range(303, iterations + 1, 303))
+
+    @pytest.mark.parametrize("kind", ["penalty", "alm"])
+    @pytest.mark.parametrize("aid", ["circle-exterior", "halfspace-quadratic"])
+    def test_t_eps_is_the_step_after_which_the_iterate_is_feasible(self, kind, aid):
+        # as in solve(): a row holds its step's pre-update iterate, so the iterate
+        # after step T_eps is row T_eps + 1, the first within feas_tol
+        p = build_analytic(aid).problem
+        cfg = (AlmConfig if kind == "alm" else PenaltyConfig)(
+            inner_iters=40, outer_iters=10, inner_step=1e-2, record_every=1)
+        res = (solve_alm if kind == "alm" else solve_penalty)(p, cfg, np.full(p.dim, 0.3))
+        assert res.trace[0].feasibility > cfg.feas_tol
+        first = next(rec.r for rec in res.trace if rec.feasibility <= cfg.feas_tol)
+        assert res.T_eps + 1 == first < res.iterations

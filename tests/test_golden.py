@@ -1,14 +1,14 @@
-"""Whole runs of GDPA and both baselines keep the digests in ``golden.json``: their
-trace rows, final pairs, averages, terminations, T_eps and iteration counts. A
-digest that no longer matches names its case, and both numpy versions when the
-file was recorded with another one; ``python -m tests.record_golden`` re-records."""
+"""Whole runs of GDPA and both baselines keep the digests in ``golden.json``: one per
+field of their results (trace rows, final pair, averages, termination, T_eps and
+iteration count). A mismatch names its case and the first field that differs, and
+the numpy version and BLAS build of the file and of the run when they differ;
+``python -m tests.record_golden`` re-records."""
 
 import json
 
-import numpy as np
 import pytest
 
-from tests.record_golden import CASES, GOLDEN, digest, run_case
+from tests.record_golden import CASES, FIELDS, GOLDEN, build, digests, run_case
 
 
 @pytest.fixture(scope="module")
@@ -18,11 +18,16 @@ def recorded():
 
 def test_the_file_holds_every_case(recorded):
     assert sorted(recorded["cases"]) == sorted(CASES)
+    assert all(sorted(fields) == sorted(FIELDS) for fields in recorded["cases"].values())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_keeps_its_golden_digest(recorded, name):
-    got, want = digest(run_case(name)), recorded["cases"][name]
-    versions = ("" if recorded["numpy"] == np.__version__ else
-                f" (recorded with numpy {recorded['numpy']}, running numpy {np.__version__})")
-    assert got == want, f"{name}: digest {got} != recorded {want}{versions}"
+    got, want = digests(run_case(name)), recorded["cases"][name]
+    moved = [field for field in FIELDS if got[field] != want[field]]
+    running = build()
+    builds = ("" if all(recorded[k] == v for k, v in running.items()) else
+              f" (recorded with numpy {recorded['numpy']} on {recorded['blas']}, running "
+              f"numpy {running['numpy']} on {running['blas']})")
+    assert not moved, (f"{name}: first differing field {moved[0]!r}, digest {got[moved[0]]} "
+                       f"!= recorded {want[moved[0]]}; all that differ: {moved}{builds}")

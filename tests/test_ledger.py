@@ -32,7 +32,7 @@ def run_block(d: int, m: int) -> int:
     """The block of a run on a problem with d variables and m constraints."""
     p = ConstrainedProblem(dim=d, num_constraints=m, eval_f=None, eval_grad_f=None,
                            eval_g=lambda x: None, eval_jacobian=lambda x: None)
-    return _Run(p, GdpaConfig(), np.zeros(d)).block
+    return _Run(p, GdpaConfig(), np.zeros(d), None, 0.1).block
 
 
 BLOCK = run_block(1, 1)  # scaled-1d's
@@ -92,9 +92,9 @@ def spy_rows(monkeypatch):
     """(x, lam, rho) of every step a baseline records, with record_every=1 every step."""
     rows, real = [], gdpa.baselines.make_record
 
-    def spy(problem, x, lam, fx, gx, grad, jac, step, alpha, beta, *rest, **kwargs):
+    def spy(run, x, lam, fx, gx, grad, jac, alpha, beta, *rest, **kwargs):
         rows.append((x.copy(), lam.copy(), beta))
-        return real(problem, x, lam, fx, gx, grad, jac, step, alpha, beta, *rest, **kwargs)
+        return real(run, x, lam, fx, gx, grad, jac, alpha, beta, *rest, **kwargs)
 
     monkeypatch.setattr(gdpa.baselines, "make_record", spy)
     return rows

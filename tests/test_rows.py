@@ -9,6 +9,7 @@ fail still ends the run at its step.
 
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import math
 import struct
@@ -35,11 +36,12 @@ from gdpa import (
 from gdpa.cli import TRACE_HEADER, write_trace
 from gdpa.metrics import IterationRecord, _block_steps, _slackness, _sq_norms, make_record
 from gdpa.problems import build_analytic
+from gdpa.solver import _Run
 from gdpa.vec import _project_raw
 from tests.conftest import make_unconstrained
 
 ROOT = Path(__file__).resolve().parent.parent
-BLOCK = _block_steps(2 * 1 + 4 * 1)  # scaled-1d's: d = m = 1
+BLOCK = _block_steps(2 * 1 + 2 * 1)  # scaled-1d's: d = m = 1
 LENGTHS = (1, BLOCK - 1, BLOCK, BLOCK + 1)
 NO_STOP = {"eps_feas": 1e-300, "eps_stat": 1e-300}
 
@@ -49,18 +51,18 @@ def bits(rec: IterationRecord):
                  for v in dataclasses.astuple(rec))
 
 
-def per_row(problem, x, lam, fx, gx, grad, jac, r, alpha, beta, gamma, viol_sq, active,
-            stat_sq=None, shifted=None):
+def per_row(problem, x, lam, fx, gx, grad_fx, jac, r, alpha, beta, gamma, viol_sq,
+            one_minus_tau, stat_sq=None):
     """The row at one step, from its own vectors: Python floats and ndarray.dot."""
     with np.errstate(all="ignore"):
         f_val = problem.f(x, fx)
         if stat_sq is None:
-            proj = _project_raw(problem.projection, x - alpha * (grad + jac.T.dot(lam)))
-            dual = lam - (np.maximum(lam + beta * gx, 0.0) if shifted is None else shifted)
+            proj = _project_raw(problem.projection, x - alpha * (grad_fx + jac.T.dot(lam)))
+            dual = lam - np.maximum(lam + beta * gx, 0.0)
             stacked = np.concatenate([(x - proj) / alpha, dual / beta])
             stat_sq = float(stacked.dot(stacked))
-        damped, arg = (lam, gx + lam / beta) if active is None else active
-        arg_pos = np.maximum(arg, 0.0)
+        damped = one_minus_tau * lam
+        arg_pos = np.maximum(gx + damped / beta, 0.0)
         merit = (f_val + 0.5 * beta * float(arg_pos.dot(arg_pos))
                  - float(damped.dot(damped)) / (2.0 * beta))
         return IterationRecord(r, alpha, beta, gamma, f_val, merit, stat_sq,
@@ -68,30 +70,41 @@ def per_row(problem, x, lam, fx, gx, grad, jac, r, alpha, beta, gamma, viol_sq, 
                                math.sqrt(float(lam.dot(lam))))
 
 
+def one_row(problem, tau, r, *args, **kwargs):
+    """The record that ``make_record(run, *args, **kwargs)`` makes as step r of a
+    fresh run with damping tau, flushed as a one-row block."""
+    run = _Run(problem, GdpaConfig(), np.zeros(problem.dim), None, tau)
+    run.r = r
+    make_record(run, *args, **kwargs)
+    run.flush()
+    return run.trace[0]
+
+
+SIGNATURE = inspect.signature(make_record)
+
+
 def spy_calls(monkeypatch, module):
-    """Copies of the arguments of every make_record call the module makes."""
+    """The arguments of every make_record call the module makes, by name, as copies,
+    with the run's problem and step in place of the run."""
     calls, real = [], module.make_record
 
     def spy(*args, **kwargs):
-        def keep(v):
-            if isinstance(v, np.ndarray):
-                return v.copy()
-            return tuple(map(keep, v)) if isinstance(v, tuple) else v
-        call = [keep(a) for a in args], {k: keep(v) for k, v in kwargs.items() if k != "ledger"}
-        rec = real(*args, **kwargs)
-        calls.append(call)  # only the calls whose checks passed make a row
-        return rec
+        call = {name: v.copy() if isinstance(v, np.ndarray) else v
+                for name, v in SIGNATURE.bind(*args, **kwargs).arguments.items()}
+        run = call.pop("run")
+        real(*args, **kwargs)
+        calls.append((run.problem, run.r, call))  # only the calls whose checks passed make a row
 
     monkeypatch.setattr(module, "make_record", spy)
     return calls
 
 
-def assert_rows_on_bytes(res, calls):
+def assert_rows_on_bytes(res, calls, tau):
     assert len(res.trace) == len(calls) > 0
-    for rec, (args, kwargs) in zip(res.trace, calls):
-        want = bits(per_row(*args, **kwargs))
+    for rec, (problem, r, call) in zip(res.trace, calls):
+        want = bits(per_row(problem, r=r, one_minus_tau=1.0 - tau, **call))
         assert bits(rec) == want, rec.r
-        assert bits(make_record(*args, **kwargs)) == want, rec.r  # a one-row block
+        assert bits(one_row(problem, tau, r, **call)) == want, rec.r
 
 
 def ball(d):
@@ -152,11 +165,12 @@ SOLVE_RUNS = {
 def test_solve_rows_equal_the_per_row_form(monkeypatch, case):
     problem, settings, x0, termination, steps = SOLVE_RUNS[case]
     calls = spy_calls(monkeypatch, gdpa.solver)
-    res = solve(problem(), GdpaConfig(**settings, record_every=1), x0)
+    cfg = GdpaConfig(**settings, record_every=1)
+    res = solve(problem(), cfg, x0)
     assert (res.termination, res.iterations) == (termination, steps)
-    assert_rows_on_bytes(res, calls)
+    assert_rows_on_bytes(res, calls, cfg.tau)
     if termination == "feasibility-stop":  # rows with and without the stop test's value
-        assert 0 < sum(args[13] is not None for args, _ in calls) < len(calls)
+        assert 0 < sum(call.get("stat_sq") is not None for *_, call in calls) < len(calls)
 
 
 # (problem, settings, start, termination, steps of the penalty method and of ALM)
@@ -192,7 +206,7 @@ def test_baseline_rows_equal_the_per_row_form(monkeypatch, alm, case):
     run = solve_alm if alm else solve_penalty
     res = run(problem(), (AlmConfig if alm else PenaltyConfig)(**settings, record_every=1), x0)
     assert (res.termination, res.iterations) == (termination, steps[alm])
-    assert_rows_on_bytes(res, calls)
+    assert_rows_on_bytes(res, calls, 0.0)
 
 
 def trace_digest() -> str:

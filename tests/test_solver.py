@@ -25,11 +25,12 @@ from gdpa import (
     validate_tau,
     weighted_average,
 )
-from gdpa.metrics import _active_arg, _violation_sq, make_record
+from gdpa.metrics import _violation_sq, make_record
 from gdpa.problems import build_analytic, build_cmdp, random_cmdp
 from gdpa.vec import NonFiniteError, project
 from tests.conftest import make_unconstrained, random_quadratic_problem
 from tests.test_acceptance import _counting
+from tests.test_rows import one_row
 
 
 class TestSchedule:
@@ -285,8 +286,6 @@ class TestValidation:
             GdpaConfig(tau=1.0)
         with pytest.raises(ValueError):
             GdpaConfig(beta0=-1.0)
-        warns = GdpaConfig(alpha01=2.0, alpha02=1.0).validate()
-        assert any("alpha01" in w for w in warns)
 
 
 def dual_update_check(tau):
@@ -761,11 +760,9 @@ SHARED_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SHARED_CASES))
 def test_shared_values_equal_fresh_ones(case, monkeypatch):
-    # A trace row reuses its step's squared violation, its damped multiplier
-    # and active-set argument ((lam, g + lam/rho) in the baselines), and its
-    # [lam + rho*g]_+ (baselines) or, after a stop test, that test's
-    # stationarity (GDPA); each row must equal the row make_record computes
-    # afresh at the same iterate from the metrics helpers, bit for bit.
+    # A trace row reuses its step's squared violation and, after a stop test,
+    # that test's stationarity (GDPA); each row must equal the row make_record
+    # computes afresh at the same iterate in a one-row run, bit for bit.
     import gdpa.baselines
     import gdpa.solver
     problem, run, tau = SHARED_CASES[case]
@@ -775,23 +772,20 @@ def test_shared_values_equal_fresh_ones(case, monkeypatch):
 
     def spy(*args, **kwargs):
         given = signature.bind(*args, **kwargs).arguments
-        seen.append((given["x"].copy(), given["lam"].copy(),
-                     given.get("stat_sq") is not None, given.get("shifted") is not None))
+        seen.append((given["x"].copy(), given["lam"].copy(), given.get("stat_sq") is not None))
         return make_record(*args, **kwargs)
 
     monkeypatch.setattr(module, "make_record", spy)
     p = problem()
     res = run(p)
     assert res.termination != "numerical-failure" and len(seen) == len(res.trace) > 10
-    assert all(shifted == (module is gdpa.baselines) for *_, shifted in seen)
     if module is gdpa.solver:  # the stationarity came from a stop test on most rows
-        assert sum(stat for _, _, stat, _ in seen) > len(seen) // 2
-    for rec, (x, lam, _, _) in zip(res.trace, seen):
+        assert sum(stat for _, _, stat in seen) > len(seen) // 2
+    for rec, (x, lam, _) in zip(res.trace, seen):
         if res.iterates is not None:
             assert np.array_equal(x, res.iterates[rec.r - 1][0])
             assert np.array_equal(lam, res.iterates[rec.r - 1][1])
         g = p.g(x)
-        fresh = make_record(p, x, lam, None, g, p.grad_f(x), p.jacobian(x), rec.r, rec.alpha,
-                            rec.beta, rec.gamma, _violation_sq(g),
-                            _active_arg(g, lam, rec.beta, 1.0 - tau))
+        fresh = one_row(p, tau, rec.r, x, lam, None, g, p.grad_f(x), p.jacobian(x), rec.alpha,
+                        rec.beta, rec.gamma, _violation_sq(g))
         assert dataclasses.astuple(rec) == dataclasses.astuple(fresh), rec.r
