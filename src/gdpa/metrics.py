@@ -19,9 +19,8 @@ class InsufficientDataError(ValueError):
 
 @dataclass(slots=True)
 class IterationRecord:
-    """One row of a solver trace, taken at the pre-update iterate of step r. Its merit
-    value, stationarity, slackness and multiplier norm are None until the run
-    that holds it flushes its rows, before the solver returns."""
+    """One row of a solver trace, taken at the pre-update iterate of step r and
+    built, complete, when the run that holds it flushes its rows."""
 
     r: int
     alpha: float
@@ -113,13 +112,6 @@ def _stationarity(x, proj, lam, shifted, alpha, beta):
     return stacked, _sq_norms(stacked)
 
 
-def _stationarity_from_evals(x: np.ndarray, lam: np.ndarray, gx: np.ndarray, grad_fx: np.ndarray,
-                             jac: np.ndarray, alpha: float, beta: float,
-                             projection: ProjectionSpec) -> Tuple[np.ndarray, float]:
-    proj = _residual_step(x, lam, grad_fx, jac, alpha, projection)
-    return _stationarity(x, proj, lam, _shifted(lam, gx, beta), alpha, beta)
-
-
 def _violation_sq(gx: np.ndarray):
     return _sq_norms(np.maximum(gx, _ZERO))  # math.sqrt of this equals np.linalg.norm bit for bit
 
@@ -135,12 +127,10 @@ def kkt_residual(problem: ConstrainedProblem, x, lam, alpha: float = 1.0) -> Kkt
     xv = check_length(as_vector(x, "x"), problem.dim, "x")
     lv = check_length(as_vector(lam, "lambda"), problem.num_constraints, "lambda")
     gx = problem.g(xv)
-    # the dual half of the stacked residual is discarded, so its scaling
-    # (beta=1) does not matter
-    stacked, _ = _stationarity_from_evals(
-        xv, lv, gx, problem.grad_f(xv), problem.jacobian(xv), alpha, 1.0, problem.projection)
+    proj = _residual_step(xv, lv, problem.grad_f(xv), problem.jacobian(xv), alpha,
+                          problem.projection)
     return KktResidual(
-        stationarity=float(np.linalg.norm(stacked[:xv.size])),
+        stationarity=float(np.linalg.norm((xv - proj) / alpha)),
         feasibility=math.sqrt(_violation_sq(gx)),
         slackness=float(_slackness(lv, gx)),
     )
@@ -232,43 +222,36 @@ def fit_rate(
 
 def make_record(run, x: np.ndarray, lam: np.ndarray, fx: Optional[float], gx: np.ndarray,
                 grad_fx: np.ndarray, jac: np.ndarray, alpha: float, beta: float, gamma: float,
-                viol_sq: float, stat_sq: Optional[float] = None) -> None:
-    """Add the trace row of ``run``'s step ``run.r`` at (x, lam), from evaluated
+                viol_sq: float, proj: Optional[np.ndarray] = None) -> None:
+    """Queue the trace row of ``run``'s step ``run.r`` at (x, lam), from evaluated
     callbacks and the values its step holds; ``fx`` is a fused oracle's f at x,
-    checked here, or None for one f call.
+    checked here, or None for one f call; ``proj`` is the stop test's checked
+    projected step of the residual, or None to make and check it here.
 
-    The checks run here: f, and the residual's projected step unless the stop
-    test's ``stat_sq`` is given. The rest of the row is arithmetic, filled by
-    ``_fill_rows`` when the run flushes, so the arrays given here must stay
+    Only the checks run here: f, then the projected step. The run's next flush
+    builds the record (``_fill_rows``), so the arrays given here must stay
     unchanged until then (``gx`` is copied)."""
     problem = run.problem
     f_val = problem.f(x, fx)
-    proj = None if stat_sq is not None else _residual_step(
-        x, lam, grad_fx, jac, alpha, problem.projection)
-    rec = IterationRecord(run.r, alpha, beta, gamma, f_val, None, stat_sq, math.sqrt(viol_sq),
-                          None, None)
-    run.trace.append(rec)
-    run.rows.append((rec, x, proj, lam, gx.copy()))
+    if proj is None:
+        proj = _residual_step(x, lam, grad_fx, jac, alpha, problem.projection)
+    run.rows.append(((run.r, alpha, beta, gamma, f_val, math.sqrt(viol_sq)), x, proj, lam,
+                     gx.copy()))
 
 
-def _fill_rows(rows: Sequence[tuple], one_minus_tau) -> None:
-    """Fill the merit value, stationarity, slackness and multiplier norm of the
-    records of ``make_record``'s rows in place, from the rows' stacked arrays:
+def _fill_rows(rows: Sequence[tuple], one_minus_tau) -> List[IterationRecord]:
+    """The complete records of ``make_record``'s rows, from the rows' stacked arrays:
     elementwise ops as on one row, and reductions with one row's bits."""
-    recs, xs, projs, lams, gs = zip(*rows)
+    heads, xs, projs, lams, gs = zip(*rows)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow reads inf or nan, as on one row
         lam, g = np.array(lams), np.array(gs)
-        beta = np.array([rec.beta for rec in recs])
+        _, alpha, beta, _, f_val, _ = np.array(heads, dtype=np.float64).T
         beta_col = beta[:, None]
         damped, arg = _active_arg(g, lam, beta_col, one_minus_tau)
-        merit = _perturbed_value(np.array([rec.f_value for rec in recs]), arg, damped, beta)
-        slack, norm = _slackness(lam, g), np.sqrt(_sq_norms(lam))
-        alpha = np.array([[rec.alpha] for rec in recs])
-        # a row with the stop test's value gets a dummy residual: stacking a subset costs more
-        projs = [x if proj is None else proj for x, proj in zip(xs, projs)]
+        merit = _perturbed_value(f_val, arg, damped, beta)
         _, stat = _stationarity(np.array(xs), np.array(projs), lam, _shifted(lam, g, beta_col),
-                                alpha, beta_col)
-    for rec, *values in zip(recs, merit.tolist(), slack.tolist(), norm.tolist(), stat.tolist()):
-        rec.F_beta_value, rec.slackness, rec.lambda_norm, stat_sq = values
-        if rec.stationarity_sq is None:
-            rec.stationarity_sq = stat_sq
+                                alpha[:, None], beta_col)
+        slack, norm = _slackness(lam, g), np.sqrt(_sq_norms(lam))
+    return [IterationRecord(r, a, b, c, f, merit_k, stat_k, feas, slack_k, norm_k)
+            for (r, a, b, c, f, feas), merit_k, stat_k, slack_k, norm_k
+            in zip(heads, merit.tolist(), stat.tolist(), slack.tolist(), norm.tolist())]

@@ -166,8 +166,8 @@ def check_gradients(
     uses ``max(1, ||analytic||)`` as denominator so values near critical
     points do not blow up.
     """
-    if not h > 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
     if len(points) == 0:
         raise ValueError("need at least one check point")
     d, m = problem.dim, problem.num_constraints

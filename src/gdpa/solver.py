@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .metrics import (_ZERO, IterationRecord, _active_arg, _block_steps, _const, _fill_rows,
-                      _shift_sum, _shifted, _stationarity_from_evals, _violation_sq,
+                      _residual_step, _shift_sum, _shifted, _stationarity, _violation_sq,
                       _weighted_sum, make_record)
 from .problem import ConstrainedProblem, ProblemConstants
 from .vec import (_F64, DimensionMismatchError, NonFiniteError, _project_raw, all_finite,
@@ -255,8 +255,8 @@ def validate_alpha(cfg: GdpaConfig, constants: ProblemConstants,
 class _Run:
     """The plumbing of one run of GDPA or of a baseline, around the solver's own step
     arithmetic and stop rules: the start, the step counter ``r``, the trace and its
-    row rule, the 1/beta-weighted sums of (x_r, lam_r) and the trace rows' arithmetic,
-    applied once per block of steps, the capture of a numerical failure and the
+    row rule, the 1/beta-weighted sums of (x_r, lam_r) and the building of the trace
+    rows, applied once per block of steps, the capture of a numerical failure and the
     result. It holds references to the arrays it is given, which nobody may change
     before the next ``flush``."""
 
@@ -277,7 +277,7 @@ class _Run:
         self.block = _block_steps(2 * x.size + 2 * lam.size)
         self.x_sum, self.lam_sum, self.weight_sum = np.zeros_like(x), np.zeros_like(lam), 0.0
         self.pending: list = []  # (x_r, lam_r, beta_r) not yet summed
-        self.rows: list = []  # make_record's, for _fill_rows
+        self.rows: list = []  # make_record's, built into records by the flush
         self.trace: List[IterationRecord] = []
         self.r = 0  # the step begun last
         self.failure = ""
@@ -317,14 +317,14 @@ class _Run:
             for beta in betas:
                 self.weight_sum += 1.0 / beta
         if self.rows:
-            _fill_rows(self.rows, self.one_minus_tau)
+            self.trace += _fill_rows(self.rows, self.one_minus_tau)
             self.rows.clear()
 
     def result(self, x, lam, termination: str, T_eps: Optional[int],
                iterates=None) -> SolveResult:
         """The run's result at its last pair. Its averages are the 1/beta-weighted
-        ones, or copies of the last pair when no step began; its trace rows are
-        complete. A numerical failure overrides ``termination``."""
+        ones, or copies of the last pair when no step began. A numerical failure
+        overrides ``termination``."""
         with np.errstate(over="ignore", invalid="ignore"):  # as the flushes in the loops
             self.flush()
             if self.weight_sum > 0:
@@ -353,8 +353,9 @@ def solve(
     with squared positive violation of the new iterate at most ``eps_feas``;
     the run only terminates early once the stationarity norm also drops below
     ``eps_stat``. Numerical failures abort with the partial trace preserved.
-    A row's checks run at its step; its arithmetic once per block of steps, so
-    the trace rows are complete once this function returns.
+    A row's checks run at its step; its record is built, complete, when the
+    run flushes (once per block of steps, and at the exit) and only then
+    joins the trace. The stop test hands its row its projected step.
 
     ``on_iteration(r, x_next, lam_prev, lam_next, mask, g_next)`` is invoked
     after every dual update; intended for diagnostics and invariant checks. It
@@ -385,15 +386,15 @@ def solve(
             if capture_iterates:
                 iterates.append((x.copy(), lam.copy()))
 
-            stopping, stat_sq = False, None
+            stopping, proj = False, None
             if T_eps is not None and viol <= cfg.eps_feas:
-                _, stat_sq = _stationarity_from_evals(
-                    x, lam, gx, grad, jac, alpha, beta, projection)
+                proj = _residual_step(x, lam, grad, jac, alpha, projection)
+                _, stat_sq = _stationarity(x, proj, lam, _shifted(lam, gx, beta), alpha, beta)
                 stopping = stat_sq <= eps_stat_sq
             damped, arg = _active_arg(gx, lam, beta_r, run.one_minus_tau)
             mask = arg > _ZERO
             if run.recorded(stopping or r == cfg.max_iters):
-                make_record(run, x, lam, fx, gx, grad, jac, alpha, beta, gamma, viol, stat_sq)
+                make_record(run, x, lam, fx, gx, grad, jac, alpha, beta, gamma, viol, proj)
             if stopping:
                 termination = TERM_FEASIBILITY
                 break

@@ -1,7 +1,9 @@
 """Golden digests of whole solver runs: GDPA, the penalty method and ALM on the
 analytic instances, on random quadratics (on a box, and on each other feasible
-set), on a separable quadratic with d = 1000, on a small CMDP and on one run per
-solver that ends in a numerical failure.
+set), on a separable quadratic with d = 1000, on a 3-class MNPC and a 3-class
+net (separate callbacks, so f is called for each recorded row), on a small CMDP
+and one with d = 256 (whose blocks of steps are shorter than 64), and on one run
+per solver that ends in a numerical failure.
 
 Each case holds one sha256 per field of its result (``FIELDS``): the bytes of its
 trace rows, final pair, averages, termination, T_eps and iteration count, so a
@@ -10,6 +12,9 @@ wording may change without a change in what the run computed. The file also
 records the numpy version and BLAS build it was made with.
 
     PYTHONPATH=src python -m tests.record_golden   # rewrites tests/golden.json
+
+and prints each case and field whose digest moved (or "0 cases moved") and each
+case that is new to the file.
 
 ``tests/test_golden.py`` checks every case against the file.
 """
@@ -33,7 +38,15 @@ from gdpa import (
     solve_alm,
     solve_penalty,
 )
-from gdpa.problems import ANALYTIC_IDS, build_analytic, build_cmdp, random_cmdp
+from gdpa.problems import (
+    ANALYTIC_IDS,
+    build_analytic,
+    build_cmdp,
+    build_mnpc,
+    build_nn_budget,
+    generate_synthetic_mnpc,
+    random_cmdp,
+)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -84,9 +97,14 @@ PROJECTIONS = {
 }
 
 
-def cmdp() -> ConstrainedProblem:
-    return build_cmdp(random_cmdp(seed=4, num_states=6, num_actions=3, num_constraints=2,
-                                  discount=0.9, thresholds=np.array([0.55, 0.6])))
+def cmdp(seed: int, num_states: int, num_actions: int, thresholds) -> ConstrainedProblem:
+    return build_cmdp(random_cmdp(seed=seed, num_states=num_states, num_actions=num_actions,
+                                  num_constraints=2, discount=0.9,
+                                  thresholds=np.array(thresholds)))
+
+
+def three_classes():
+    return generate_synthetic_mnpc(seed=3, num_classes=3, d_in=4, per_class=8, noise_std=0.5)
 
 
 def _uniform(p):
@@ -107,7 +125,10 @@ def _instances() -> dict:
     for kind, spec in PROJECTIONS.items():
         instances[f"qq-d4-m2-{kind}"] = (lambda spec=spec: quadratic(4, 2, 42, spec), _uniform)
     instances["sq-d1000-m3"] = (lambda: separable(1000, 3, 1003), _uniform)
-    instances["cmdp-6x3"] = (cmdp, _at(0.0))
+    instances["mnpc-3"] = (lambda: build_mnpc(three_classes(), 0.1, [0.2, 0.2]), _uniform)
+    instances["nn-3"] = (lambda: build_nn_budget(three_classes(), 3, [0.1, 0.1]), _uniform)
+    instances["cmdp-6x3"] = (lambda: cmdp(4, 6, 3, [0.55, 0.6]), _at(0.0))
+    instances["cmdp-64x4"] = (lambda: cmdp(5, 64, 4, [0.5, 0.55]), _at(0.0))
     return instances
 
 
@@ -118,7 +139,7 @@ def _cases() -> dict:
     cmdp_settings = {"gdpa": {"beta0": 0.5, "alpha01": 50.0, **lam0},
                      "penalty": {"inner_step": 5.0}, "alm": {"inner_step": 5.0, **lam0}}
     cases = {f"{kind}/{name}": (kind, *instance,
-                                cmdp_settings[kind] if name == "cmdp-6x3" else {})
+                                cmdp_settings[kind] if name.startswith("cmdp") else {})
              for name, instance in instances.items() for kind in ("gdpa", "penalty", "alm")}
     # the other exits: a feasibility stop, a step cap within a round, a numerical failure
     scaled, halfspace, circle = (instances[aid][0] for aid in ANALYTIC_IDS)
@@ -188,6 +209,18 @@ def record() -> dict:
     return {**build(), "cases": {name: digests(run_case(name)) for name in CASES}}
 
 
+def changes(old: dict, new: dict) -> list:
+    """One line for each case and field whose digest moved from ``old``'s cases to
+    ``new``'s (or "0 cases moved"), then one for each case new to the file."""
+    moved = [f"moved: {name} {field}" for name, fields in sorted(new.items()) if name in old
+             for field in FIELDS if fields[field] != old[name].get(field)]
+    added = [f"new: {name}" for name in sorted(new) if name not in old]
+    return (moved or ["0 cases moved"]) + added
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+    old = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else {}
+    golden = record()
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote the digests of {len(CASES)} cases to {GOLDEN}")
+    print("\n".join(changes(old, golden["cases"])))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gdpa.metrics
-from gdpa.metrics import (_active_arg, _perturbed_value, _shifted, _stationarity_from_evals,
+from gdpa.metrics import (_active_arg, _perturbed_value, _residual_step, _shifted, _stationarity,
                           _violation_sq)
 from gdpa.solver import _dual_step_raw, _primal_step_raw, active_set
 from gdpa.vec import NonFiniteError, ProjectionSpec, _project_raw
@@ -67,7 +67,8 @@ def test_stationarity_equals_the_matmul_form(d, m):
             proj = _project_raw(spec, x - alpha * (grad + jac.T @ lam))
             want = np.concatenate([(x - proj) / alpha,
                                    (lam - np.maximum(lam + beta * g, 0.0)) / beta])
-            stacked, value = _stationarity_from_evals(x, lam, g, grad, jac, alpha, beta, spec)
+            proj = _residual_step(x, lam, grad, jac, alpha, spec)
+            stacked, value = _stationarity(x, proj, lam, _shifted(lam, g, beta), alpha, beta)
             assert np.array_equal(stacked, want)
             assert value == float(want @ want)
 

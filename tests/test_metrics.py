@@ -16,7 +16,7 @@ from gdpa import (
     solve,
     weighted_average,
 )
-from gdpa.metrics import _active_arg, _perturbed_value, _stationarity_from_evals
+from gdpa.metrics import _active_arg, _perturbed_value, _residual_step, _shifted, _stationarity
 from gdpa.problems import build_analytic
 from gdpa.vec import positive_part, project
 from tests.conftest import make_unconstrained, random_quadratic_problem
@@ -35,8 +35,8 @@ def perturbed_lagrangian(p, x, lam, beta, tau):
 
 def stationarity_measure(p, x, lam, alpha, beta):
     """The stacked residual and its squared norm from the problem's evaluations at x."""
-    return _stationarity_from_evals(x, lam, p.g(x), p.grad_f(x), p.jacobian(x),
-                                    alpha, beta, p.projection)
+    proj = _residual_step(x, lam, p.grad_f(x), p.jacobian(x), alpha, p.projection)
+    return _stationarity(x, proj, lam, _shifted(lam, p.g(x), beta), alpha, beta)
 
 
 def constant_g_problem(values):

@@ -63,6 +63,13 @@ class TestCheckGradients:
         with pytest.raises(NonFiniteError, match="point 0"):
             check_gradients(p, [np.array([0.0])])
 
+    @pytest.mark.parametrize("h", [0.0, -1e-6, math.inf, math.nan])
+    def test_step_must_be_positive_and_finite(self, h):
+        # an infinite h would move every check point to inf and blame the callback
+        p = scalar_problem(lambda x: x * x, lambda x: 2 * x)
+        with pytest.raises(ValueError, match="^h must be positive and finite$"):
+            check_gradients(p, [np.array([0.2])], h=h)
+
     def test_fused_oracle_is_compared_with_the_callbacks(self):
         p = scalar_problem(lambda x: x * x, lambda x: 2 * x,
                            g=lambda x: 1.0 - x, jac=lambda x: -1.0)

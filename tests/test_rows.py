@@ -1,10 +1,11 @@
-"""Trace rows: their checks run at their step, their arithmetic once per block of
-steps (``metrics._fill_rows``, from the run's flush).
+"""Trace rows: their checks run at their step; their records are built, complete,
+once per block of steps (``metrics._fill_rows``, from the run's flush).
 
 Every row of a run must carry the bytes that the per-row formulas give at its
 step, whatever the run's length and exit, so the rows are compared on the bytes
 with an independent per-row transcription of the formulas; a row whose checks
-fail still ends the run at its step.
+fail still ends the run at its step. A row of a stop-test step carries that
+test's own stationarity, from the projected step the test made.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 import gdpa.baselines
+import gdpa.metrics
 import gdpa.solver
 from gdpa import (
     AlmConfig,
@@ -34,7 +36,8 @@ from gdpa import (
     solve_penalty,
 )
 from gdpa.cli import TRACE_HEADER, write_trace
-from gdpa.metrics import IterationRecord, _block_steps, _slackness, _sq_norms, make_record
+from gdpa.metrics import (IterationRecord, _block_steps, _slackness, _sq_norms, _violation_sq,
+                          make_record)
 from gdpa.problems import build_analytic
 from gdpa.solver import _Run
 from gdpa.vec import _project_raw
@@ -52,15 +55,16 @@ def bits(rec: IterationRecord):
 
 
 def per_row(problem, x, lam, fx, gx, grad_fx, jac, r, alpha, beta, gamma, viol_sq,
-            one_minus_tau, stat_sq=None):
-    """The row at one step, from its own vectors: Python floats and ndarray.dot."""
+            one_minus_tau, proj=None):
+    """The row at one step, from its own vectors: Python floats and ndarray.dot. A
+    projected step that the stop test hands over must be the one made here."""
     with np.errstate(all="ignore"):
         f_val = problem.f(x, fx)
-        if stat_sq is None:
-            proj = _project_raw(problem.projection, x - alpha * (grad_fx + jac.T.dot(lam)))
-            dual = lam - np.maximum(lam + beta * gx, 0.0)
-            stacked = np.concatenate([(x - proj) / alpha, dual / beta])
-            stat_sq = float(stacked.dot(stacked))
+        step = _project_raw(problem.projection, x - alpha * (grad_fx + jac.T.dot(lam)))
+        assert proj is None or proj.tobytes() == step.tobytes()
+        dual = lam - np.maximum(lam + beta * gx, 0.0)
+        stacked = np.concatenate([(x - step) / alpha, dual / beta])
+        stat_sq = float(stacked.dot(stacked))
         damped = one_minus_tau * lam
         arg_pos = np.maximum(gx + damped / beta, 0.0)
         merit = (f_val + 0.5 * beta * float(arg_pos.dot(arg_pos))
@@ -80,31 +84,63 @@ def one_row(problem, tau, r, *args, **kwargs):
     return run.trace[0]
 
 
+def test_a_record_is_built_complete_at_the_flush():
+    p = build_analytic("scaled-1d").problem
+    x, lam = np.full(1, 0.3), np.full(1, 0.5)
+    run = _Run(p, GdpaConfig(), x, lam, 0.1)
+    run.r = 1
+    make_record(run, x, lam, None, p.g(x), p.grad_f(x), p.jacobian(x), 0.5, 1.0, 0.1,
+                _violation_sq(p.g(x)))
+    assert run.trace == [] and len(run.rows) == 1
+    assert not any(isinstance(part, IterationRecord) for part in run.rows[0])
+    run.flush()
+    assert run.rows == [] and len(run.trace) == 1
+    assert None not in dataclasses.astuple(run.trace[0])
+
+
 SIGNATURE = inspect.signature(make_record)
 
 
 def spy_calls(monkeypatch, module):
     """The arguments of every make_record call the module makes, by name, as copies,
-    with the run's problem and step in place of the run."""
-    calls, real = [], module.make_record
+    with the run's problem and step in place of the run, and the stop test's
+    stationarity where the call has the stop test's projected step (else None);
+    and the list of every residual step made, by the stop test or by make_record."""
+    calls, stop_tests, steps, real = [], [], [], module.make_record
 
     def spy(*args, **kwargs):
         call = {name: v.copy() if isinstance(v, np.ndarray) else v
                 for name, v in SIGNATURE.bind(*args, **kwargs).arguments.items()}
         run = call.pop("run")
         real(*args, **kwargs)
-        calls.append((run.problem, run.r, call))  # only the calls whose checks passed make a row
+        stop_stat = None if call.get("proj") is None else stop_tests[-1][1]  # this step's test
+        calls.append((run.problem, run.r, call, stop_stat))  # only passed checks make a row
 
+    def spy_on(owner, name, record):
+        real_fn = getattr(owner, name)
+
+        def wrapped(*args):
+            out = real_fn(*args)
+            record.append(out)
+            return out
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    spy_on(gdpa.solver, "_stationarity", stop_tests)  # solve()'s stop test; the fill has its own
+    spy_on(gdpa.solver, "_residual_step", steps)
+    spy_on(gdpa.metrics, "_residual_step", steps)
     monkeypatch.setattr(module, "make_record", spy)
-    return calls
+    return calls, steps
 
 
 def assert_rows_on_bytes(res, calls, tau):
     assert len(res.trace) == len(calls) > 0
-    for rec, (problem, r, call) in zip(res.trace, calls):
+    for rec, (problem, r, call, stop_stat) in zip(res.trace, calls):
         want = bits(per_row(problem, r=r, one_minus_tau=1.0 - tau, **call))
         assert bits(rec) == want, rec.r
         assert bits(one_row(problem, tau, r, **call)) == want, rec.r
+        if stop_stat is not None:
+            assert struct.pack("<d", rec.stationarity_sq) == struct.pack("<d", stop_stat), rec.r
 
 
 def ball(d):
@@ -164,13 +200,15 @@ SOLVE_RUNS = {
 @pytest.mark.parametrize("case", list(SOLVE_RUNS))
 def test_solve_rows_equal_the_per_row_form(monkeypatch, case):
     problem, settings, x0, termination, steps = SOLVE_RUNS[case]
-    calls = spy_calls(monkeypatch, gdpa.solver)
+    built = problem()  # a zoo instance checks its KKT pair when built
+    calls, residual_steps = spy_calls(monkeypatch, gdpa.solver)
     cfg = GdpaConfig(**settings, record_every=1)
-    res = solve(problem(), cfg, x0)
+    res = solve(built, cfg, x0)
     assert (res.termination, res.iterations) == (termination, steps)
+    assert len(residual_steps) == len(calls)  # one per row, by the stop test or make_record
     assert_rows_on_bytes(res, calls, cfg.tau)
-    if termination == "feasibility-stop":  # rows with and without the stop test's value
-        assert 0 < sum(call.get("stat_sq") is not None for *_, call in calls) < len(calls)
+    if termination == "feasibility-stop":  # rows with and without the stop test's step
+        assert 0 < sum(stop is not None for *_, stop in calls) < len(calls)
 
 
 # (problem, settings, start, termination, steps of the penalty method and of ALM)
@@ -202,10 +240,12 @@ BASELINE_RUNS = {
 @pytest.mark.parametrize("case", list(BASELINE_RUNS))
 def test_baseline_rows_equal_the_per_row_form(monkeypatch, alm, case):
     problem, settings, x0, termination, steps = BASELINE_RUNS[case]
-    calls = spy_calls(monkeypatch, gdpa.baselines)
+    built = problem()
+    calls, residual_steps = spy_calls(monkeypatch, gdpa.baselines)
     run = solve_alm if alm else solve_penalty
-    res = run(problem(), (AlmConfig if alm else PenaltyConfig)(**settings, record_every=1), x0)
+    res = run(built, (AlmConfig if alm else PenaltyConfig)(**settings, record_every=1), x0)
     assert (res.termination, res.iterations) == (termination, steps[alm])
+    assert len(residual_steps) == len(calls)
     assert_rows_on_bytes(res, calls, 0.0)
 
 

@@ -761,7 +761,7 @@ SHARED_CASES = {
 @pytest.mark.parametrize("case", sorted(SHARED_CASES))
 def test_shared_values_equal_fresh_ones(case, monkeypatch):
     # A trace row reuses its step's squared violation and, after a stop test,
-    # that test's stationarity (GDPA); each row must equal the row make_record
+    # that test's projected step (GDPA); each row must equal the row make_record
     # computes afresh at the same iterate in a one-row run, bit for bit.
     import gdpa.baselines
     import gdpa.solver
@@ -772,15 +772,15 @@ def test_shared_values_equal_fresh_ones(case, monkeypatch):
 
     def spy(*args, **kwargs):
         given = signature.bind(*args, **kwargs).arguments
-        seen.append((given["x"].copy(), given["lam"].copy(), given.get("stat_sq") is not None))
+        seen.append((given["x"].copy(), given["lam"].copy(), given.get("proj") is not None))
         return make_record(*args, **kwargs)
 
     monkeypatch.setattr(module, "make_record", spy)
     p = problem()
     res = run(p)
     assert res.termination != "numerical-failure" and len(seen) == len(res.trace) > 10
-    if module is gdpa.solver:  # the stationarity came from a stop test on most rows
-        assert sum(stat for _, _, stat in seen) > len(seen) // 2
+    if module is gdpa.solver:  # the projected step came from a stop test on most rows
+        assert sum(stop for _, _, stop in seen) > len(seen) // 2
     for rec, (x, lam, _) in zip(res.trace, seen):
         if res.iterates is not None:
             assert np.array_equal(x, res.iterates[rec.r - 1][0])
