@@ -166,13 +166,13 @@ _PROBLEMS = {
     "analytic": {**_START, "id": (str, REQUIRED, None)},
     "mnpc": {**_SAMPLED, "reg_lambda": (float, 1.0, None),
              "thresholds": (NUMBERS, REQUIRED, None)},
-    "nn": {**_SAMPLED, "hidden": (int, REQUIRED, None), "budgets": (NUMBERS, REQUIRED, None)},
-    "cmdp": {**_START, **_DATASET_SEED, "num_states": (int, REQUIRED, None),
-             "num_actions": (int, REQUIRED, None), "num_constraints": (int, 1, None),
+    "nn": {**_SAMPLED, "hidden": (int, REQUIRED, 1), "budgets": (NUMBERS, REQUIRED, None)},
+    "cmdp": {**_START, **_DATASET_SEED, "num_states": (int, REQUIRED, 1),
+             "num_actions": (int, REQUIRED, 1), "num_constraints": (int, 1, 0),
              "discount": (float, 0.9, None), "thresholds": (NUMBERS, None, None)}}
 _SOURCES = {
-    "synthetic": {**_DATASET_SEED, "num_classes": (int, REQUIRED, None),
-                  "d_in": (int, REQUIRED, None), "per_class": (int, 20, None),
+    "synthetic": {**_DATASET_SEED, "num_classes": (int, REQUIRED, 2),
+                  "d_in": (int, REQUIRED, 1), "per_class": (int, 20, 1),
                   "noise_std": (float, 0.5, None)},
     "csv": {"path": (str, REQUIRED, None)}}
 
@@ -329,7 +329,7 @@ def _null_non_finite(value, key: str, flagged: List[str]):
     return value
 
 
-def _summary(problem, result, kind, wall_seconds, alpha_last) -> dict:
+def _summary(problem, result, kind, wall_seconds, alpha_last, theory) -> dict:
     # after a numerical failure the residuals may overflow (report, don't warn)
     # or a callback may fail at the reported point (NaN, written as null)
     def residuals(x, lam):
@@ -355,6 +355,7 @@ def _summary(problem, result, kind, wall_seconds, alpha_last) -> dict:
         "iterations": result.iterations,
         "us_per_iter": 1e6 * wall_seconds / result.iterations if result.iterations else None,
         "failure_message": result.failure_message,
+        "theory": theory,
     }
     non_finite: List[str] = []
     return {**_null_non_finite(summary, "", non_finite), "non_finite": non_finite}
@@ -364,23 +365,17 @@ def _summary(problem, result, kind, wall_seconds, alpha_last) -> dict:
 # solve
 
 
-def _collect_warnings(problem, cfg, seed: int) -> List[str]:
-    notes = []
-    constants = problem.constants
-    if constants is None:
-        try:
+def _theory(problem, cfg: GdpaConfig, seed: int) -> dict:
+    """The paper's sufficient step-size conditions at constants sampled at 8 points."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a skip reason
             constants = effective_constants(problem, sample_budget=8, seed=seed)
-            notes.append("constants estimated by sampling (8 points, safety factor 1.5)")
-        except Exception as exc:  # noqa: BLE001 - estimation is best-effort
-            notes.append(f"constant estimation skipped: {exc}")
-            constants = None
-    if constants is not None:
-        for rep in (validate_tau(cfg, constants),
-                    validate_alpha(cfg, constants, lambda_norm=0.0, r=1)):
-            notes.append(rep.message)
-            if not rep.ok:
-                log.warning(rep.message)
-    return notes
+            tau, alpha = (validate_tau(cfg, constants),
+                          validate_alpha(cfg, constants, lambda_norm=0.0, r=1))
+    except (ArithmeticError, ValueError) as exc:  # a non-finite sample, a zero sigma estimate
+        return {"skipped": str(exc)}
+    return {"tau_bound": tau.bound, "tau_ok": tau.ok,
+            "alpha_1_required": alpha.bound, "alpha_1_ok": alpha.ok}
 
 
 def cmd_solve(args) -> int:
@@ -389,20 +384,15 @@ def cmd_solve(args) -> int:
     kind, solver_cfg = build_solver_config(cfg.solver or {"kind": "gdpa"}, cfg.record_every)
     out_dir = Path(args.out or cfg.out_dir or "gdpa-run")  # made once the config checks out
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    warnings: List[str] = []
-    if kind == "gdpa":
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is a note, not a warning
-            warnings = _collect_warnings(problem, solver_cfg, cfg.seed)
-    (out_dir / "warnings.log").write_text("".join(w + "\n" for w in warnings))
-
     result, wall = _run(kind, solver_cfg, problem, x0, out_dir / "trace.csv")
     if kind == "gdpa":
         alpha_last, _, _ = schedule(solver_cfg, max(result.trace[-1].r if result.trace else 1, 1))
+        theory = _theory(problem, solver_cfg, cfg.seed)
     else:
-        alpha_last = solver_cfg.inner_step
+        alpha_last, theory = solver_cfg.inner_step, None
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(_summary(problem, result, kind, wall, alpha_last), fh, indent=2, allow_nan=False)
+        json.dump(_summary(problem, result, kind, wall, alpha_last, theory), fh, indent=2,
+                  allow_nan=False)
         fh.write("\n")
     log.info("solve finished: %s in %.3fs, outputs in %s", result.termination, wall, out_dir)
     if result.termination == TERM_NUMERICAL:

@@ -126,6 +126,8 @@ def kkt_residual(problem: ConstrainedProblem, x, lam, alpha: float = 1.0) -> Kkt
         raise ValueError("alpha must be positive and finite")
     xv = check_length(as_vector(x, "x"), problem.dim, "x")
     lv = check_length(as_vector(lam, "lambda"), problem.num_constraints, "lambda")
+    if np.minimum.reduce(lv, initial=0.0) < 0.0:  # would certify a maximizer as a KKT point
+        raise ValueError("lambda must be componentwise nonnegative")
     gx = problem.g(xv)
     proj = _residual_step(xv, lv, problem.grad_f(xv), problem.jacobian(xv), alpha,
                           problem.projection)

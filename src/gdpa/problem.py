@@ -52,12 +52,13 @@ class ProblemConstants:
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("L_f", "L_g", "L_J", "U_J"):
+        for name in ("L_f", "L_g", "L_J", "U_J", "sigma"):
             val = getattr(self, name)
-            if val is not None and val < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("sigma must be strictly positive when supplied")
+            if val is not None:  # kept as a Python float; `not val >= 0` refuses a NaN
+                if not (val > 0 if name == "sigma" else val >= 0):
+                    raise ValueError(f"{name} must be " + (
+                        "strictly positive when supplied" if name == "sigma" else "nonnegative"))
+                setattr(self, name, float(val))
 
 
 @dataclass
@@ -262,12 +263,13 @@ def effective_constants(
 ) -> ProblemConstants:
     """Fill missing :class:`ProblemConstants` fields by seeded sampling.
 
-    Supplied values are returned verbatim. Estimates use difference quotients
-    and sampled maxima over ``sample_budget`` random points projected into the
-    feasible set, inflated by a safety factor of 1.5. The regularity constant
-    is the one exception: the sampled minimum can only overestimate the true
-    infimum, so it is deflated by the same factor instead. For feasible-set
-    kinds without normal-cone support sigma is left unknown.
+    Supplied values are returned verbatim, and every known value is a Python
+    float. Estimates use difference quotients and sampled maxima over
+    ``sample_budget`` random points projected into the feasible set, inflated
+    by a safety factor of 1.5. The regularity constant is the one exception:
+    the sampled minimum can only overestimate the true infimum, so it is
+    deflated by the same factor instead. For feasible-set kinds without
+    normal-cone support sigma is left unknown.
     """
     if sample_budget < 2:
         raise ValueError("sample_budget must be at least 2")

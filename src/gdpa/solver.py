@@ -100,7 +100,6 @@ def _check_types(cfg) -> None:
 class ValidationReport:
     ok: bool
     bound: float
-    message: str
 
 
 @dataclass
@@ -218,38 +217,28 @@ def _dual_step_raw(g_next, damped, mask, beta_r, total=None):
 def validate_tau(cfg: GdpaConfig, constants: ProblemConstants) -> ValidationReport:
     """Check tau against the theoretical lower bound 1 - s/sqrt(66*U_J^2 + s^2).
 
-    A violation is a warning, not an error: the bound needs the regularity
-    constant, which is rarely known exactly, and small tau values often work
-    well in practice.
+    A violation voids the convergence guarantee, not the run: the bound needs
+    the regularity constant, which is rarely known exactly, and small tau
+    values often work well in practice. Unknown constants pass with a NaN bound.
     """
     sigma, u_j = constants.sigma, constants.U_J
     if sigma is None or u_j is None:
-        return ValidationReport(True, float("nan"),
-                                "tau bound skipped: sigma or U_J unknown")
-    if math.isinf(sigma):
-        bound = 0.0
-    else:
-        bound = 1.0 - sigma / math.sqrt(66.0 * u_j ** 2 + sigma ** 2)
-    ok = cfg.tau > bound
-    msg = (f"tau={cfg.tau} vs theoretical lower bound {bound:.6g}: "
-           + ("ok" if ok else "below the bound (convergence guarantee void; warning only)"))
-    return ValidationReport(ok, bound, msg)
+        return ValidationReport(True, float("nan"))
+    bound = 0.0 if math.isinf(sigma) else 1.0 - sigma / math.sqrt(66.0 * u_j ** 2 + sigma ** 2)
+    return ValidationReport(cfg.tau > bound, bound)
 
 
 def validate_alpha(cfg: GdpaConfig, constants: ProblemConstants,
                    lambda_norm: float, r: int) -> ValidationReport:
-    """Check the descent condition 1/alpha_r >= L_f + (1-tau)|lam|L_J + beta_r*U_J*L_g."""
+    """Check the descent condition 1/alpha_r >= L_f + (1-tau)|lam|L_J + beta_r*U_J*L_g;
+    unknown constants pass with a NaN bound."""
     needed = (constants.L_f, constants.L_J, constants.L_g, constants.U_J)
     if any(c is None for c in needed):
-        return ValidationReport(True, float("nan"),
-                                "alpha condition skipped: missing constants")
+        return ValidationReport(True, float("nan"))
     alpha_r, beta_r, _ = schedule(cfg, r)
     required = (constants.L_f + (1.0 - cfg.tau) * lambda_norm * constants.L_J
                 + beta_r * constants.U_J * constants.L_g)
-    ok = 1.0 / alpha_r >= required
-    msg = (f"1/alpha_{r}={1.0 / alpha_r:.6g} vs required {required:.6g}: "
-           + ("ok" if ok else "descent condition violated (warning only)"))
-    return ValidationReport(ok, required, msg)
+    return ValidationReport(1.0 / alpha_r >= required, required)
 
 
 class _Run:

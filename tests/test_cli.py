@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdpa import cli, solve, solve_alm, solve_penalty
+from gdpa import (cli, effective_constants, solve, solve_alm, solve_penalty, validate_alpha,
+                  validate_tau)
 from gdpa.metrics import IterationRecord
+from gdpa.problems import build_analytic
 
 
 def assert_one_line_naming(capsys, text):
@@ -77,8 +79,31 @@ class TestSolveCommand:
         assert summary["termination"] == "budget-exhausted"
         assert summary["iterations"] == 30_000
         assert summary["us_per_iter"] == 1e6 * summary["wall_seconds"] / 30_000
-        assert (out / "trace.csv").exists()
-        assert (out / "warnings.log").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trace.csv"]
+
+    def test_summary_reports_the_step_size_conditions_and_stderr_stays_empty(self, tmp_path):
+        # the conditions were WARNING lines on stderr and in a warnings.log
+        cfg = json.loads(Path(scaled_1d_config(tmp_path, tmp_path / "unused", 50)).read_text())
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "GDPA_LOG_LEVEL"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        theory = {}
+        for kind, solver in (("gdpa", cfg["solver"]),
+                             ("alm", {"kind": "alm", "inner_iters": 5, "outer_iters": 2})):
+            out = tmp_path / kind
+            path = write_config(tmp_path, {**cfg, "solver": solver, "out_dir": str(out)})
+            proc = subprocess.run([sys.executable, "-m", "gdpa.cli", "solve", "--config", path],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            theory[kind] = json.loads((out / "summary.json").read_text())["theory"]
+        gdpa_cfg = cli.build_solver_config(cfg["solver"], None)[1]
+        constants = effective_constants(build_analytic("scaled-1d").problem, 8, cfg["seed"])
+        tau = validate_tau(gdpa_cfg, constants)
+        alpha = validate_alpha(gdpa_cfg, constants, lambda_norm=0.0, r=1)
+        assert theory["gdpa"] == {"tau_bound": tau.bound, "tau_ok": tau.ok,
+                                  "alpha_1_required": alpha.bound, "alpha_1_ok": alpha.ok}
+        assert theory["gdpa"]["tau_ok"] is False and theory["gdpa"]["alpha_1_ok"] is False
+        assert theory["alm"] is None
 
     def test_failure_before_the_first_step_gives_null_us_per_iter(self, tmp_path):
         # g(x0) overflows (x0 @ x0 is inf), so the run fails before step 1
@@ -290,8 +315,8 @@ class TestSolveCommand:
             warnings.simplefilter("always")
             assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 3
         assert not caught
-        assert ("constant estimation skipped: grad f(x) is not finite"
-                in (out / "warnings.log").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        assert "grad f(x) is not finite" in summary["theory"]["skipped"]
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 

@@ -113,6 +113,14 @@ class TestKktResidual:
         res = kkt_residual(inst.problem, inst.x_star, inst.lambda_star)
         assert res.max() <= 1e-12
 
+    def test_negative_multiplier_is_refused(self):
+        # on min x s.t. x - 1 <= 0, lam = -1 made the maximizer x = 1 read (0, 0, 0)
+        p = vector_problem(lambda x: float(x[0]), lambda x: np.ones(1),
+                           lambda x: x - 1.0, lambda x: np.ones((1, 1)), d=1, m=1)
+        with pytest.raises(ValueError, match="^lambda must be componentwise nonnegative$"):
+            kkt_residual(p, [1.0], [-1.0])
+        assert kkt_residual(p, [1.0], [-0.0]).feasibility == 0.0
+
     def test_hand_arithmetic(self):
         # g=(0.3,-0.4), lam=(1,2): feasibility 0.3, slackness 0.3+0.8=1.1
         p = constant_g_problem([0.3, -0.4])

@@ -169,6 +169,17 @@ class TestEffectiveConstants:
         with pytest.raises(ValueError):
             effective_constants(p, sample_budget=1, seed=0)
 
+    def test_every_known_constant_is_a_python_float(self):
+        # L_f and L_g were numpy.float64, so validate_alpha's ok was a numpy.bool,
+        # which json.dump refuses
+        p = scalar_problem(lambda x: math.sin(x), lambda x: math.cos(x),
+                           g=lambda x: x - 1.0, jac=lambda x: 1.0)
+        p.constants = ProblemConstants(L_J=np.float64(2.0), U_J=3)
+        consts = effective_constants(p, sample_budget=8, seed=0)
+        values = [consts.L_f, consts.L_g, consts.L_J, consts.U_J, consts.sigma]
+        assert [type(v) for v in values] == [float] * 5, values
+        assert consts.L_J == 2.0 and consts.U_J == 3.0
+
 
 class TestConstrainedProblemValidation:
     def test_missing_constraint_callbacks_rejected(self):
@@ -202,3 +213,10 @@ class TestConstrainedProblemValidation:
             ProblemConstants(L_f=-1.0)
         with pytest.raises(ValueError):
             ProblemConstants(sigma=0.0)
+
+    @pytest.mark.parametrize("name", ["L_f", "L_g", "L_J", "U_J", "sigma"])
+    def test_nan_constant_is_refused_and_inf_allowed(self, name):
+        # nan < 0 is False, so ProblemConstants(L_f=nan) was accepted
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            ProblemConstants(**{name: math.nan})
+        assert ProblemConstants(**{name: math.inf}) == ProblemConstants(**{name: math.inf})
