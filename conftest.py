@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import tests  # noqa: F401  one BLAS thread, before any test file loads numpy
+
 
 def pytest_terminal_summary(terminalreporter):
     # the size of the library and of each file, tracked by ROADMAP's code-diet

@@ -141,6 +141,7 @@ def kkt_residual(problem: ConstrainedProblem, x, lam, alpha: float = 1.0) -> Kkt
 _BLOCK_STEPS = 64  # rows summed at once: at most this many steps,
 _BLOCK_FLOATS = 16384  # and about this many floats (8 recorded d = 1000 steps), so one block
 # stays small while a flush's fixed cost is shared by several steps
+_ROW_SUM_SIZE = 256  # from this many entries on, a row add costs less than the block's accumulate
 
 
 def _block_steps(floats_per_step: int) -> int:
@@ -148,9 +149,14 @@ def _block_steps(floats_per_step: int) -> int:
 
 
 def _weighted_sum(acc: np.ndarray, rows: Sequence[np.ndarray], betas: Sequence[float]):
-    """acc + rows[0]/betas[0] + rows[1]/betas[1] + ..., added left to right: the bits
-    of rebinding ``acc = acc + row / beta`` once per row. ``np.add.accumulate`` adds
-    down axis 0 in order, where ``np.add.reduce`` would sum a (K, 1) block pairwise."""
+    """acc + rows[0]/betas[0] + rows[1]/betas[1] + ..., added left to right: the bits of
+    rebinding ``acc = acc + row / beta`` once per row. Short rows add as one block down
+    axis 0 by ``np.add.accumulate`` (``np.add.reduce`` would sum a (K, 1) block pairwise)."""
+    if acc.size >= _ROW_SUM_SIZE:
+        acc = acc + rows[0] / betas[0]
+        for row, beta in zip(rows[1:], betas[1:]):
+            np.add(acc, row / beta, out=acc)
+        return acc
     block = np.empty((len(rows) + 1, acc.size))
     block[0] = acc
     np.divide(rows, np.array(betas)[:, None], out=block[1:])

@@ -97,9 +97,9 @@ def random_cmdp(seed: int, num_states: int, num_actions: int, num_constraints: i
 def softmax_policy(theta: np.ndarray, num_states: int, num_actions: int) -> np.ndarray:
     """Row-stochastic (S, A) policy from the flat logit table."""
     z = theta.reshape(num_states, num_actions)
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - np.maximum.reduce(z, axis=1, keepdims=True)  # .max, .sum without their wrappers
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def policy_evaluation(model: TabularCmdp, policy: np.ndarray, table: np.ndarray):
@@ -149,35 +149,38 @@ def build_cmdp(model: TabularCmdp) -> ConstrainedProblem:
         # One softmax, one P_pi and one multi-RHS solve for the (S, k) value
         # functions of all k stacked reward tables (k, S, A).
         policy = softmax_policy(theta, s, a)
-        system = np.eye(s) - discount * (policy[:, None, :] @ model.transitions)[:, 0]
+        system = (policy[:, None, :] @ model.transitions)[:, 0]
+        system *= -discount  # I - discount * P_pi, in place
+        system.flat[::s + 1] += 1.0
         return policy, system, np.linalg.solve(system, np.einsum("sa,ksa->sk", policy, tables))
 
     def returns(theta, tables):
         return (1.0 - discount) * (rho @ values(theta, tables)[2])
 
-    def return_grads(theta, tables):
+    def loss_grads(theta, tables):  # v and the gradients of the negated returns
         policy, system, v = values(theta, tables)
-        # Normalized discounted state-visitation measure, shared by every table.
+        # Normalized discounted state-visitation measure, shared by every table;
+        # -d puts the minus sign into the product, so the gradients need no pass of their own.
         d = (1.0 - discount) * np.linalg.solve(system.T, rho)
         q = tables + discount * (flat_transitions @ v).T.reshape(tables.shape)
-        return v, (d[:, None] * policy * (q - v.T[:, :, None])).reshape(len(tables), dim)
+        return v, ((-d)[:, None] * policy * (q - v.T[:, :, None])).reshape(len(tables), dim)
 
     def eval_f(theta):
         return -float(returns(theta, rewards)[0])
 
     def eval_grad_f(theta):
-        return -return_grads(theta, rewards)[1][0]
+        return loss_grads(theta, rewards)[1][0]
 
     def eval_g(theta):
         return thresholds - returns(theta, model.constraint_rewards)
 
     def eval_jacobian(theta):
-        return -return_grads(theta, model.constraint_rewards)[1]
+        return loss_grads(theta, model.constraint_rewards)[1]
 
     def eval_first_order(theta):
-        v, grads = return_grads(theta, all_tables)
+        v, grads = loss_grads(theta, all_tables)
         return (-(1.0 - discount) * float(rho @ v[:, 0]),
-                thresholds - (1.0 - discount) * (rho @ v[:, 1:]), -grads[0], -grads[1:])
+                thresholds - (1.0 - discount) * (rho @ v[:, 1:]), grads[0], grads[1:])
 
     return ConstrainedProblem(
         dim=dim,

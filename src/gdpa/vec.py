@@ -127,8 +127,9 @@ def _project_simplex_block(v: np.ndarray) -> np.ndarray:
     css = np.cumsum(u)
     j = np.arange(1, u.size + 1)
     hits = np.flatnonzero(u - (css - 1.0) / j > 0.0)
-    if hits.size == 0:  # NaN/Inf or overflow: the caller's finiteness check fires
-        return np.full_like(v, np.nan)
+    if hits.size == 0:  # NaN/Inf (the caller's finiteness check fires), or entries too large
+        # for the scan: a common shift leaves the projection, and after v - max(v) index 0 passes
+        return _project_simplex_block(v - u[0]) if all_finite(u) else np.full_like(v, np.nan)
     k = int(hits[-1]) + 1
     theta = (css[k - 1] - 1.0) / k
     return np.maximum(v - theta, 0.0)
@@ -143,8 +144,12 @@ def _project_raw(spec: ProjectionSpec, x: np.ndarray) -> np.ndarray:
     if kind == "box":
         return x.clip(spec.lower, spec.upper)  # np.clip's method, without its Python wrapper
     if kind == "ball":
-        diff = x - spec.center
-        nrm = float(np.linalg.norm(diff))
+        with np.errstate(over="ignore", invalid="ignore"):  # a far point's norm overflows
+            diff = x - spec.center
+            nrm = float(np.linalg.norm(diff))
+            if nrm == np.inf and spec.radius < np.inf:  # that of diff / max|diff| does not
+                diff = diff / np.maximum.reduce(np.abs(diff))
+                return spec.center + diff * (spec.radius / float(np.linalg.norm(diff)))
         if nrm <= spec.radius:
             return x
         return spec.center + diff * (spec.radius / nrm)
@@ -152,9 +157,10 @@ def _project_raw(spec: ProjectionSpec, x: np.ndarray) -> np.ndarray:
         return np.maximum(x, 0.0)
     if kind == "simplex":
         b = spec.block_size
-        return np.concatenate([
-            _project_simplex_block(x[i:i + b]) for i in range(0, x.size, b)
-        ])
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge block's scan overflows
+            return np.concatenate([
+                _project_simplex_block(x[i:i + b]) for i in range(0, x.size, b)
+            ])
     raise ValueError(f"unknown projection kind {kind!r}")  # pragma: no cover
 
 

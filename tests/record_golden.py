@@ -1,15 +1,17 @@
 """Golden digests of whole solver runs: GDPA, the penalty method and ALM on the
 analytic instances, on random quadratics (on a box, and on each other feasible
-set), on a separable quadratic with d = 1000, on a 3-class MNPC and a 3-class
-net (separate callbacks, so f is called for each recorded row), on a small CMDP
-and one with d = 256 (whose blocks of steps are shorter than 64), and on one run
-per solver that ends in a numerical failure.
+set), on separable quadratics with d = 1000 and with d = 10,000 and m = 50, on a
+3-class MNPC and a 3-class net (separate callbacks, so f is called for each
+recorded row), on a small CMDP, one with d = 256 (whose blocks of steps are
+shorter than 64) and the S = 100, A = 10, m = 3 CMDP of perfbench's cmdp-100x10,
+and on one run per solver that ends in a numerical failure.
 
 Each case holds one sha256 per field of its result (``FIELDS``): the bytes of its
 trace rows, final pair, averages, termination, T_eps and iteration count, so a
 mismatch names the field that moved. The failure message is left out, as its
 wording may change without a change in what the run computed. The file also
-records the numpy version and BLAS build it was made with.
+records the numpy version and BLAS build it was made with. Runs made through the
+``tests`` package, as both below are, use one BLAS thread (``tests/__init__.py``).
 
     PYTHONPATH=src python -m tests.record_golden   # rewrites tests/golden.json
 
@@ -99,7 +101,7 @@ PROJECTIONS = {
 
 def cmdp(seed: int, num_states: int, num_actions: int, thresholds) -> ConstrainedProblem:
     return build_cmdp(random_cmdp(seed=seed, num_states=num_states, num_actions=num_actions,
-                                  num_constraints=2, discount=0.9,
+                                  num_constraints=len(thresholds), discount=0.9,
                                   thresholds=np.array(thresholds)))
 
 
@@ -125,17 +127,19 @@ def _instances() -> dict:
     for kind, spec in PROJECTIONS.items():
         instances[f"qq-d4-m2-{kind}"] = (lambda spec=spec: quadratic(4, 2, 42, spec), _uniform)
     instances["sq-d1000-m3"] = (lambda: separable(1000, 3, 1003), _uniform)
+    instances["sq-d10000-m50"] = (lambda: separable(10_000, 50, 10_050), _uniform)
     instances["mnpc-3"] = (lambda: build_mnpc(three_classes(), 0.1, [0.2, 0.2]), _uniform)
     instances["nn-3"] = (lambda: build_nn_budget(three_classes(), 3, [0.1, 0.1]), _uniform)
     instances["cmdp-6x3"] = (lambda: cmdp(4, 6, 3, [0.55, 0.6]), _at(0.0))
     instances["cmdp-64x4"] = (lambda: cmdp(5, 64, 4, [0.5, 0.55]), _at(0.0))
+    instances["cmdp-100x10"] = (lambda: cmdp(20240, 100, 10, [0.55] * 3), _at(0.0))
     return instances
 
 
 def _cases() -> dict:
     """name -> (solver kind, problem builder, start builder, settings)."""
     instances = _instances()
-    lam0 = {"lambda0": np.array([0.5, 0.25])}
+    lam0 = {"lambda0": np.array([0.5, 0.25, 0.125])}  # the first m of them
     cmdp_settings = {"gdpa": {"beta0": 0.5, "alpha01": 50.0, **lam0},
                      "penalty": {"inner_step": 5.0}, "alm": {"inner_step": 5.0, **lam0}}
     cases = {f"{kind}/{name}": (kind, *instance,
@@ -180,6 +184,8 @@ def run_case(name: str):
     kind, problem, start, settings = CASES[name]
     p, settings = problem(), dict(settings)
     x0, lambda0 = start(p), settings.pop("lambda0", None)
+    if lambda0 is not None:
+        lambda0 = lambda0[:p.num_constraints]
     if kind == "gdpa":
         return solve(p, GdpaConfig(**{**GDPA, **settings}), x0, lambda0)
     if kind == "penalty":

@@ -22,7 +22,7 @@ from gdpa import (
     solve_alm,
     solve_penalty,
 )
-from gdpa.metrics import _block_steps
+from gdpa.metrics import _ROW_SUM_SIZE, _block_steps, _weighted_sum, weighted_average
 from gdpa.problems import build_analytic
 from gdpa.solver import _Run
 from tests.conftest import make_unconstrained
@@ -65,6 +65,29 @@ def test_block_is_at_most_64_steps_and_one_for_a_million_entries():
     assert run_block(1000, 3) == 8  # cmdp-100x10's
     assert run_block(10 ** 6, 0) == 1
     assert _block_steps(0) == 64
+
+
+@pytest.mark.parametrize("rows", [1, 8, 64])
+@pytest.mark.parametrize("size", [_ROW_SUM_SIZE - 1, _ROW_SUM_SIZE, _ROW_SUM_SIZE + 1])
+def test_sums_on_either_side_of_the_row_sum_size_equal_the_per_row_form(size, rows):
+    # below the threshold the rows add as one accumulated block, from it on one by
+    # one; entry 0 overflows to inf and, with a second row, entry 1 to inf - inf
+    rng = np.random.default_rng(size * rows)
+    block = rng.standard_normal((rows, size)) * 10.0 ** rng.integers(-3, 4, (rows, 1))
+    betas = list(rng.uniform(0.01, 2.0, rows))
+    block[0, :2], block[-1, 1], betas[0], betas[-1] = 1e308, -1e308, 0.5, 0.5
+    acc, xs = rng.standard_normal(size), list(block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        average = weighted_average(xs, betas)  # under its own errstate
+        with np.errstate(over="ignore", invalid="ignore"):  # as the run's flushes
+            got = _weighted_sum(acc, xs, betas)
+            want, want_avg, wsum = acc, np.zeros(size), 0.0
+            for x, beta in zip(xs, betas):
+                want, want_avg, wsum = want + x / beta, want_avg + x / beta, wsum + 1.0 / beta
+            want_avg = want_avg / wsum
+    assert same(got, want) and same(average, want_avg)
+    assert got[0] == average[0] == np.inf and np.isnan(got[1]) == np.isnan(average[1]) == (rows > 1)
 
 
 @pytest.mark.parametrize("run, termination, steps", [

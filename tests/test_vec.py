@@ -11,6 +11,7 @@ from gdpa.vec import (
     NonFiniteError,
     ProjectionSpec,
     _float64,
+    _project_raw,
     all_finite,
     as_vector,
     positive_part,
@@ -56,6 +57,50 @@ class TestProject:
         spec = ProjectionSpec.ball([0.0, 0.0], 1.0)
         out = project(spec, [3.0, 4.0])
         np.testing.assert_allclose(out, [0.6, 0.8], atol=1e-15)
+
+    @pytest.mark.parametrize("center, point, want", [
+        ([0.0, 0.0], [3e154, 4e154], [0.6, 0.8]),
+        ([0.0, 0.0], [-3e300, 4e300], [-0.6, 0.8]),
+        ([1.0, -1.0], [1.0, 1.7e308], [1.0, 0.0]),
+    ], ids=["1e154", "1e300", "off-center"])
+    def test_ball_far_point_whose_norm_overflows_lands_on_the_sphere(self, center, point, want):
+        # np.linalg.norm(diff) overflowed to inf, and diff * (r / inf) put the
+        # point at the center, with an "overflow encountered in dot" warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = project(ProjectionSpec.ball(center, 1.0), point)
+        np.testing.assert_allclose(out, want, atol=1e-15)
+
+    def test_ball_of_infinite_radius_keeps_a_far_point(self):
+        out = project(ProjectionSpec.ball([0.0, 0.0], np.inf), [3e154, 4e154])
+        np.testing.assert_array_equal(out, [3e154, 4e154])
+
+    def test_ball_keeps_its_bits_below_the_overflow(self, rng):
+        center = rng.standard_normal(5)
+        spec = ProjectionSpec.ball(center, 0.5)
+        for scale in (1.0, 1e100, 1e153):
+            diff = rng.standard_normal(5) * scale
+            want = center + diff * (0.5 / float(np.linalg.norm(diff)))
+            assert project(spec, center + diff).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("v, want", [
+        ([1e16, 0.0], [1.0, 0.0]), ([0.0, 1e16], [0.0, 1.0]), ([1e308, 1e308], [0.5, 0.5]),
+        ([-1.7e308, 1.7e308, 0.0], [0.0, 1.0, 0.0]), ([1e17, 1e17 + 16.0, 0.0], [0.0, 1.0, 0.0]),
+    ], ids=["1e16", "1e16-second", "1e308-pair", "spread-overflows", "16-apart"])
+    def test_simplex_block_with_huge_entries_projects_without_a_warning(self, v, want):
+        # the scan's u - (css - 1)/j > 0 held at no index, so the block came back
+        # NaN (NonFiniteError), and [1e308, 1e308] overflowed in the cumsum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = project(ProjectionSpec.simplex_blocks(len(v)), v)
+        np.testing.assert_array_equal(out, want)
+
+    def test_simplex_block_with_nan_still_comes_back_non_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _project_raw(ProjectionSpec.simplex_blocks(2), np.array([1e16, 0.0, np.nan, 0.0]))
+        np.testing.assert_array_equal(out[:2], [1.0, 0.0])
+        assert np.isnan(out[2:]).all()
 
     def test_nonnegative(self):
         spec = ProjectionSpec.nonnegative()
