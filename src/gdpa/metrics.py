@@ -79,11 +79,6 @@ def _shifted(base, g, beta, total=None):  # [base + beta*g]_+; total: _shift_sum
     return np.maximum(_shift_sum(base, g, beta) if total is None else total, _ZERO)
 
 
-def _active_arg(g, lam, beta, one_minus_tau):
-    damped = one_minus_tau * lam
-    return damped, g + damped / beta
-
-
 def _sq_norms(a: np.ndarray):
     """Squared norm along the last axis, with ndarray.dot's bits: a float for a
     vector, and the K values of a (K, n) block's rows, where matmul on the
@@ -255,8 +250,8 @@ def _fill_rows(rows: Sequence[tuple], one_minus_tau) -> List[IterationRecord]:
         lam, g = np.array(lams), np.array(gs)
         _, alpha, beta, _, f_val, _ = np.array(heads, dtype=np.float64).T
         beta_col = beta[:, None]
-        damped, arg = _active_arg(g, lam, beta_col, one_minus_tau)
-        merit = _perturbed_value(f_val, arg, damped, beta)
+        damped = one_minus_tau * lam
+        merit = _perturbed_value(f_val, g + damped / beta_col, damped, beta)
         _, stat = _stationarity(np.array(xs), np.array(projs), lam, _shifted(lam, g, beta_col),
                                 alpha[:, None], beta_col)
         slack, norm = _slackness(lam, g), np.sqrt(_sq_norms(lam))

@@ -21,9 +21,9 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .metrics import (_ZERO, IterationRecord, _active_arg, _block_steps, _const, _fill_rows,
-                      _residual_step, _shift_sum, _shifted, _stationarity, _violation_sq,
-                      _weighted_sum, make_record)
+from .metrics import (_ZERO, IterationRecord, _block_steps, _const, _fill_rows, _residual_step,
+                      _shift_sum, _shifted, _stationarity, _violation_sq, _weighted_sum,
+                      make_record)
 from .problem import ConstrainedProblem, ProblemConstants
 from .vec import (_F64, DimensionMismatchError, NonFiniteError, _project_raw, all_finite,
                   as_vector, check_length, project)
@@ -132,23 +132,23 @@ def schedule(cfg: GdpaConfig, r: int) -> Tuple[float, float, float]:
 
 
 def active_set(g_x: np.ndarray, lam: np.ndarray, beta_r: float, tau: float) -> np.ndarray:
-    """Boolean mask of constraints with g_i(x) + (1-tau)*lam_i/beta > 0.
+    """Mask of (1-tau)*lam_i + beta*g_i(x) > 0, the support of the primal step's [.]_+.
 
     The inequality is strict, so a constraint sitting exactly on the boundary
     with a zero multiplier stays inactive.
     """
     _check_steps(beta_r, tau)
-    arg = None
+    total = None
     if _vector_pair(g_x, lam):
-        try:  # +, * and / by finite positive scalars keep a NaN or Inf of either input
-            arg = _active_arg(g_x, lam, beta_r, 1.0 - tau)[1]
+        try:  # + and * by finite positive scalars keep a NaN or Inf of either input
+            total = _shift_sum((1.0 - tau) * lam, g_x, beta_r)
         except (RuntimeWarning, FloatingPointError):  # -W error: check the inputs first
             pass
-        if arg is not None and all_finite(arg):
-            return arg > _ZERO
+        if total is not None and all_finite(total):
+            return total > _ZERO
     gv = as_vector(g_x, "g_x")
     lv = check_length(as_vector(lam, "lambda"), gv.size, "lambda")
-    return (_active_arg(gv, lv, beta_r, 1.0 - tau)[1] if arg is None else arg) > _ZERO
+    return (_shift_sum((1.0 - tau) * lv, gv, beta_r) if total is None else total) > _ZERO
 
 
 def _vector_pair(a, b) -> bool:  # arrays that as_vector returns unchanged, if finite
@@ -380,16 +380,17 @@ def solve(
                 proj = _residual_step(x, lam, grad, jac, alpha, projection)
                 _, stat_sq = _stationarity(x, proj, lam, _shifted(lam, gx, beta), alpha, beta)
                 stopping = stat_sq <= eps_stat_sq
-            damped, arg = _active_arg(gx, lam, beta_r, run.one_minus_tau)
-            mask = arg > _ZERO
+            damped = run.one_minus_tau * lam
+            total = _shift_sum(damped, gx, beta_r)  # its support is the active set
+            mask = total > _ZERO
             if run.recorded(stopping or r == cfg.max_iters):
                 make_record(run, x, lam, fx, gx, grad, jac, alpha, beta, gamma, viol, proj)
             if stopping:
                 termination = TERM_FEASIBILITY
                 break
 
-            x_next = _primal_step_raw(projection, x, grad, jac, _shifted(damped, gx, beta_r),
-                                      alpha, r)
+            x_next = _primal_step_raw(projection, x, grad, jac,
+                                      _shifted(damped, gx, beta_r, total), alpha, r)
             f_next, g_next, grad, jac = problem.first_order(x_next)
             lam_next = _dual_step_raw(g_next, damped, mask, beta_r)
             if on_iteration is not None:

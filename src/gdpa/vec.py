@@ -148,6 +148,9 @@ def _project_raw(spec: ProjectionSpec, x: np.ndarray) -> np.ndarray:
             diff = x - spec.center
             nrm = float(np.linalg.norm(diff))
             if nrm == np.inf and spec.radius < np.inf:  # that of diff / max|diff| does not
+                if not all_finite(diff):  # so did x - center: subtract at the pair's scale
+                    scale = np.maximum.reduce(np.abs(np.r_[x, spec.center]))
+                    diff = x / scale - spec.center / scale
                 diff = diff / np.maximum.reduce(np.abs(diff))
                 return spec.center + diff * (spec.radius / float(np.linalg.norm(diff)))
         if nrm <= spec.radius:

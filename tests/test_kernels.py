@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gdpa.metrics
-from gdpa.metrics import (_active_arg, _perturbed_value, _residual_step, _shifted, _stationarity,
+from gdpa.metrics import (_perturbed_value, _residual_step, _shift_sum, _shifted, _stationarity,
                           _violation_sq)
 from gdpa.solver import _dual_step_raw, _primal_step_raw, active_set
 from gdpa.vec import NonFiniteError, ProjectionSpec, _project_raw
@@ -94,15 +94,19 @@ def test_zero_d_operands_equal_the_python_float_forms(d, m):
         beta_0d, omt_0d = np.asarray(beta), np.asarray(1.0 - tau)
         for g in (drawn, signed_zeros_and_infs(drawn)):
             damped = (1.0 - tau) * lam
-            arg = g + damped / beta
+            total = damped + beta * g
             for beta_op, omt_op in ((beta, 1.0 - tau), (beta_0d, omt_0d)):
-                assert all(map(same, _active_arg(g, lam, beta_op, omt_op), (damped, arg)))
-            assert same(_shifted(damped, g, beta_0d), np.maximum(damped + beta * g, 0.0))
-            mask = arg > 0.0
-            assert same(arg > gdpa.metrics._ZERO, mask)
+                damped_op = omt_op * lam  # a step's damped multiplier, and its sum
+                assert same(damped_op, damped) and same(_shift_sum(damped_op, g, beta_op), total)
+                # the trace rows' merit argument
+                assert same(g + damped_op / beta_op, g + damped / beta)
+            assert same(_shifted(damped, g, beta_0d), np.maximum(total, 0.0))
+            assert same(_shifted(damped, g, beta_0d, total), np.maximum(total, 0.0))
+            mask = total > 0.0
+            assert same(total > gdpa.metrics._ZERO, mask)
             for step_mask in (mask, ~mask):  # a step's mask is g(x_r)'s, not g_next's
                 assert same(_dual_step_raw(g, damped, step_mask, beta_0d),
-                            np.where(step_mask, np.maximum(damped + beta * g, 0.0), 0.0))
+                            np.where(step_mask, np.maximum(total, 0.0), 0.0))
             gp = np.maximum(g, 0.0)
             assert _violation_sq(g) == float(gp.dot(gp))
             if np.count_nonzero(np.isfinite(g)) == g.size:

@@ -16,7 +16,7 @@ from gdpa import (
     solve,
     weighted_average,
 )
-from gdpa.metrics import _active_arg, _perturbed_value, _residual_step, _shifted, _stationarity
+from gdpa.metrics import _perturbed_value, _residual_step, _shifted, _stationarity
 from gdpa.problems import build_analytic
 from gdpa.vec import positive_part, project
 from tests.conftest import make_unconstrained, random_quadratic_problem
@@ -29,8 +29,8 @@ def vector_problem(f, grad, g, jac, d, m):
 
 def perturbed_lagrangian(p, x, lam, beta, tau):
     """The merit value from the problem's f and g at x."""
-    damped, arg = _active_arg(p.g(x), lam, beta, 1.0 - tau)
-    return _perturbed_value(p.f(x), arg, damped, beta)
+    damped = (1.0 - tau) * lam
+    return _perturbed_value(p.f(x), p.g(x) + damped / beta, damped, beta)
 
 
 def stationarity_measure(p, x, lam, alpha, beta):

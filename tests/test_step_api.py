@@ -42,7 +42,7 @@ def reference_active_set(g_x, lam, beta_r, tau):
     lv = old_as_vector(lam, "lambda")
     if lv.size != gv.size:
         raise DimensionMismatchError(f"lambda must have length {gv.size}")
-    return gv + (1.0 - tau) * lv / beta_r > 0.0
+    return (1.0 - tau) * lv + beta_r * gv > 0.0
 
 
 def reference_dual_step(g_next, lam, mask, beta_r, tau, one_d_mask=True):
@@ -68,8 +68,8 @@ def outcome(fn, *args, **kwargs):
     return out.dtype, out.shape, out.tobytes()
 
 
-# entries placed in one input or both; 1e300 with a small beta_r overflows the
-# active-set argument, and with a large one the dual step's sum
+# entries placed in one input or both; 1e300 with a large beta_r overflows the
+# sum (1-tau)*lam + beta_r*g of both steps
 SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300]
 VECTOR_FORMS = ["float64"] * 6 + ["list", "int", "float32", "0-d", "2-d", "strided",
                                   "long", "short"]
@@ -132,10 +132,13 @@ def draw(rng):
             BETAS[rng.integers(len(BETAS))], TAUS[rng.integers(len(TAUS))])
 
 
-@pytest.mark.parametrize("seed", range(8))
+SEEDS = range(8)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_step_functions_match_the_checked_first_form(seed):
     rng = np.random.default_rng(seed)
-    seen, mask_refusals = set(), 0
+    mask_refusals = 0
     for _ in range(800):
         g, lam, mask, beta, tau = draw(rng)
         case = f"g={g!r}, lam={lam!r}, mask={mask!r}, beta_r={beta!r}, tau={tau!r}"
@@ -147,10 +150,21 @@ def test_step_functions_match_the_checked_first_form(seed):
         if got != outcome(reference_dual_step, g, lam, mask, beta, tau, one_d_mask=False):
             assert np.ndim(mask) != 1 and got[0] is DimensionMismatchError, case
             mask_refusals += 1
-        seen.update(o[0] if isinstance(o[0], type) else "array" for o in (want, got))
-    # every kind of outcome is drawn: results, each check and an overflow
-    assert seen == {"array", ValueError, DimensionMismatchError, NonFiniteError, RuntimeWarning}
     assert mask_refusals > 0
+
+
+def test_the_seeds_draw_every_kind_of_outcome():
+    # results, each check and an overflow; an overflow needs a large beta_r and a
+    # huge entry in g, which not every seed's 800 draws combine
+    seen = set()
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        for _ in range(800):
+            g, lam, mask, beta, tau = draw(rng)
+            for want in (outcome(reference_active_set, g, lam, beta, tau),
+                         outcome(reference_dual_step, g, lam, mask, beta, tau)):
+                seen.add(want[0] if isinstance(want[0], type) else "array")
+    assert seen == {"array", ValueError, DimensionMismatchError, NonFiniteError, RuntimeWarning}
 
 
 @pytest.mark.parametrize("step", ["active_set", "dual_step"])
@@ -158,7 +172,7 @@ def test_finite_inputs_that_overflow_warn_once_as_before(step):
     # the derived vector overflows: the checks pass, and its mask or clamp is returned
     # without computing it again
     g, lam, mask = np.array([1e300, 1.0]), np.array([1e300, 0.0]), np.array([True, False])
-    calls = {"active_set": ((active_set, reference_active_set), (g, lam, 1e-300, 0.25)),
+    calls = {"active_set": ((active_set, reference_active_set), (g, lam, 1e300, 0.25)),
              "dual_step": ((dual_step, reference_dual_step), (g, lam, mask, 1e300, 0.25))}
     (new, old), args = calls[step]
     results, messages = [], []
@@ -170,6 +184,15 @@ def test_finite_inputs_that_overflow_warn_once_as_before(step):
     assert messages[0] == messages[1] and len(messages[0]) == 1
     a, b = results
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_active_set_overflows_where_the_dual_step_does():
+    # the mask came from g + (1-tau)*lam/beta_r, whose divide overflowed at a tiny
+    # beta_r; the sum (1-tau)*lam + beta_r*g of both steps does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = active_set(np.array([1e300, 1.0]), np.array([1e300, 0.0]), 1e-300, 0.25)
+    assert got.tolist() == [True, True]
 
 
 def test_dual_step_refuses_a_2d_mask():

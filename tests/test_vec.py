@@ -58,17 +58,22 @@ class TestProject:
         out = project(spec, [3.0, 4.0])
         np.testing.assert_allclose(out, [0.6, 0.8], atol=1e-15)
 
-    @pytest.mark.parametrize("center, point, want", [
-        ([0.0, 0.0], [3e154, 4e154], [0.6, 0.8]),
-        ([0.0, 0.0], [-3e300, 4e300], [-0.6, 0.8]),
-        ([1.0, -1.0], [1.0, 1.7e308], [1.0, 0.0]),
-    ], ids=["1e154", "1e300", "off-center"])
-    def test_ball_far_point_whose_norm_overflows_lands_on_the_sphere(self, center, point, want):
+    @pytest.mark.parametrize("center, radius, point, want", [
+        ([0.0, 0.0], 1.0, [3e154, 4e154], [0.6, 0.8]),
+        ([0.0, 0.0], 1.0, [-3e300, 4e300], [-0.6, 0.8]),
+        ([1.0, -1.0], 1.0, [1.0, 1.7e308], [1.0, 0.0]),
+        ([-1e308, 0.0], 1e308, [1.7e308, 0.0], [0.0, 0.0]),
+        ([-1e308, -1e308], 1.0, [1.7e308, 1.7e308], [-1e308, -1e308]),
+    ], ids=["1e154", "1e300", "off-center", "diff-overflows", "diff-overflows-unit"])
+    def test_ball_far_point_whose_norm_overflows_lands_on_the_sphere(self, center, radius, point,
+                                                                     want):
         # np.linalg.norm(diff) overflowed to inf, and diff * (r / inf) put the
-        # point at the center, with an "overflow encountered in dot" warning
+        # point at the center, with an "overflow encountered in dot" warning; where
+        # x - center itself overflowed, the rescale divided inf by inf, and the NaN
+        # output raised NonFiniteError
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = project(ProjectionSpec.ball(center, 1.0), point)
+            out = project(ProjectionSpec.ball(center, radius), point)
         np.testing.assert_allclose(out, want, atol=1e-15)
 
     def test_ball_of_infinite_radius_keeps_a_far_point(self):
