@@ -423,7 +423,9 @@ def cmd_benchmark(args) -> int:
     problem, x0 = build_problem(cfg.problem, cfg.seed)
     # each step of every solver costs one grad f plus, with constraints, one Jacobian
     cost = 2 if problem.num_constraints > 0 else 1
-    steps = max(1, budget // cost)
+    if budget < cost:
+        raise ConfigError(f"'budget_grad_evals' must cover one step, {cost} evals, got {budget}")
+    steps = budget // cost
     grid = np.unique(np.round(np.logspace(
         math.log10(cost), math.log10(budget), cfg.grid_points or 50)).astype(int))
 

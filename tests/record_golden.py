@@ -1,10 +1,12 @@
 """Golden digests of whole solver runs: GDPA, the penalty method and ALM on the
-analytic instances, on random quadratics (on a box, and on each other feasible
-set), on separable quadratics with d = 1000 and with d = 10,000 and m = 50, on a
-3-class MNPC and a 3-class net (separate callbacks, so f is called for each
-recorded row), on a small CMDP, one with d = 256 (whose blocks of steps are
-shorter than 64) and the S = 100, A = 10, m = 3 CMDP of perfbench's cmdp-100x10,
-and on one run per solver that ends in a numerical failure.
+analytic instances, on random quadratics (on a box, on each other feasible set,
+and with a g callback that hands back one buffer on every call), on separable
+quadratics with d = 1000 and with d = 10,000 and m = 50, on a 3-class MNPC and a
+3-class net (separate callbacks, so f is called for each recorded row), on a
+small CMDP, one with d = 256 (whose blocks of steps are shorter than 64) and the
+S = 100, A = 10, m = 3 CMDP of perfbench's cmdp-100x10, on one run per solver
+that ends in a numerical failure, and on one 1-step run per solver, whose
+averages are those of its start.
 
 Each case holds one sha256 per field of its result (``FIELDS``): the bytes of its
 trace rows, final pair, averages, termination, T_eps and iteration count, so a
@@ -91,6 +93,17 @@ def separable(d: int, m: int, seed: int) -> ConstrainedProblem:
         projection=ProjectionSpec.box(np.full(d, -2.0), np.full(d, 2.0)))
 
 
+def g_buffer(problem: ConstrainedProblem) -> ConstrainedProblem:
+    """``problem`` with g written into one buffer that every call hands back."""
+    buf, eval_g = np.empty(problem.num_constraints), problem.eval_g
+
+    def into_buffer(x):
+        buf[:] = eval_g(x)
+        return buf
+
+    return dataclasses.replace(problem, eval_g=into_buffer)
+
+
 PROJECTIONS = {
     "identity": ProjectionSpec.identity(),
     "ball": ProjectionSpec.ball(np.zeros(4), 1.0),
@@ -126,6 +139,7 @@ def _instances() -> dict:
             instances[f"qq-d{d}-m{m}"] = (lambda d=d, m=m: quadratic(d, m, 10 * d + m), _uniform)
     for kind, spec in PROJECTIONS.items():
         instances[f"qq-d4-m2-{kind}"] = (lambda spec=spec: quadratic(4, 2, 42, spec), _uniform)
+    instances["qq-d4-m2-g-buffer"] = (lambda: g_buffer(quadratic(4, 2, 42)), _uniform)
     instances["sq-d1000-m3"] = (lambda: separable(1000, 3, 1003), _uniform)
     instances["sq-d10000-m50"] = (lambda: separable(10_000, 50, 10_050), _uniform)
     instances["mnpc-3"] = (lambda: build_mnpc(three_classes(), 0.1, [0.2, 0.2]), _uniform)
@@ -145,7 +159,8 @@ def _cases() -> dict:
     cases = {f"{kind}/{name}": (kind, *instance,
                                 cmdp_settings[kind] if name.startswith("cmdp") else {})
              for name, instance in instances.items() for kind in ("gdpa", "penalty", "alm")}
-    # the other exits: a feasibility stop, a step cap within a round, a numerical failure
+    # the other exits: a feasibility stop, a step cap within a round, a numerical failure,
+    # and a run of one step
     scaled, halfspace, circle = (instances[aid][0] for aid in ANALYTIC_IDS)
     first_round = {"inner_iters": 30, "outer_iters": 5, "feas_tol": 1e-2}
     cases.update({
@@ -160,6 +175,9 @@ def _cases() -> dict:
             "tau": 0.1, "beta0": 1.0, "alpha01": 1e3, "max_iters": 400}),
         "penalty/numerical-failure": ("penalty", scaled, _at(0.3), {"inner_step": 300.0}),
         "alm/numerical-failure": ("alm", scaled, _at(0.3), {"inner_step": 300.0}),
+        "gdpa/R=1": ("gdpa", scaled, _at(0.3), {"max_iters": 1}),
+        "penalty/R=1": ("penalty", scaled, _at(0.3), {"max_steps": 1}),
+        "alm/R=1": ("alm", scaled, _at(0.3), {"max_steps": 1}),
     })
     return cases
 
@@ -180,9 +198,10 @@ def _sha256(parts) -> str:
     return h.hexdigest()
 
 
-def run_case(name: str):
+def run_case(name: str, **overrides):
+    """The result of case ``name``, with ``overrides`` on its solver settings."""
     kind, problem, start, settings = CASES[name]
-    p, settings = problem(), dict(settings)
+    p, settings = problem(), {**settings, **overrides}
     x0, lambda0 = start(p), settings.pop("lambda0", None)
     if lambda0 is not None:
         lambda0 = lambda0[:p.num_constraints]

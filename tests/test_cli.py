@@ -566,7 +566,10 @@ class TestBenchmarkCommand:
          "'grid_points' must lie in [1, 10000], got 100000000000"),
         ([{"kind": "gdpa", "alpha": [1e-323, 1.0, 1.0], "max_iters": 1}, {"kind": "alm"}],
          2000, None, "bad solver section (gdpa): alpha_r underflows to 0"),
-    ], ids=["grid-above-budget", "grid-above-the-cap", "alpha-underflows-at-the-budget"])
+        ([{"kind": "gdpa"}, {"kind": "alm"}], 1, None,
+         "'budget_grad_evals' must cover one step, 2 evals, got 1"),
+    ], ids=["grid-above-budget", "grid-above-the-cap", "alpha-underflows-at-the-budget",
+            "budget-below-one-step"])
     def test_out_of_range_setting_exits_2_before_any_solver_runs(
             self, tmp_path, capsys, solvers, budget, grid_points, says):
         # the grid ended in a traceback (np.logspace asked for 745 GiB); the

@@ -1,11 +1,11 @@
 """Trace rows: their checks run at their step; their records are built, complete,
 once per block of steps (``metrics._fill_rows``, from the run's flush).
 
-Every row of a run must carry the bytes that the per-row formulas give at its
-step, whatever the run's length and exit, so the rows are compared on the bytes
-with an independent per-row transcription of the formulas; a row whose checks
-fail still ends the run at its step. A row of a stop-test step carries that
-test's own stationarity, from the projected step the test made.
+Whole runs' rows are pinned by ``golden.json`` (``tests/test_golden.py``). Here:
+each row makes one residual step, or takes the stop test's, and then carries that
+test's own stationarity; a row whose checks fail still ends the run at its step;
+the block reductions have one row's bits; the rows do not depend on ``-O``, and
+overflow in the fill leaks no warning.
 """
 
 import dataclasses
@@ -40,48 +40,10 @@ from gdpa.metrics import (IterationRecord, _block_steps, _slackness, _sq_norms, 
                           make_record)
 from gdpa.problems import build_analytic
 from gdpa.solver import _Run
-from gdpa.vec import _project_raw
-from tests.conftest import make_unconstrained
+from tests.record_golden import CASES, run_case
 
 ROOT = Path(__file__).resolve().parent.parent
 BLOCK = _block_steps(2 * 1 + 2 * 1)  # scaled-1d's: d = m = 1
-LENGTHS = (1, BLOCK - 1, BLOCK, BLOCK + 1)
-NO_STOP = {"eps_feas": 1e-300, "eps_stat": 1e-300}
-
-
-def bits(rec: IterationRecord):
-    return tuple(struct.pack("<d", v) if isinstance(v, float) else v
-                 for v in dataclasses.astuple(rec))
-
-
-def per_row(problem, x, lam, fx, gx, grad_fx, jac, r, alpha, beta, gamma, viol_sq,
-            one_minus_tau, proj=None):
-    """The row at one step, from its own vectors: Python floats and ndarray.dot. A
-    projected step that the stop test hands over must be the one made here."""
-    with np.errstate(all="ignore"):
-        f_val = problem.f(x, fx)
-        step = _project_raw(problem.projection, x - alpha * (grad_fx + jac.T.dot(lam)))
-        assert proj is None or proj.tobytes() == step.tobytes()
-        dual = lam - np.maximum(lam + beta * gx, 0.0)
-        stacked = np.concatenate([(x - step) / alpha, dual / beta])
-        stat_sq = float(stacked.dot(stacked))
-        damped = one_minus_tau * lam
-        arg_pos = np.maximum(gx + damped / beta, 0.0)
-        merit = (f_val + 0.5 * beta * float(arg_pos.dot(arg_pos))
-                 - float(damped.dot(damped)) / (2.0 * beta))
-        return IterationRecord(r, alpha, beta, gamma, f_val, merit, stat_sq,
-                               math.sqrt(viol_sq), float(np.add.reduce(np.abs(lam * gx))),
-                               math.sqrt(float(lam.dot(lam))))
-
-
-def one_row(problem, tau, r, *args, **kwargs):
-    """The record that ``make_record(run, *args, **kwargs)`` makes as step r of a
-    fresh run with damping tau, flushed as a one-row block."""
-    run = _Run(problem, GdpaConfig(), np.zeros(problem.dim), None, tau)
-    run.r = r
-    make_record(run, *args, **kwargs)
-    run.flush()
-    return run.trace[0]
 
 
 def test_a_record_is_built_complete_at_the_flush():
@@ -98,155 +60,45 @@ def test_a_record_is_built_complete_at_the_flush():
     assert None not in dataclasses.astuple(run.trace[0])
 
 
-SIGNATURE = inspect.signature(make_record)
+def spy_on(monkeypatch, owner, name, outs):
+    """Append every value ``owner.name`` returns to ``outs``."""
+    real = getattr(owner, name)
+
+    def wrapped(*args):
+        out = real(*args)
+        outs.append(out)
+        return out
+
+    monkeypatch.setattr(owner, name, wrapped)
 
 
-def spy_calls(monkeypatch, module):
-    """The arguments of every make_record call the module makes, by name, as copies,
-    with the run's problem and step in place of the run, and the stop test's
-    stationarity where the call has the stop test's projected step (else None);
-    and the list of every residual step made, by the stop test or by make_record."""
-    calls, stop_tests, steps, real = [], [], [], module.make_record
-
-    def spy(*args, **kwargs):
-        call = {name: v.copy() if isinstance(v, np.ndarray) else v
-                for name, v in SIGNATURE.bind(*args, **kwargs).arguments.items()}
-        run = call.pop("run")
-        real(*args, **kwargs)
-        stop_stat = None if call.get("proj") is None else stop_tests[-1][1]  # this step's test
-        calls.append((run.problem, run.r, call, stop_stat))  # only passed checks make a row
-
-    def spy_on(owner, name, record):
-        real_fn = getattr(owner, name)
-
-        def wrapped(*args):
-            out = real_fn(*args)
-            record.append(out)
-            return out
-
-        monkeypatch.setattr(owner, name, wrapped)
-
-    spy_on(gdpa.solver, "_stationarity", stop_tests)  # solve()'s stop test; the fill has its own
-    spy_on(gdpa.solver, "_residual_step", steps)
-    spy_on(gdpa.metrics, "_residual_step", steps)
-    monkeypatch.setattr(module, "make_record", spy)
-    return calls, steps
-
-
-def assert_rows_on_bytes(res, calls, tau):
-    assert len(res.trace) == len(calls) > 0
-    for rec, (problem, r, call, stop_stat) in zip(res.trace, calls):
-        want = bits(per_row(problem, r=r, one_minus_tau=1.0 - tau, **call))
-        assert bits(rec) == want, rec.r
-        assert bits(one_row(problem, tau, r, **call)) == want, rec.r
-        if stop_stat is not None:
-            assert struct.pack("<d", rec.stationarity_sq) == struct.pack("<d", stop_stat), rec.r
-
-
-def ball(d):
-    return ProjectionSpec.ball(np.zeros(d), 0.5)
-
-
-def linear_problem(d, m, projection=None):
-    """f = 0.5*||x - c||^2 and m random linear constraints a_i.x <= b_i."""
-    rng = np.random.default_rng(d + 10 * m)
-    c, a, b = rng.standard_normal(d), rng.standard_normal((m, d)), rng.uniform(-1, 0, m)
-    return ConstrainedProblem(
-        dim=d, num_constraints=m, eval_f=lambda x: 0.5 * float((x - c).dot(x - c)),
-        eval_grad_f=lambda x: x - c, eval_g=lambda x: a.dot(x) - b,
-        eval_jacobian=lambda x: a, projection=projection or ProjectionSpec.identity())
-
-
-def reused_g_buffer(problem):
-    """``problem`` with g written into one buffer, handed back on every call."""
-    buf, eval_g = np.empty(problem.num_constraints), problem.eval_g
-
-    def into_buffer(x):
-        buf[:] = eval_g(x)
-        return buf
-
-    return dataclasses.replace(problem, eval_g=into_buffer)
-
-
-PROJECTIONS = {
-    "identity": ProjectionSpec.identity(),
-    "box": ProjectionSpec.box(-0.2 * np.ones(4), 0.2 * np.ones(4)),
-    "ball": ball(4),
-    "nonnegative": ProjectionSpec.nonnegative(),
-    "simplex": ProjectionSpec.simplex_blocks(2),
-}
-
-# (problem, settings, start, termination, steps)
-SOLVE_RUNS = {
-    **{f"R={n}": (lambda: build_analytic("scaled-1d").problem, {"max_iters": n, **NO_STOP},
-                  np.full(1, 0.3), "budget-exhausted", n) for n in LENGTHS},
-    "feasibility-stop": (lambda: build_analytic("scaled-1d").problem,
-                         {"max_iters": 400, "eps_feas": 1e-3, "eps_stat": 1e-1},
-                         np.full(1, 0.3), "feasibility-stop", 232),
-    "numerical-failure": (lambda: build_analytic("scaled-1d").problem,
-                          {"max_iters": 400, "alpha01": 1e3, **NO_STOP}, np.zeros(1),
-                          "numerical-failure", 55),
-    "m=0": (lambda: make_unconstrained(np.linspace(-1, 1, 3)), {"max_iters": 70, **NO_STOP},
-            np.zeros(3), "budget-exhausted", 70),
-    "d=1000": (lambda: linear_problem(1000, 3), {"max_iters": 9, **NO_STOP}, np.zeros(1000),
-               "budget-exhausted", 9),
-    "g-buffer": (lambda: reused_g_buffer(linear_problem(4, 2)), {"max_iters": 70, **NO_STOP},
-                 np.full(4, 0.1), "budget-exhausted", 70),
-    **{kind: (lambda spec=spec: linear_problem(4, 2, spec), {"max_iters": 70, **NO_STOP},
-              np.full(4, 0.1), "budget-exhausted", 70) for kind, spec in PROJECTIONS.items()},
-}
-
-
-@pytest.mark.parametrize("case", list(SOLVE_RUNS))
-def test_solve_rows_equal_the_per_row_form(monkeypatch, case):
-    problem, settings, x0, termination, steps = SOLVE_RUNS[case]
+@pytest.mark.parametrize("name", [f"{kind}/{case}" for kind in ("gdpa", "penalty", "alm")
+                                  for case in ("feasibility-stop", "numerical-failure",
+                                               "qq-d4-m0", "qq-d4-m2-simplex")])
+def test_each_row_makes_one_residual_step_or_carries_the_stop_test_s(monkeypatch, name):
+    # every step recorded; a row whose checks fail makes no row and no step
+    kind, problem, *rest = CASES[name]
     built = problem()  # a zoo instance checks its KKT pair when built
-    calls, residual_steps = spy_calls(monkeypatch, gdpa.solver)
-    cfg = GdpaConfig(**settings, record_every=1)
-    res = solve(built, cfg, x0)
-    assert (res.termination, res.iterations) == (termination, steps)
-    assert len(residual_steps) == len(calls)  # one per row, by the stop test or make_record
-    assert_rows_on_bytes(res, calls, cfg.tau)
-    if termination == "feasibility-stop":  # rows with and without the stop test's step
-        assert 0 < sum(stop is not None for *_, stop in calls) < len(calls)
+    monkeypatch.setitem(CASES, name, (kind, lambda: built, *rest))
+    module = gdpa.solver if kind == "gdpa" else gdpa.baselines
+    steps, stop_tests, carried, real = [], [], [], module.make_record
+    spy_on(monkeypatch, gdpa.solver, "_stationarity", stop_tests)  # the fill has its own
+    for owner in (gdpa.solver, gdpa.metrics):  # the stop test's and make_record's
+        spy_on(monkeypatch, owner, "_residual_step", steps)
+    signature = inspect.signature(real)
 
+    def spy(*args):
+        real(*args)
+        handed = signature.bind(*args).arguments.get("proj") is not None
+        carried.append(stop_tests[-1][1] if handed else None)  # this step's test
 
-# (problem, settings, start, termination, steps of the penalty method and of ALM)
-BASELINE_RUNS = {
-    **{f"R={n}": (lambda: build_analytic("scaled-1d").problem,
-                  {"inner_iters": 40, "outer_iters": 10, "inner_step": 1e-2, "max_steps": n},
-                  np.full(1, 0.3), "budget-exhausted", (n, n)) for n in LENGTHS},
-    "feasibility-stop": (lambda: build_analytic("circle-exterior").problem,
-                         {"inner_iters": 30, "inner_step": 1e-2, "feas_tol": 1e-2},
-                         np.full(2, 0.3), "feasibility-stop", (90, 90)),
-    "numerical-failure": (lambda: build_analytic("scaled-1d").problem,
-                          {"inner_iters": 40, "inner_step": 300.0}, np.full(1, 0.3),
-                          "numerical-failure", (54, 56)),
-    # without a violation the first round ends the run
-    "m=0": (lambda: make_unconstrained(np.linspace(-1, 1, 3)), {"inner_iters": 70},
-            np.zeros(3), "feasibility-stop", (70, 70)),
-    "d=1000": (lambda: linear_problem(1000, 3), {"inner_iters": 10}, np.zeros(1000),
-               "feasibility-stop", (10, 10)),
-    "g-buffer": (lambda: reused_g_buffer(build_analytic("scaled-1d").problem),
-                 {"inner_iters": 40, "outer_iters": 2, "inner_step": 1e-2}, np.full(1, 0.3),
-                 "budget-exhausted", (80, 80)),
-    **{kind: (lambda spec=spec: linear_problem(4, 2, spec),
-              {"inner_iters": 35, "outer_iters": 2, "inner_step": 0.1}, np.full(4, 0.1),
-              "budget-exhausted", (70, 70)) for kind, spec in PROJECTIONS.items()},
-}
-
-
-@pytest.mark.parametrize("alm", [False, True], ids=["penalty", "alm"])
-@pytest.mark.parametrize("case", list(BASELINE_RUNS))
-def test_baseline_rows_equal_the_per_row_form(monkeypatch, alm, case):
-    problem, settings, x0, termination, steps = BASELINE_RUNS[case]
-    built = problem()
-    calls, residual_steps = spy_calls(monkeypatch, gdpa.baselines)
-    run = solve_alm if alm else solve_penalty
-    res = run(built, (AlmConfig if alm else PenaltyConfig)(**settings, record_every=1), x0)
-    assert (res.termination, res.iterations) == (termination, steps[alm])
-    assert len(residual_steps) == len(calls)
-    assert_rows_on_bytes(res, calls, 0.0)
+    monkeypatch.setattr(module, "make_record", spy)
+    res = run_case(name, record_every=1)
+    assert len(steps) == len(carried) == len(res.trace) > 0
+    for rec, stat in zip(res.trace, carried):
+        assert stat is None or struct.pack("<d", rec.stationarity_sq) == struct.pack("<d", stat)
+    if name == "gdpa/feasibility-stop":  # rows with and without the stop test's step
+        assert 0 < sum(stat is not None for stat in carried) < len(carried)
 
 
 def trace_digest() -> str:

@@ -26,11 +26,11 @@ from gdpa import (
     weighted_average,
 )
 from gdpa.metrics import _violation_sq, make_record
+from gdpa.solver import _Run
 from gdpa.problems import build_analytic, build_cmdp, random_cmdp
 from gdpa.vec import NonFiniteError, project
 from tests.conftest import make_unconstrained, random_quadratic_problem
 from tests.test_acceptance import _counting
-from tests.test_rows import one_row
 
 
 class TestSchedule:
@@ -731,6 +731,16 @@ def test_fused_oracle_replaces_the_separate_calls(case):
     res = run(p)
     assert len(fused_calls) == res.iterations + extra and res.trace
     assert calls == {"f": 0, "grad_f": 0, "jac": 0, "g": g_calls}
+
+
+def one_row(problem, tau, r, *args, **kwargs):
+    """The record that ``make_record(run, *args, **kwargs)`` makes as step r of a
+    fresh run with damping tau, flushed as a one-row block."""
+    run = _Run(problem, GdpaConfig(), np.zeros(problem.dim), None, tau)
+    run.r = r
+    make_record(run, *args, **kwargs)
+    run.flush()
+    return run.trace[0]
 
 
 # Each case: problem, run, tau. The GDPA runs set T_eps early and record every
