@@ -160,7 +160,7 @@ def _check_size(entries: int) -> None:
 # or nn section adds the keys of its dataset "source"; a null dataset_seed
 # stands for the run's seed
 _START = {"kind": (str, REQUIRED, None), "x0": (NUMBERS, None, None)}
-_SAMPLED = {**_START, "source": (str, "synthetic", None), "x0_scale": (float, 1e-3, None)}
+_SAMPLED = {**_START, "source": (str, "synthetic", None)}
 _DATASET_SEED = {"dataset_seed": (int, None, 0)}
 _PROBLEMS = {
     "analytic": {**_START, "id": (str, REQUIRED, None)},
@@ -214,8 +214,8 @@ def build_problem(spec: dict, seed: int) -> Tuple[ConstrainedProblem, np.ndarray
             x0 = np.asarray(spec["x0"], dtype=np.float64)
             if x0.shape != (problem.dim,):
                 raise ValueError(f"x0 must have length {problem.dim}")
-        elif "x0_scale" in spec:  # a random start
-            x0 = spec["x0_scale"] * np.random.default_rng(seed).standard_normal(problem.dim)
+        elif kind in ("mnpc", "nn"):  # a random start
+            x0 = 1e-3 * np.random.default_rng(seed).standard_normal(problem.dim)
         else:
             x0 = np.zeros(problem.dim)
     except (KeyError, TypeError, ValueError, NonFiniteError) as exc:
@@ -250,13 +250,6 @@ def build_solver_config(spec: dict, record_every: Optional[int], steps: Optional
             if preset is not None and not (isinstance(preset, str) and preset in GDPA_PRESETS):
                 raise ConfigError(f"unknown preset {preset!r}; "
                                   f"choose one of {sorted(GDPA_PRESETS)}")
-            if "alpha" in spec:
-                alpha = spec.pop("alpha")
-                if not isinstance(alpha, list) or len(alpha) != 3 or {
-                        "alpha01", "alpha02", "alpha03"} & spec.keys():
-                    raise ConfigError("'alpha' must be a list of 3 numbers, given without "
-                                      "alpha01, alpha02 or alpha03")
-                spec["alpha01"], spec["alpha02"], spec["alpha03"] = alpha
             spec = {**GDPA_PRESETS.get(preset, {}), **spec}
         config = globals()[_SOLVERS[kind][0]](**spec)
         if steps is None:
@@ -380,6 +373,9 @@ def _theory(problem, cfg: GdpaConfig, seed: int) -> dict:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config, args.seed)
+    for key in ("solvers", "budget_grad_evals", "grid_points"):
+        if getattr(cfg, key) is not None:
+            raise ConfigError(f"'{key}' is read only by gdpa benchmark")
     problem, x0 = build_problem(cfg.problem, cfg.seed)
     kind, solver_cfg = build_solver_config(cfg.solver or {"kind": "gdpa"}, cfg.record_every)
     out_dir = Path(args.out or cfg.out_dir or "gdpa-run")  # made once the config checks out
@@ -412,6 +408,8 @@ def _numerical_failure(message) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = load_config(args.config, args.seed)
+    if cfg.solver is not None:
+        raise ConfigError("'solver' is read only by gdpa solve")
     if not cfg.solvers or len(cfg.solvers) < 2:
         raise ConfigError("benchmark requires at least two entries in 'solvers'")
     budget = cfg.budget_grad_evals
@@ -481,6 +479,8 @@ def cmd_rate_report(args) -> int:
     ceilings = [getattr(args, option) for _, _, option, _ in _RATE_COLUMNS.values()]
     if not all(map(math.isfinite, (*window, *ceilings))):
         raise ConfigError("the window bounds and slope ceilings must be finite")
+    if window[0] > window[1]:
+        raise ConfigError(f"--window-lo {window[0]} lies above --window-hi {window[1]}")
     try:
         fits = [fit_rate(records, trace_column, window)
                 for trace_column, _, _, _ in _RATE_COLUMNS.values()]

@@ -14,22 +14,3 @@ from .cmdp import (
 from .datasets import DatasetError, MnpcDataset, generate_synthetic_mnpc, load_csv_dataset
 from .mnpc import build_mnpc
 from .nn_budget import build_nn_budget
-
-__all__ = [
-    "ANALYTIC_IDS",
-    "AnalyticInstance",
-    "build_analytic",
-    "TabularCmdp",
-    "build_cmdp",
-    "discounted_return",
-    "optimal_return",
-    "policy_evaluation",
-    "random_cmdp",
-    "softmax_policy",
-    "DatasetError",
-    "MnpcDataset",
-    "generate_synthetic_mnpc",
-    "load_csv_dataset",
-    "build_mnpc",
-    "build_nn_budget",
-]

@@ -17,6 +17,8 @@ from gdpa import (cli, effective_constants, solve, solve_alm, solve_penalty, val
 from gdpa.metrics import IterationRecord
 from gdpa.problems import build_analytic
 
+CONFIGS = Path(__file__).parents[1] / "configs"
+
 
 def assert_one_line_naming(capsys, text):
     err = capsys.readouterr().err
@@ -30,8 +32,8 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def scaled_1d_config(tmp_path, out, max_iters=2000, **solver_overrides):
-    solver = {"kind": "gdpa", "tau": 0.1, "beta0": 1.0, "alpha": [1.0, 1.0, 1.0],
-              "max_iters": max_iters, "eps_feas": 1e-14, "eps_stat": 1e-14}
+    solver = {"kind": "gdpa", "tau": 0.1, "beta0": 1.0, "max_iters": max_iters,
+              "eps_feas": 1e-14, "eps_stat": 1e-14}
     solver.update(solver_overrides)
     return write_config(tmp_path, {
         "problem": {"kind": "analytic", "id": "scaled-1d"},
@@ -128,13 +130,6 @@ class TestSolveCommand:
         cli.write_trace(out / "trace2.csv", records)
         assert (out / "trace.csv").read_bytes() == (out / "trace2.csv").read_bytes()
 
-    def test_determinism_byte_identical(self, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        cfg_a = scaled_1d_config(tmp_path, out_a, max_iters=2000)
-        assert cli.main(["solve", "--config", cfg_a, "--out", str(out_a)]) == 0
-        assert cli.main(["solve", "--config", cfg_a, "--out", str(out_b)]) == 0
-        assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
-
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -167,10 +162,11 @@ class TestSolveCommand:
         ("solve", {"solver": [1]}, "'solver' must be a JSON object"),
         ("solve", {"solver": {"max_iters": 2.5}}, "max_iters must be an integer"),
         ("solve", {"solver": {"max_iters": math.inf}}, "max_iters must be an integer"),
-        ("solve", {"solver": {"alpha": [1.0, 1e308, 1e308]}}, "alpha_r underflows"),
+        ("solve", {"solver": {"alpha02": 1e308, "alpha03": 1e308}}, "alpha_r underflows"),
         ("benchmark", {"solvers": [1, 2]}, "every entry of 'solvers'"),
         ("benchmark", {"budget_grad_evals": "a"}, "'budget_grad_evals' must be"),
         ("benchmark", {"grid_points": "a"}, "'grid_points' must be"),
+        ("solve", {"solver": {"alpha": [1, 1, 1]}}, "unexpected keyword argument 'alpha'"),
     ])
     def test_malformed_section_exits_2(self, tmp_path, capsys, command, override, says):
         # each of these ended in a traceback (exit 1) before the section checks
@@ -255,7 +251,10 @@ class TestSolveCommand:
          "unknown problem keys (mnpc): ['noise', 'per_klass']"),
         ({"kind": "analytic", "id": "scaled-1d", "x0_scale": 0.1},
          "unknown problem keys (analytic): ['x0_scale']"),
-    ], ids=["cmdp", "mnpc", "analytic"])
+        ({**MNPC_SMALL, "x0_scale": 0.1}, "unknown problem keys (mnpc): ['x0_scale']"),
+        ({"kind": "nn", "num_classes": 2, "d_in": 2, "hidden": 2, "budgets": [1.0],
+          "x0_scale": 0.1}, "unknown problem keys (nn): ['x0_scale']"),
+    ], ids=["cmdp", "mnpc", "analytic", "mnpc-x0_scale", "nn-x0_scale"])
     def test_unknown_problem_key_exits_2(self, tmp_path, capsys, problem, says):
         # a problem section ignored the key: the cmdp one ran with 1 constraint
         cfg = write_config(tmp_path, {"problem": problem})
@@ -363,7 +362,7 @@ class TestSolveCommand:
         out = tmp_path / "run"
         cfg = write_config(tmp_path, {
             "problem": {"kind": "analytic", "id": "scaled-1d"},
-            "solver": {"kind": "gdpa", "alpha": [1e6, 1.0, 1.0], "max_iters": 100},
+            "solver": {"kind": "gdpa", "alpha01": 1e6, "max_iters": 100},
             "out_dir": str(out),
         })
         with warnings.catch_warnings(record=True) as caught:
@@ -447,8 +446,7 @@ class TestBenchmarkCommand:
         # the budget need not fall on a round's end: it cuts ALM's one round
         # of 2000 steps, and the penalty method's second round of 300 at 450
         # (at 600 it ends that round)
-        raw = json.loads((Path(__file__).parents[1] / "configs"
-                          / "benchmark-scaled-1d.json").read_text())
+        raw = json.loads((CONFIGS / "benchmark-scaled-1d.json").read_text())
         spec = next(spec for spec in raw["solvers"] if spec["name"] == name)
         kind, config = cli.build_solver_config(spec, 1, steps)
         problem, x0 = cli.build_problem(raw["problem"], 0)
@@ -498,7 +496,7 @@ class TestBenchmarkCommand:
         out = tmp_path / "bench"
         cfg = write_config(tmp_path, {
             "problem": {"kind": "analytic", "id": "scaled-1d"},
-            "solvers": [{"name": "gdpa", "kind": "gdpa", "alpha": [1e6, 1.0, 1.0]},
+            "solvers": [{"name": "gdpa", "kind": "gdpa", "alpha01": 1e6},
                         {"name": "alm", "kind": "alm", "inner_iters": 20}],
             "budget_grad_evals": 200,
             "out_dir": str(out),
@@ -564,7 +562,7 @@ class TestBenchmarkCommand:
          "'grid_points' must lie in [1, 200], got 100000000000"),
         ([{"kind": "gdpa"}, {"kind": "alm"}], 10 ** 12, 10 ** 11,
          "'grid_points' must lie in [1, 10000], got 100000000000"),
-        ([{"kind": "gdpa", "alpha": [1e-323, 1.0, 1.0], "max_iters": 1}, {"kind": "alm"}],
+        ([{"kind": "gdpa", "alpha01": 1e-323, "max_iters": 1}, {"kind": "alm"}],
          2000, None, "bad solver section (gdpa): alpha_r underflows to 0"),
         ([{"kind": "gdpa"}, {"kind": "alm"}], 1, None,
          "'budget_grad_evals' must cover one step, 2 evals, got 1"),
@@ -680,11 +678,11 @@ class TestConfigSchema:
     @pytest.mark.parametrize("section, key", schema_keys(
         lambda want, default, least: want in (int, float)) + [
         (kind, field.name) for kind, (cls, _) in SOLVERS.items()
-        for field in dataclasses.fields(cls)] + [("gdpa", "alpha")])
+        for field in dataclasses.fields(cls)])
     def test_boolean_or_string_for_a_number_exits_2(self, tmp_path, capsys, section, key,
                                                     value):
         # `true` ran as 1 and "0.5" as 0.5 wherever a float() or a comparison took them
-        cfg = schema_config(tmp_path, section, key, [value] * 3 if key == "alpha" else value)
+        cfg = schema_config(tmp_path, section, key, value)
         assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert_one_line_naming(capsys, key)
 
@@ -703,25 +701,13 @@ class TestConfigSchema:
     @pytest.mark.parametrize("section, key", schema_keys(
         lambda want, default, least: want is float) + [
         (kind, field.name) for kind, (cls, _) in SOLVERS.items()
-        for field in dataclasses.fields(cls) if type(field.default) is float] + [
-        ("gdpa", "alpha")])
+        for field in dataclasses.fields(cls) if type(field.default) is float])
     def test_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys, section, key):
         # a solver field ended in an OverflowError traceback, from schedule() or mid-run
-        value = 10 ** 400
-        cfg = schema_config(tmp_path, section, key, [value] * 3 if key == "alpha" else value)
+        cfg = schema_config(tmp_path, section, key, 10 ** 400)
         assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and key in err and "is beyond the float range" in err, err
-
-    @pytest.mark.parametrize("solver", [{"alpha": [1, 1, 1], "alpha01": 5}, {"alpha": [1, 1]}],
-                             ids=["with-alpha01", "two-entries"])
-    def test_alpha_is_three_numbers_without_alpha01_to_03(self, tmp_path, capsys, solver):
-        # the first ran with alpha01 = 1; the second said "not enough values to unpack"
-        cfg = write_config(tmp_path, {"problem": SECTIONS["analytic"],
-                                      "solver": {"kind": "gdpa", "max_iters": 5, **solver}})
-        assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert_one_line_naming(capsys, "'alpha' must be a list of 3 numbers, given without "
-                                       "alpha01, alpha02 or alpha03")
 
     @pytest.mark.parametrize("section, key", schema_keys(
         lambda want, default, least: default is cli.REQUIRED))
@@ -746,8 +732,7 @@ class TestConfigSchema:
         assert_one_line_naming(
             capsys, f"unknown preset {preset!r}; choose one of ['cmdp', 'mnpc', 'nn']")
 
-    @pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob(
-        "*.json")), ids=lambda path: path.stem)
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
     def test_every_shipped_config_builds(self, path):
         cfg = cli.load_config(path)
         problem, x0 = cli.build_problem(cfg.problem, cfg.seed)
@@ -828,6 +813,13 @@ class TestRateReportCommand:
         trace = self.synthetic_trace(tmp_path, lambda r: r ** -0.5)
         assert cli.main(["rate-report", trace, "--window-lo=-inf", "--window-hi=inf"]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_inverted_window_exits_2(self, tmp_path, capsys):
+        # this exited 4: "insufficient data: only 0 records in window [1000.0, 10.0]"
+        trace = self.synthetic_trace(tmp_path, lambda r: r ** -0.5)
+        assert cli.main(["rate-report", trace, "--window-lo", "1e3", "--window-hi", "10"]) == 2
+        assert_one_line_naming(capsys, "--window-lo 1000.0 lies above --window-hi 10.0")
+        assert not (tmp_path / "rate.json").exists()
 
     def test_output_directory_under_a_file_exits_2(self, tmp_path, capsys):
         trace = self.synthetic_trace(tmp_path, lambda r: r ** -0.5)
@@ -914,7 +906,17 @@ class TestCheckCommand:
         "problem": {"kind": "analytic", "id": "scaled-1d"}, "budget_grad_evals": 20,
         "solvers": [{"name": "gdpa", "kind": "gdpa"}, {"name": "pen/alty", "kind": "penalty"}]},
      "got 'pen/alty'"),
-], ids=["sparse-class-csv", "unknown-problem-key", "bad-solver-section", "bad-solver-name"])
+    ("solve", lambda tmp_path: json.loads((CONFIGS / "benchmark-scaled-1d.json").read_text()),
+     "'solvers' is read only by gdpa benchmark"),
+    ("solve", lambda tmp_path: {"problem": MNPC_SMALL, "budget_grad_evals": 20},
+     "'budget_grad_evals' is read only by gdpa benchmark"),
+    ("solve", lambda tmp_path: {"problem": MNPC_SMALL, "grid_points": 5},
+     "'grid_points' is read only by gdpa benchmark"),
+    ("benchmark", lambda tmp_path: json.loads((CONFIGS / "scaled-1d.json").read_text()),
+     "'solver' is read only by gdpa solve"),
+], ids=["sparse-class-csv", "unknown-problem-key", "bad-solver-section", "bad-solver-name",
+        "benchmark-config-to-solve", "budget-to-solve", "grid-to-solve",
+        "solve-config-to-benchmark"])
 def test_rejected_config_creates_no_output_directory(tmp_path, capsys, command, config, says):
     # the directory was made before the problem and solver sections were checked
     out = tmp_path / "out"
@@ -929,51 +931,3 @@ def test_module_entrypoint_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "solve" in proc.stdout
-
-
-def test_optimized_interpreter_writes_the_same_trace(tmp_path):
-    # `python -O` drops asserts and __debug__ blocks, which must not change what
-    # the solver computes: the trace, nor the run's averages
-    cfg = scaled_1d_config(tmp_path, tmp_path / "unused", max_iters=300)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    runs = []
-    for flags in ([], ["-O"]):
-        out = tmp_path / f"run{len(flags)}"
-        proc = subprocess.run([sys.executable, *flags, "-m", "gdpa.cli", "solve",
-                               "--config", cfg, "--out", str(out)],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        summary = json.loads((out / "summary.json").read_text())
-        for timed in ("wall_seconds", "us_per_iter"):
-            del summary[timed]
-        runs.append(((out / "trace.csv").read_bytes(), summary))
-    assert runs[0] == runs[1] and runs[0][0].count(b"\n") == 301
-    assert runs[0][1]["x_avg"] != runs[0][1]["x_final"]
-
-
-def test_optimized_interpreter_writes_the_same_benchmark(tmp_path):
-    # the baselines run the same step kernels under `python -O`: their traces
-    # and the compare table (less its wall times) match the plain run's
-    raw = json.loads((Path(__file__).parents[1] / "configs" / "benchmark-scaled-1d.json")
-                     .read_text())
-    cfg = write_config(tmp_path, {**raw, "budget_grad_evals": 600})
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    runs = []
-    for flags in ([], ["-O"]):
-        out = tmp_path / f"run{len(flags)}"
-        proc = subprocess.run([sys.executable, *flags, "-m", "gdpa.cli", "benchmark",
-                               "--config", cfg, "--out", str(out)],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        compare = [line.split(",") for line in (out / "compare.csv").read_text().splitlines()]
-        runs.append(([row[:2] + row[3:] for row in compare],
-                     {name: (out / f"trace_{name}.csv").read_bytes()
-                      for name in ("gdpa", "penalty", "alm")}))
-    assert runs[0] == runs[1]
-    compare, traces = runs[0]
-    assert compare[0] == ["solver", "grad_evals", "stationarity_sq", "feasibility", "slackness"]
-    assert all(trace.count(b"\n") == 301 for trace in traces.values())

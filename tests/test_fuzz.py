@@ -54,20 +54,19 @@ problems = st.one_of(
         optional={"x0": starts(1, 2)}),
     sections("mnpc", [{"num_classes": 2, "d_in": 2, "per_class": 3, "thresholds": [1.0]},
                       {"num_classes": 3, "d_in": 3, "per_class": 2, "thresholds": [1.0, 1.0]}],
-             optional={"x0_scale": step, "reg_lambda": step, "x0": starts(4, 9),
+             optional={"reg_lambda": step, "x0": starts(4, 9),
                        "noise_std": step, "dataset_seed": seeds}),
     sections("nn", [{"num_classes": 2, "d_in": 2, "per_class": 2, "hidden": 2, "budgets": [1.0]},
                     {"num_classes": 3, "d_in": 3, "per_class": 2, "hidden": 3,
                      "budgets": [1.0, 1.0]}],
-             optional={"noise_std": step, "dataset_seed": seeds, "x0": starts(8, 18),
-                       "x0_scale": step}),
+             optional={"noise_std": step, "dataset_seed": seeds, "x0": starts(8, 18)}),
     sections("cmdp", [{"num_states": 3, "num_actions": 2}, {"num_states": 5, "num_actions": 3}],
              optional={"num_constraints": st.just(1), "discount": st.just(0.9),
                        "thresholds": st.just([0.5]), "dataset_seed": seeds,
                        "x0": starts(6, 15)}))
 gdpa_solvers = st.fixed_dictionaries(
     {"kind": st.just("gdpa"), "max_iters": small},
-    optional={"tau": step, "beta0": step, "alpha": st.lists(step, min_size=3, max_size=3),
+    optional={"tau": step, "beta0": step, "alpha01": step, "alpha02": step, "alpha03": step,
               "eps_feas": step, "eps_stat": step, "record_every": small,
               "dense_until": small, "name": names,
               "preset": st.sampled_from(sorted(cli.GDPA_PRESETS))})
@@ -90,8 +89,7 @@ check_configs = st.fixed_dictionaries({"problem": problems}, optional={"seed": s
 
 # config keys no strategy draws, with the reason
 UNDRAWN = {"out_dir": "a deployment path", "source": "the csv source needs a file",
-           "path": "the csv source needs a file", "alpha01": "drawn as alpha",
-           "alpha02": "drawn as alpha", "alpha03": "drawn as alpha"}
+           "path": "the csv source needs a file"}
 
 
 def section_keys(config):
@@ -106,7 +104,7 @@ def section_keys(config):
 
 def test_every_config_key_is_drawn_or_excluded():
     tables = {"top": cli._TOP_KEYS, **cli._PROBLEMS,
-              "gdpa": [*cli.GdpaConfig.__dataclass_fields__, "name", "preset", "alpha"],
+              "gdpa": [*cli.GdpaConfig.__dataclass_fields__, "name", "preset"],
               "baselines": [*cli.PenaltyConfig.__dataclass_fields__, "name"]}
     for kind in ("mnpc", "nn"):
         tables[kind] = [*tables[kind], *(key for source in cli._SOURCES.values()

@@ -558,27 +558,6 @@ class TestSolve:
         with pytest.raises(AssertionError, match=message):
             solve(p, cfg, np.zeros(1), on_iteration=dual_update_check(cfg.tau))
 
-    def test_reduction_to_projected_gradient_descent(self):
-        # With no constraints, iterates must be bit-identical to plain PGD.
-        rng = np.random.default_rng(5)
-        for seed in range(3):
-            c = rng.standard_normal(3)
-            p = make_unconstrained(c)
-            p.projection = ProjectionSpec.box(-0.5 * np.ones(3), 0.5 * np.ones(3))
-            cfg = GdpaConfig(alpha01=0.9, alpha02=1.3, alpha03=0.8,
-                             max_iters=200, eps_stat=1e-300)
-            res = solve(p, cfg, rng.standard_normal(3), capture_iterates=True)
-            x = project(p.projection, res.iterates[0][0])
-            for r in range(1, len(res.iterates) + 1):
-                alpha, _, _ = schedule(cfg, r)
-                assert np.array_equal(res.iterates[r - 1][0], x)
-                x = project(p.projection, x - alpha * p.grad_f(x))
-            if res.termination == "budget-exhausted":
-                assert np.array_equal(res.x_final, x)
-            else:
-                # stopped at an exactly stationary iterate; final == last captured
-                assert np.array_equal(res.x_final, res.iterates[-1][0])
-
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, "unconstrained"])
     def test_solve_matches_public_step_functions(self, seed):
         # solve() and the public step functions share one step kernel, so a
