@@ -18,3 +18,23 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(
         f"src/gdpa: {sum(counts.values())} lines in {len(counts)} files ({each}); "
         f"tests/*.py: {tests_total} lines")
+    terminalreporter.write_line("settable keys per config section: " + _key_counts())
+
+
+def _key_counts() -> str:
+    """The option count of ROADMAP's code-diet item: the keys of each section's table in
+    `gdpa.cli`, a solver section's fields plus "kind", "name" (and gdpa's "preset"), and
+    for an mnpc or nn section, those of its default dataset source and of the others."""
+    from gdpa import cli
+
+    counts = [f"top {len(cli._TOP_KEYS)}"]
+    counts += [f"{kind} {len(keys)}" for kind, keys in cli._SOLVER_KEYS.items()]
+    for kind, table in cli._PROBLEMS.items():
+        if "source" not in table:
+            counts.append(f"{kind} {len(table)}")
+            continue
+        default = table["source"][1]
+        others = ", ".join(f"{len(table) + len(keys)} with {source}"
+                           for source, keys in cli._SOURCES.items() if source != default)
+        counts.append(f"{kind} {len(table) + len(cli._SOURCES[default])} ({others})")
+    return ", ".join(counts)

@@ -38,12 +38,8 @@ class PenaltyConfig:
 
     def __post_init__(self):
         _check_types(self)
-        if not (self.rho0 > 0 and self.inner_step > 0 and self.feas_tol > 0):
-            raise ValueError("rho0, inner_step, and feas_tol must be positive")
         if not self.rho_growth > 1:
             raise ValueError("rho_growth must exceed 1")
-        if min(self.inner_iters, self.outer_iters, self.record_every, self.max_steps) < 1:
-            raise ValueError("iteration counts must be positive")
 
 
 @dataclass
@@ -102,7 +98,7 @@ def _inner_outer(problem: ConstrainedProblem, cfg: PenaltyConfig, x0, lambda0,
                 if run.recorded(step == last):
                     make_record(run, x, lam, fx, gx, grad, jac, cfg.inner_step, rho, 0.0, viol)
                 x = _primal_step_raw(problem.projection, x, grad, jac, _shifted(lam, gx, rho_r),
-                                     inner_step, step)
+                                     inner_step)
                 fx, gx, grad, jac = problem.first_order(x)
                 viol = _violation_sq(gx)
                 if T_eps is None and math.sqrt(viol) <= cfg.feas_tol:  # as solve(): x after step

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
@@ -50,9 +50,6 @@ log = logging.getLogger("gdpa")
 
 TRACE_HEADER = "r,alpha,beta,gamma,f,F_beta,stationarity_sq,feasibility,slackness,lambda_norm"
 
-_LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
-               "info": logging.INFO, "debug": logging.DEBUG}
-
 GDPA_PRESETS = {
     "mnpc": {"alpha01": 0.1, "beta0": 1e-4},
     "nn": {"alpha01": 2e-4, "beta0": 2e-4},
@@ -67,10 +64,8 @@ class ConfigError(ValueError):
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("GDPA_LOG_LEVEL", "warn").lower()
-    if level not in _LOG_LEVELS:
-        level = "warn"
-    logging.basicConfig(level=_LOG_LEVELS[level],
+    level = logging.getLevelName(os.environ.get("GDPA_LOG_LEVEL", "warn").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -99,10 +94,14 @@ def _is_a(val, want) -> bool:
     return not isinstance(val, bool) and isinstance(val, (int, float) if want is float else want)
 
 
+def _refuse_unknown(raw: dict, keys, where: str) -> None:
+    if not raw.keys() <= keys:
+        raise ConfigError(f"unknown {where}: {sorted(raw.keys() - keys)}")
+
+
 def _section(raw: dict, table: dict, where: str) -> dict:
     """Checked values of a config section, defaults filled in; ``where`` names its keys."""
-    if not raw.keys() <= table.keys():
-        raise ConfigError(f"unknown {where}: {sorted(raw.keys() - table.keys())}")
+    _refuse_unknown(raw, table.keys(), where)
     out = {}
     for key, (want, default, least) in table.items():
         val = out[key] = raw.get(key, default)
@@ -229,6 +228,10 @@ def build_problem(spec: dict, seed: int) -> Tuple[ConstrainedProblem, np.ndarray
 _SOLVERS = {"gdpa": ("GdpaConfig", "solve"),
             "penalty": ("PenaltyConfig", "solve_penalty"),
             "alm": ("AlmConfig", "solve_alm")}
+# kind -> its section's keys, from the classes themselves (the names above may be wrapped)
+_SOLVER_KEYS = {kind: {"kind", "name", *(f.name for f in fields(globals()[cls]))}
+                for kind, (cls, _) in _SOLVERS.items()}
+_SOLVER_KEYS["gdpa"].add("preset")
 # a benchmark solver's name goes into a file name and a compare.csv field
 _NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")
 
@@ -237,20 +240,18 @@ def build_solver_config(spec: dict, record_every: Optional[int], steps: Optional
     """Parse a solver section into (kind, config object). ``steps`` budgets a
     benchmark run, which spends it all (no early stopping); the budgeted config
     is built anew, so it passes its class's checks."""
-    spec = dict(spec)
-    spec.pop("name", None)
-    kind = spec.pop("kind", "gdpa")
+    kind = spec.get("kind", "gdpa")
     if not isinstance(kind, str) or kind not in _SOLVERS:
         raise ConfigError(f"unknown solver kind {kind!r}")
+    _refuse_unknown(spec, _SOLVER_KEYS[kind], f"solver keys ({kind})")
+    spec = {key: val for key, val in spec.items() if key not in ("kind", "name")}
+    preset = spec.pop("preset", None)
+    if preset is not None and not (isinstance(preset, str) and preset in GDPA_PRESETS):
+        raise ConfigError(f"unknown preset {preset!r}; choose one of {sorted(GDPA_PRESETS)}")
+    spec = {**GDPA_PRESETS.get(preset, {}), **spec}
     if record_every is not None:
         spec.setdefault("record_every", record_every)
     try:
-        if kind == "gdpa":
-            preset = spec.pop("preset", None)
-            if preset is not None and not (isinstance(preset, str) and preset in GDPA_PRESETS):
-                raise ConfigError(f"unknown preset {preset!r}; "
-                                  f"choose one of {sorted(GDPA_PRESETS)}")
-            spec = {**GDPA_PRESETS.get(preset, {}), **spec}
         config = globals()[_SOLVERS[kind][0]](**spec)
         if steps is None:
             return kind, config
@@ -260,7 +261,7 @@ def build_solver_config(spec: dict, record_every: Optional[int], steps: Optional
         # every round takes a step, so `steps` rounds never bind before max_steps
         return kind, replace(config, outer_iters=steps, max_steps=steps,
                              feas_tol=min(config.feas_tol, 1e-300))
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad solver section ({kind}): {exc}") from exc
 
 

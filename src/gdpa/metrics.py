@@ -243,18 +243,17 @@ def make_record(run, x: np.ndarray, lam: np.ndarray, fx: Optional[float], gx: np
 
 
 def _fill_rows(rows: Sequence[tuple], one_minus_tau) -> List[IterationRecord]:
-    """The complete records of ``make_record``'s rows, from the rows' stacked arrays:
-    elementwise ops as on one row, and reductions with one row's bits."""
+    """``make_record``'s rows as complete records, from their stacked arrays, under the
+    flush's errstate: elementwise ops as on one row, and reductions with one row's bits."""
     heads, xs, projs, lams, gs = zip(*rows)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads inf or nan, as on one row
-        lam, g = np.array(lams), np.array(gs)
-        _, alpha, beta, _, f_val, _ = np.array(heads, dtype=np.float64).T
-        beta_col = beta[:, None]
-        damped = one_minus_tau * lam
-        merit = _perturbed_value(f_val, g + damped / beta_col, damped, beta)
-        _, stat = _stationarity(np.array(xs), np.array(projs), lam, _shifted(lam, g, beta_col),
-                                alpha[:, None], beta_col)
-        slack, norm = _slackness(lam, g), np.sqrt(_sq_norms(lam))
+    lam, g = np.array(lams), np.array(gs)
+    _, alpha, beta, _, f_val, _ = np.array(heads, dtype=np.float64).T
+    beta_col = beta[:, None]
+    damped = one_minus_tau * lam
+    merit = _perturbed_value(f_val, g + damped / beta_col, damped, beta)
+    _, stat = _stationarity(np.array(xs), np.array(projs), lam, _shifted(lam, g, beta_col),
+                            alpha[:, None], beta_col)
+    slack, norm = _slackness(lam, g), np.sqrt(_sq_norms(lam))
     return [IterationRecord(r, a, b, c, f, merit_k, stat_k, feas, slack_k, norm_k)
             for (r, a, b, c, f, feas), merit_k, stat_k, slack_k, norm_k
             in zip(heads, merit.tolist(), stat.tolist(), slack.tolist(), norm.tolist())]

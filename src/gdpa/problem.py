@@ -13,7 +13,7 @@ to float64, check shapes, and fail fast on NaN/Inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,7 +52,7 @@ class ProblemConstants:
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("L_f", "L_g", "L_J", "U_J", "sigma"):
+        for name in (f.name for f in fields(self)):
             val = getattr(self, name)
             if val is not None:  # kept as a Python float; `not val >= 0` refuses a NaN
                 if not (val > 0 if name == "sigma" else val >= 0):
@@ -210,20 +210,15 @@ def check_gradients(
 
 
 def _dist_to_negative_normal_cone(w: np.ndarray, spec: ProjectionSpec, x: np.ndarray) -> float:
-    """dist(w, -N_X(x)) for X = R^d or a box."""
+    """dist(w, -N_X(x)) for X = R^d or a box, the sets ``estimate_sigma`` accepts."""
     if spec.kind == "identity":
         return float(np.linalg.norm(w))
-    if spec.kind == "box":
-        resid = w.copy()
-        at_upper = x >= spec.upper
-        at_lower = x <= spec.lower
-        # Components pointing into the allowed cone at an active bound carry
-        # no distance; zero them and measure what remains.
-        resid[at_upper] = np.maximum(resid[at_upper], 0.0)
-        resid[at_lower] = np.minimum(resid[at_lower], 0.0)
-        return float(np.linalg.norm(resid))
-    raise UnsupportedProjectionError(
-        f"normal-cone distance is only implemented for identity and box sets, not {spec.kind!r}")
+    resid = w.copy()
+    at_upper, at_lower = x >= spec.upper, x <= spec.lower
+    # at an active bound, components pointing into the allowed cone carry no distance
+    resid[at_upper] = np.maximum(resid[at_upper], 0.0)
+    resid[at_lower] = np.minimum(resid[at_lower], 0.0)
+    return float(np.linalg.norm(resid))
 
 
 def estimate_sigma(problem: ConstrainedProblem, sample_points: Sequence[np.ndarray]) -> float:
@@ -306,11 +301,8 @@ def effective_constants(
         est.L_g, est.L_J, est.U_J = 0.0, 0.0, 0.0
         est.sigma = math.inf
 
-    merged = {}
-    for name in ("L_f", "L_g", "L_J", "U_J", "sigma"):
-        have = getattr(supplied, name)
-        merged[name] = have if have is not None else getattr(est, name)
-    return replace(supplied, **merged)
+    return replace(supplied, **{f.name: getattr(est, f.name) for f in fields(est)
+                                if getattr(supplied, f.name) is None})
 
 
 def seeded_check_points(problem: ConstrainedProblem, count: int, seed: int) -> List[np.ndarray]:

@@ -34,7 +34,7 @@ TERM_NUMERICAL = "numerical-failure"
 
 
 class NumericalFailure(RuntimeError):
-    """A solver step produced non-finite values; the message names the iteration."""
+    """A solver step produced non-finite values; the run's message names its iteration."""
 
 
 @dataclass
@@ -66,34 +66,29 @@ class GdpaConfig:
 
     def __post_init__(self):
         _check_types(self)
-        if not 0.0 < self.tau < 1.0:
+        if not self.tau < 1.0:
             raise ValueError("tau must lie strictly between 0 and 1")
-        for name in ("beta0", "alpha01", "alpha02", "alpha03", "eps_feas", "eps_stat"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not 1 <= self.max_iters <= 2 ** 62 or self.record_every < 1:
-            raise ValueError("max_iters must lie in [1, 2**62] and record_every be positive")
-        if self.dense_until < 0:
-            raise ValueError("dense_until must be nonnegative")
         # alpha_r decreases in r; the residuals need it positive to the end
         if not schedule(self, self.max_iters)[0] > 0:
             raise ValueError("alpha_r underflows to 0 before r reaches max_iters")
 
 
 def _check_types(cfg) -> None:
-    """Every field of a config dataclass holds an integer where its default is
-    an int and a finite real number elsewhere; never a bool."""
+    """The solver configs' one field rule, never met by a bool: an integer in [1, 2**62]
+    where the default is an int (``dense_until`` from 0), else a finite positive number."""
     for name, field in cfg.__dataclass_fields__.items():
         val = getattr(cfg, name)
-        integral = type(field.default) is int
-        if isinstance(val, bool) or not isinstance(
-                val, (int, np.integer) if integral else (int, float, np.integer, np.floating)):
-            raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, "
-                             f"got {val!r}")
-        if not integral and isinstance(val, int) and abs(val) > sys.float_info.max:
+        if type(field.default) is int:
+            least = 0 if name == "dense_until" else 1
+            if isinstance(val, bool) or not (isinstance(val, (int, np.integer))
+                                             and least <= val <= 2 ** 62):
+                raise ValueError(f"{name} must be an integer in [{least}, 2**62], got {val!r}")
+        elif isinstance(val, bool) or not isinstance(val, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a number, got {val!r}")
+        elif isinstance(val, int) and abs(val) > sys.float_info.max:
             raise ValueError(f"{name} is beyond the float range, got {val!r}")
-        if not integral and not math.isfinite(val):
-            raise ValueError(f"{name} must be finite, got {val!r}")
+        elif not 0 < val < math.inf:
+            raise ValueError(f"{name} must be a finite positive number, got {val!r}")
 
 
 @dataclass
@@ -165,10 +160,10 @@ def _check_steps(beta_r: float, tau: float) -> None:
 
 
 # Raw steps take the step's [damped + beta*g]_+ or damped = (1-tau)*lam (lam when tau=0).
-def _primal_step_raw(projection, x, grad_fx, jac, shifted, alpha_r, r=None):
+def _primal_step_raw(projection, x, grad_fx, jac, shifted, alpha_r):
     x_next = _project_raw(projection, x - alpha_r * (grad_fx + jac.T.dot(shifted)))
     if not all_finite(x_next):
-        raise NumericalFailure(f"primal step produced non-finite iterate at r={r}")
+        raise NumericalFailure("primal step produced non-finite iterate")
     return x_next
 
 
@@ -390,7 +385,7 @@ def solve(
                 break
 
             x_next = _primal_step_raw(projection, x, grad, jac,
-                                      _shifted(damped, gx, beta_r, total), alpha, r)
+                                      _shifted(damped, gx, beta_r, total), alpha)
             f_next, g_next, grad, jac = problem.first_order(x_next)
             lam_next = _dual_step_raw(g_next, damped, mask, beta_r)
             if on_iteration is not None:

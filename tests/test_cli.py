@@ -166,10 +166,18 @@ class TestSolveCommand:
         ("benchmark", {"solvers": [1, 2]}, "every entry of 'solvers'"),
         ("benchmark", {"budget_grad_evals": "a"}, "'budget_grad_evals' must be"),
         ("benchmark", {"grid_points": "a"}, "'grid_points' must be"),
-        ("solve", {"solver": {"alpha": [1, 1, 1]}}, "unexpected keyword argument 'alpha'"),
+        ("solve", {"solver": {"alpha": [1, 1, 1]}}, "unknown solver keys (gdpa): ['alpha']"),
+        ("solve", {"solver": {"zeta": 1, "alpha": 2}},
+         "unknown solver keys (gdpa): ['alpha', 'zeta']"),
+        ("solve", {"solver": {"kind": "penalty", "dense_until": -1}},
+         "bad solver section (penalty): dense_until must be an integer in [0, 2**62], got -1"),
+        ("solve", {"solver": {"kind": "alm", "dense_until": -1}},
+         "bad solver section (alm): dense_until must be an integer in [0, 2**62], got -1"),
     ])
     def test_malformed_section_exits_2(self, tmp_path, capsys, command, override, says):
-        # each of these ended in a traceback (exit 1) before the section checks
+        # each of these ended in a traceback (exit 1) before the section checks, but the
+        # last four: a gdpa section named only its first unknown key, in Python's words
+        # ("unexpected keyword argument"), and a baseline ran with a negative dense_until
         config = {"problem": {"kind": "analytic", "id": "scaled-1d"},
                   "solver": {"kind": "gdpa", "max_iters": 10}}
         if command == "benchmark":
@@ -189,7 +197,7 @@ class TestSolveCommand:
         key = "beta0" if "beta0" in solver else "rho0"
         cfg = write_config(tmp_path, {"problem": SECTIONS["analytic"], "solver": solver})
         assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert_one_line_naming(capsys, f"{key} must be finite, got inf")
+        assert_one_line_naming(capsys, f"{key} must be a finite positive number, got inf")
 
     def test_overflowing_average_leaks_no_warning(self, tmp_path, capsys):
         # the exit flush of the run's averages printed "overflow encountered in divide"

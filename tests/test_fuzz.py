@@ -103,9 +103,8 @@ def section_keys(config):
 
 
 def test_every_config_key_is_drawn_or_excluded():
-    tables = {"top": cli._TOP_KEYS, **cli._PROBLEMS,
-              "gdpa": [*cli.GdpaConfig.__dataclass_fields__, "name", "preset"],
-              "baselines": [*cli.PenaltyConfig.__dataclass_fields__, "name"]}
+    tables = {"top": cli._TOP_KEYS, **cli._PROBLEMS, "gdpa": cli._SOLVER_KEYS["gdpa"],
+              "baselines": cli._SOLVER_KEYS["penalty"]}
     for kind in ("mnpc", "nn"):
         tables[kind] = [*tables[kind], *(key for source in cli._SOURCES.values()
                                          for key in source)]

@@ -26,7 +26,7 @@ from gdpa import (
     weighted_average,
 )
 from gdpa.metrics import _violation_sq, make_record
-from gdpa.solver import _Run
+from gdpa.solver import NumericalFailure, _Run
 from gdpa.problems import build_analytic, build_cmdp, random_cmdp
 from gdpa.vec import NonFiniteError, project
 from tests.conftest import make_unconstrained, random_quadratic_problem
@@ -204,7 +204,8 @@ class TestStepChecks:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_configs_reject_a_non_finite_number(self, config, field, value):
         # an infinite beta0 or rho0 ran and ended as a numerical failure
-        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value!r}$"):
+        with pytest.raises(ValueError,
+                           match=rf"^{field} must be a finite positive number, got {value!r}$"):
             config(**{field: value})
 
 
@@ -516,7 +517,11 @@ class TestSolve:
          "iteration 3: v contains NaN or Inf", 6.4797631496846195),
         # beta*g overflows and 0*Inf in J^T [.]_+ gives NaN, which no box clips
         ("primal step", 2.0, 1e300, dict(beta0=1e10),
-         "iteration 1: primal step produced non-finite iterate at r=1", 0.0),
+         "iteration 1: primal step produced non-finite iterate", 0.0),
+        # that step through the public function, whose message names no step (it said
+        # "at r=None")
+        ("primal_step", 2.0, 1e300, dict(beta0=1e10),
+         "primal step produced non-finite iterate", None),
     ])
     def test_box_overflow_is_pinned(self, where, offset, scale, cfg, message, lam_final):
         p = ConstrainedProblem(dim=2, num_constraints=1,
@@ -525,8 +530,15 @@ class TestSolve:
                                eval_g=lambda x: np.array([scale * (offset - x[0])]),
                                eval_jacobian=lambda x: np.array([[-scale, 0.0]]),
                                projection=ProjectionSpec.box(-np.ones(2), np.ones(2)))
-        res = solve(p, GdpaConfig(max_iters=50, record_every=3, dense_until=0, **cfg),
-                    np.zeros(2))
+        cfg = GdpaConfig(max_iters=50, record_every=3, dense_until=0, **cfg)
+        if where == "primal_step":  # the run's first step: x = 0, lam = 0
+            alpha, beta, _ = schedule(cfg, 1)
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NumericalFailure) as failure:
+                primal_step(p, np.zeros(2), np.zeros(1), alpha, beta, cfg.tau)
+            assert str(failure.value) == message
+            return
+        res = solve(p, cfg, np.zeros(2))
         assert res.termination == "numerical-failure"
         assert res.failure_message == message
         assert res.trace == []
