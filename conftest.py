@@ -1,5 +1,6 @@
 """Repository-wide pytest hooks."""
 
+import argparse
 from pathlib import Path
 
 import tests  # noqa: F401  one BLAS thread, before any test file loads numpy
@@ -18,7 +19,8 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(
         f"src/gdpa: {sum(counts.values())} lines in {len(counts)} files ({each}); "
         f"tests/*.py: {tests_total} lines")
-    terminalreporter.write_line("settable keys per config section: " + _key_counts())
+    terminalreporter.write_line("settable keys per config section: " + _key_counts()
+                                + "; flags per subcommand: " + _flag_counts())
 
 
 def _key_counts() -> str:
@@ -38,3 +40,15 @@ def _key_counts() -> str:
                            for source, keys in cli._SOURCES.items() if source != default)
         counts.append(f"{kind} {len(table) + len(cli._SOURCES[default])} ({others})")
     return ", ".join(counts)
+
+
+def _flag_counts() -> str:
+    """The arguments each `gdpa` subcommand takes, positional ones included and
+    --help not, read from `cli._build_parser()`."""
+    from gdpa import cli
+
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return ", ".join(
+        f"{name} {sum(not isinstance(a, argparse._HelpAction) for a in parser._actions)}"
+        for name, parser in sub.choices.items())

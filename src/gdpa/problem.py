@@ -4,16 +4,15 @@ A :class:`ConstrainedProblem` bundles the callbacks for
 
     minimize f(x)  over x in X,  subject to g(x) <= 0 componentwise,
 
-together with the projection describing X and (optionally) the smoothness /
-boundedness constants the solver's validation checks consume. Callbacks are
-expected to be deterministic and pure; the accessors here coerce their outputs
-to float64, check shapes, and fail fast on NaN/Inf.
+together with the projection describing X. Callbacks are expected to be
+deterministic and pure; the accessors here coerce their outputs to float64,
+check shapes, and fail fast on NaN/Inf.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,7 +78,6 @@ class ConstrainedProblem:
     eval_g: Optional[Callable[[np.ndarray], np.ndarray]] = None
     eval_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     projection: ProjectionSpec = field(default_factory=ProjectionSpec.identity)
-    constants: Optional[ProblemConstants] = None
     name: str = ""
     eval_first_order: Optional[Callable[[np.ndarray], tuple]] = None
 
@@ -249,33 +247,21 @@ def estimate_sigma(problem: ConstrainedProblem, sample_points: Sequence[np.ndarr
 
 
 _SAFETY = 1.5
+_SAMPLES = 8  # seeded points that effective_constants samples
 
 
-def effective_constants(
-    problem: ConstrainedProblem,
-    sample_budget: int,
-    seed: int,
-) -> ProblemConstants:
-    """Fill missing :class:`ProblemConstants` fields by seeded sampling.
+def effective_constants(problem: ConstrainedProblem, seed: int) -> ProblemConstants:
+    """Estimate the :class:`ProblemConstants` fields by seeded sampling.
 
-    Supplied values are returned verbatim, and every known value is a Python
-    float. Estimates use difference quotients and sampled maxima over
-    ``sample_budget`` random points projected into the feasible set, inflated
-    by a safety factor of 1.5. The regularity constant is the one exception:
-    the sampled minimum can only overestimate the true infimum, so it is
-    deflated by the same factor instead. For feasible-set kinds without
-    normal-cone support sigma is left unknown.
+    Estimates use difference quotients and sampled maxima over 8 random points
+    projected into the feasible set, inflated by a safety factor of 1.5. The
+    regularity constant is the one exception: the sampled minimum can only
+    overestimate the true infimum, so it is deflated by the same factor
+    instead. For feasible-set kinds without normal-cone support sigma is left
+    unknown.
     """
-    if sample_budget < 2:
-        raise ValueError("sample_budget must be at least 2")
-    pts = seeded_check_points(problem, sample_budget, seed)
-
-    supplied = problem.constants or ProblemConstants()
-    m = problem.num_constraints
-
+    pts = seeded_check_points(problem, _SAMPLES, seed)
     grads = [problem.grad_f(x) for x in pts]
-    gs = [problem.g(x) for x in pts] if m else None
-    jacs = [problem.jacobian(x) for x in pts] if m else None
 
     def pair_quotient(values, norm):
         best = 0.0
@@ -284,25 +270,21 @@ def effective_constants(
             if gap < 1e-12:
                 continue
             best = max(best, norm(values[a + 1] - values[a]) / gap)
-        return best
+        return _SAFETY * best
 
-    est = ProblemConstants()
-    est.L_f = _SAFETY * pair_quotient(grads, np.linalg.norm)
-    if m:
-        est.L_g = _SAFETY * pair_quotient(gs, np.linalg.norm)
-        est.L_J = _SAFETY * pair_quotient(jacs, lambda A: float(np.linalg.norm(A, 2)))
-        est.U_J = _SAFETY * max(float(np.linalg.norm(J, 2)) for J in jacs)
-        try:
-            sig = estimate_sigma(problem, pts)
-            est.sigma = sig if math.isinf(sig) else sig / _SAFETY
-        except UnsupportedProjectionError:
-            est.sigma = None
-    else:
-        est.L_g, est.L_J, est.U_J = 0.0, 0.0, 0.0
-        est.sigma = math.inf
-
-    return replace(supplied, **{f.name: getattr(est, f.name) for f in fields(est)
-                                if getattr(supplied, f.name) is None})
+    if not problem.num_constraints:
+        return ProblemConstants(pair_quotient(grads, np.linalg.norm), 0.0, 0.0, 0.0, math.inf)
+    gs = [problem.g(x) for x in pts]
+    jacs = [problem.jacobian(x) for x in pts]
+    try:
+        sigma = estimate_sigma(problem, pts)
+        sigma = sigma if math.isinf(sigma) else sigma / _SAFETY
+    except UnsupportedProjectionError:
+        sigma = None
+    return ProblemConstants(
+        L_f=pair_quotient(grads, np.linalg.norm), L_g=pair_quotient(gs, np.linalg.norm),
+        L_J=pair_quotient(jacs, lambda A: float(np.linalg.norm(A, 2))),
+        U_J=_SAFETY * max(float(np.linalg.norm(J, 2)) for J in jacs), sigma=sigma)
 
 
 def seeded_check_points(problem: ConstrainedProblem, count: int, seed: int) -> List[np.ndarray]:

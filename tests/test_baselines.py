@@ -111,6 +111,12 @@ class TestAlm:
             solve_alm(problem_a(), AlmConfig(), np.zeros(1), lambda0=np.array([-1.0]))
 
 
+@pytest.mark.parametrize("cls, rho_growth", [(PenaltyConfig, 0.5), (AlmConfig, 1.0)])
+def test_rho_growth_must_exceed_1(cls, rho_growth):
+    with pytest.raises(ValueError, match=r"^rho_growth must exceed 1$"):
+        cls(rho_growth=rho_growth)
+
+
 class TestAgreement:
     def test_three_solvers_agree_on_problem_a(self):
         p = problem_a()

@@ -99,7 +99,7 @@ class TestSolveCommand:
             assert proc.returncode == 0 and proc.stderr == "", proc.stderr
             theory[kind] = json.loads((out / "summary.json").read_text())["theory"]
         gdpa_cfg = cli.build_solver_config(cfg["solver"], None)[1]
-        constants = effective_constants(build_analytic("scaled-1d").problem, 8, cfg["seed"])
+        constants = effective_constants(build_analytic("scaled-1d").problem, cfg["seed"])
         tau = validate_tau(gdpa_cfg, constants)
         alpha = validate_alpha(gdpa_cfg, constants, lambda_norm=0.0, r=1)
         assert theory["gdpa"] == {"tau_bound": tau.bound, "tau_ok": tau.ok,
@@ -139,11 +139,15 @@ class TestSolveCommand:
         (b'{"seed": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
         (b'{"seed": \xff\xfe 0}', "can't decode byte 0xff"),
         (b"[" * 200_000, "maximum recursion depth exceeded"),
-    ], ids=["4300-digit-int", "non-utf-8", "deep-nesting"])
+        (None, "config error: cannot read config "),
+    ], ids=["4300-digit-int", "non-utf-8", "deep-nesting", "directory"])
     def test_malformed_json_exits_2_in_one_line(self, tmp_path, capsys, content, says):
-        # each of these ended in a traceback with exit 1
+        # the first three ended in a traceback with exit 1; None makes the path a directory
         bad = tmp_path / "bad.json"
-        bad.write_bytes(content)
+        if content is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(content)
         assert cli.main(["solve", "--config", str(bad)]) == 2
         assert_one_line_naming(capsys, says)
 
@@ -173,6 +177,8 @@ class TestSolveCommand:
          "bad solver section (penalty): dense_until must be an integer in [0, 2**62], got -1"),
         ("solve", {"solver": {"kind": "alm", "dense_until": -1}},
          "bad solver section (alm): dense_until must be an integer in [0, 2**62], got -1"),
+        ("solve", {"problem": {**MNPC_SMALL, "source": "parquet"}},
+         "unknown dataset source 'parquet'"),
     ])
     def test_malformed_section_exits_2(self, tmp_path, capsys, command, override, says):
         # each of these ended in a traceback (exit 1) before the section checks, but the
@@ -529,13 +535,17 @@ class TestBenchmarkCommand:
         ([{"name": "gd,pa", "kind": "gdpa"}, {"name": "alm", "kind": "alm"}], "got 'gd,pa'"),
         ([{"name": "gdpa", "kind": "gdpa"}, {"name": "pen/alty", "kind": "penalty"}],
          "got 'pen/alty'"),
+        *(([{"name": name, "kind": "gdpa"}, {"kind": "alm"}], f"got {name!r}")
+          for name in ("", None, 0, False, [])),
     ], ids=["duplicate-name", "non-string-name", "bad-last-section", "comma-in-name",
-            "slash-in-last-name"])
+            "slash-in-last-name", "empty-name", "null-name", "zero-name", "false-name",
+            "empty-list-name"])
     def test_bad_solver_list_exits_2_before_any_solver_runs(self, tmp_path, capsys,
                                                             solvers, says):
         # the sections before a bad one ran and wrote their traces first, two
         # solvers named "a" exited 0 with one trace_a.csv and mixed compare rows,
-        # and "gd,pa" exited 0 with 7-field compare rows under a 6-field header
+        # "gd,pa" exited 0 with 7-field compare rows under a 6-field header, and
+        # a falsy name ran as "gdpa-0"
         out = tmp_path / "bench"
         cfg = write_config(tmp_path, {
             "problem": {"kind": "analytic", "id": "scaled-1d"},
@@ -546,6 +556,20 @@ class TestBenchmarkCommand:
         assert cli.main(["benchmark", "--config", cfg]) == 2
         assert_one_line_naming(capsys, says)
         assert not list(out.glob("trace_*.csv"))
+
+    def test_grid_points_before_the_first_row_are_skipped(self, tmp_path):
+        # with dense_until 0 gdpa's first row is r = 10, at 20 grad evals
+        out = tmp_path / "bench"
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "analytic", "id": "scaled-1d"}, "budget_grad_evals": 200,
+            "solvers": [{"name": "gdpa", "kind": "gdpa", "dense_until": 0},
+                        {"name": "alm", "kind": "alm"}],
+            "grid_points": 20, "out_dir": str(out)})
+        assert cli.main(["benchmark", "--config", cfg]) == 0
+        rows = [line.split(",") for line in (out / "compare.csv").read_text().splitlines()[1:]]
+        points = {name: [int(r[1]) for r in rows if r[0] == name] for name in ("gdpa", "alm")}
+        assert points["alm"][:3] == [2, 3, 4]
+        assert points["gdpa"] == [p for p in points["alm"] if p >= 20]
 
     def test_solver_table_uses_the_module_names_at_call_time(self, tmp_path, monkeypatch):
         # the fuzz tests and the perfbench tracer patch these names
@@ -779,13 +803,36 @@ class TestRateReportCommand:
     def test_constant_trace_fails_ceiling(self, tmp_path, capsys):
         trace = self.synthetic_trace(tmp_path, lambda r: 0.5)
         code = cli.main(["rate-report", trace, "--window-lo", "10",
-                         "--window-hi", "2000",
-                         "--max-slope-stationarity", "-0.4"])
+                         "--window-hi", "2000"])
         assert code == 0
         rate = json.loads((tmp_path / "rate.json").read_text())
         assert rate["columns"]["stationarity_sq"]["slope"] == pytest.approx(0.0, abs=1e-9)
         assert rate["columns"]["stationarity_sq"]["pass"] is False
         assert "FAIL" in capsys.readouterr().out
+
+    def test_ceilings_are_fixed(self, tmp_path, capsys):
+        # the --max-slope-* flags that once set them are unrecognized arguments
+        trace = self.synthetic_trace(tmp_path, lambda r: r ** -0.4)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rate-report", trace, "--max-slope-stationarity", "-0.4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-slope-stationarity -0.4" in capsys.readouterr().err
+        assert cli.main(["rate-report", trace, "--window-lo", "10", "--window-hi", "2000"]) == 0
+        columns = json.loads((tmp_path / "rate.json").read_text())["columns"]
+        assert {column: (row["ceiling"], row["pass"]) for column, row in columns.items()} == {
+            "stationarity_sq": (-0.5, False), "feasibility_sq": (-0.5, True),
+            "slackness": (-0.25, True)}
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        trace = Path(self.synthetic_trace(tmp_path, lambda r: r ** -0.5))
+        lines = trace.read_text().splitlines(keepends=True)
+        blank = tmp_path / "blank" / "trace.csv"
+        blank.parent.mkdir()
+        blank.write_text("".join(lines[:50] + ["\n"] + lines[50:]))
+        for path in (trace, blank):
+            assert cli.main(["rate-report", str(path), "--window-lo", "10",
+                             "--window-hi", "2000"]) == 0
+        assert (blank.parent / "rate.json").read_text() == (tmp_path / "rate.json").read_text()
 
     def test_non_numeric_field_exits_2(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
@@ -794,16 +841,21 @@ class TestRateReportCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(trace) in err and "1,a,1" in err
 
-    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
-    def test_unreadable_trace_exits_2(self, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("kind, says", [
+        ("directory", "config error: cannot read trace {}: "),
+        ("non-utf8", "config error: cannot read trace {}: "),
+        ("bad-header", "config error: {}: not a trace file (bad header)\n"),
+    ], ids=["directory", "non-utf8", "bad-header"])
+    def test_unreadable_trace_exits_2(self, tmp_path, capsys, kind, says):
         trace = tmp_path / "trace.csv"
         if kind == "directory":
             trace.mkdir()
-        else:
+        elif kind == "non-utf8":
             trace.write_bytes(b"\xff\xfe\x00")
+        else:
+            trace.write_text(cli.TRACE_HEADER.replace("lambda_norm", "lam") + "\n")
         assert cli.main(["rate-report", str(trace)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(trace) in err
+        assert_one_line_naming(capsys, says.format(trace))
 
     def test_diverged_first_row_gives_strict_json(self, tmp_path):
         # an Inf first row in the window used to give "slope": NaN

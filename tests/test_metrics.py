@@ -156,6 +156,10 @@ class TestWeightedAverage:
         with pytest.raises(ValueError):
             weighted_average([], [])
 
+    def test_lengths_must_agree(self):
+        with pytest.raises(ValueError, match=r"^iterates and betas differ in length$"):
+            weighted_average([np.zeros(1), np.ones(1)], [1.0])
+
     def test_overflowing_sum_reads_inf_without_a_warning(self):
         # 1e10/1e-300 overflows; a run's averages read inf here with no warning, and
         # this raised "overflow encountered in divide" under -W error

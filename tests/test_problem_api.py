@@ -15,6 +15,7 @@ from gdpa import (
     effective_constants,
     estimate_sigma,
     solve,
+    validate_tau,
 )
 from gdpa.problem import seeded_check_points
 from gdpa.problems import build_analytic
@@ -138,21 +139,27 @@ class TestEffectiveConstants:
     def test_quadratic_lipschitz_estimate_in_range(self):
         p = scalar_problem(lambda x: x * x, lambda x: 2 * x,
                            projection=ProjectionSpec.box([-1.0], [1.0]))
-        consts = effective_constants(p, sample_budget=16, seed=0)
+        consts = effective_constants(p, seed=0)
         assert 2.0 <= consts.L_f <= 3.0
 
-    def test_supplied_constants_returned_verbatim(self):
-        supplied = ProblemConstants(L_f=7.0, sigma=0.5)
-        p = scalar_problem(lambda x: x * x, lambda x: 2 * x)
-        p.constants = supplied
-        consts = effective_constants(p, sample_budget=8, seed=0)
-        assert consts.L_f == 7.0
-        assert consts.sigma == 0.5
-        assert consts.U_J is not None  # the missing ones are estimated
+    def test_ball_leaves_sigma_unknown(self):
+        # estimate_sigma refuses a ball; the unknown sigma passes validate_tau
+        p = scalar_problem(lambda x: x * x, lambda x: 2 * x, g=lambda x: 1.0,
+                           jac=lambda x: 1.0, projection=ProjectionSpec.ball([0.0], 1.0))
+        consts = effective_constants(p, seed=0)
+        assert consts.sigma is None and consts.U_J == 1.5
+        report = validate_tau(GdpaConfig(), consts)
+        assert report.ok is True and math.isnan(report.bound)
+
+    def test_zero_width_box_gives_zero_estimates(self):
+        # every sample projects onto the one point, so no pair has a gap
+        p = scalar_problem(lambda x: x * x, lambda x: 2 * x,
+                           projection=ProjectionSpec.box([0.5], [0.5]))
+        assert effective_constants(p, seed=0) == ProblemConstants(0.0, 0.0, 0.0, 0.0, math.inf)
 
     def test_no_constraints_zeroes_constraint_constants(self):
         p = scalar_problem(lambda x: x * x, lambda x: 2 * x)
-        consts = effective_constants(p, sample_budget=8, seed=0)
+        consts = effective_constants(p, seed=0)
         assert consts.U_J == 0.0
         assert consts.L_J == 0.0
         assert math.isinf(consts.sigma)
@@ -160,28 +167,38 @@ class TestEffectiveConstants:
     def test_deterministic_given_seed(self):
         p = scalar_problem(lambda x: math.sin(x), lambda x: math.cos(x),
                            g=lambda x: x - 1.0, jac=lambda x: 1.0)
-        a = effective_constants(p, sample_budget=12, seed=42)
-        b = effective_constants(p, sample_budget=12, seed=42)
+        a = effective_constants(p, seed=42)
+        b = effective_constants(p, seed=42)
         assert a == b
-
-    def test_budget_too_small(self):
-        p = scalar_problem(lambda x: x * x, lambda x: 2 * x)
-        with pytest.raises(ValueError):
-            effective_constants(p, sample_budget=1, seed=0)
 
     def test_every_known_constant_is_a_python_float(self):
         # L_f and L_g were numpy.float64, so validate_alpha's ok was a numpy.bool,
         # which json.dump refuses
         p = scalar_problem(lambda x: math.sin(x), lambda x: math.cos(x),
                            g=lambda x: x - 1.0, jac=lambda x: 1.0)
-        p.constants = ProblemConstants(L_J=np.float64(2.0), U_J=3)
-        consts = effective_constants(p, sample_budget=8, seed=0)
+        consts = effective_constants(p, seed=0)
         values = [consts.L_f, consts.L_g, consts.L_J, consts.U_J, consts.sigma]
         assert [type(v) for v in values] == [float] * 5, values
-        assert consts.L_J == 2.0 and consts.U_J == 3.0
+        assert consts.L_J == 0.0 and consts.U_J == 1.5
+        given = ProblemConstants(L_J=np.float64(2.0), U_J=3)
+        assert (type(given.L_J), type(given.U_J), given.U_J) == (float, float, 3.0)
 
 
 class TestConstrainedProblemValidation:
+    @pytest.mark.parametrize("build, says", [
+        (lambda: ConstrainedProblem(dim=0, num_constraints=0, eval_f=lambda x: 0.0,
+                                    eval_grad_f=lambda x: x), "dim must be positive"),
+        (lambda: ConstrainedProblem(dim=1, num_constraints=-1, eval_f=lambda x: 0.0,
+                                    eval_grad_f=lambda x: x),
+         "num_constraints must be nonnegative"),
+        (lambda: check_gradients(scalar_problem(lambda x: x * x, lambda x: 2 * x), []),
+         "need at least one check point"),
+    ], ids=["dim-0", "negative-constraint-count", "no-check-points"])
+    def test_bad_input_is_refused(self, build, says):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert exc.type is ValueError and str(exc.value) == says
+
     def test_missing_constraint_callbacks_rejected(self):
         with pytest.raises(ValueError):
             ConstrainedProblem(dim=1, num_constraints=1,

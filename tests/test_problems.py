@@ -376,3 +376,50 @@ class TestCmdp:
         with pytest.raises(ValueError, match=says):
             TabularCmdp(arrays["transitions"], arrays["rewards"],
                         arrays["constraint_rewards"], 0.9, arrays["thresholds"])
+
+
+HALVES = np.full((2, 2, 2), 0.5)  # a valid 2-state, 2-action transition tensor
+
+
+def _csv(text):
+    def load(path):
+        path.write_text(text)
+        return load_csv_dataset(path)
+    return load
+
+
+@pytest.mark.parametrize("build, error, says", [
+    (lambda _: TabularCmdp(np.full((2, 2, 3), 1 / 3), np.zeros((2, 2)), np.zeros((0, 2, 2)),
+                           0.9), ValueError, "transitions must have shape (S, A, S)"),
+    (lambda _: TabularCmdp(HALVES, np.zeros((2, 2)), np.zeros((1, 2, 3)), 0.9, np.zeros(1)),
+     ValueError, "constraint_rewards must have shape (m, S, A)"),
+    (lambda _: TabularCmdp(np.array([[[1.5, -0.5]] * 2] * 2), np.zeros((2, 2)),
+                           np.zeros((0, 2, 2)), 0.9), ValueError,
+     "transition probabilities must be nonnegative"),
+    (lambda _: TabularCmdp(HALVES, np.zeros((2, 2)), np.zeros((1, 2, 2)), 0.9, np.zeros(2)),
+     ValueError, "thresholds must have one entry per constraint reward"),
+    (lambda _: MnpcDataset(np.zeros(3), np.zeros(3), 2), DatasetError,
+     "features must be a 2-d array"),
+    (lambda _: MnpcDataset(np.zeros((3, 1)), [0, 1], 2), DatasetError,
+     "labels must align with feature rows"),
+    (lambda _: MnpcDataset(np.zeros((2, 1)), [0, 0], 1), DatasetError,
+     "need at least two classes"),
+    (lambda _: MnpcDataset(np.zeros((2, 1)), [0, 2], 2), DatasetError,
+     "class ids out of range"),
+    (lambda _: generate_synthetic_mnpc(0, 2, 0, 5, 0.5), DatasetError,
+     "num_classes >= 2, d_in >= 1, per_class >= 1 required"),
+    (_csv(""), DatasetError, "{}: empty file (missing header)"),
+    (_csv("class,f1\n0\n"), DatasetError,
+     "{}: line 2: need a class id and at least one feature"),
+    (_csv("class,f1\n-1,0.5\n0,0.2\n"), DatasetError, "{}: negative class id"),
+    (lambda _: build_nn_budget(generate_synthetic_mnpc(0, 2, 2, 3, 0.5), 0, [1.0]),
+     ValueError, "hidden must be positive"),
+], ids=["cmdp-transitions-shape", "cmdp-constraint-shape", "cmdp-negative-probability",
+        "cmdp-threshold-length", "mnpc-1d-features", "mnpc-misaligned-labels",
+        "mnpc-one-class", "mnpc-class-id-out-of-range", "synthetic-d_in-0", "csv-empty-file",
+        "csv-one-column", "csv-negative-class", "nn-hidden-0"])
+def test_bad_problem_data_is_refused(tmp_path, build, error, says):
+    path = tmp_path / "data.csv"
+    with pytest.raises(error) as exc:
+        build(path)
+    assert exc.type is error and str(exc.value) == says.format(path)

@@ -280,6 +280,11 @@ class TestValidation:
         consts = ProblemConstants(L_f=0.0, L_J=0.0, L_g=0.0, U_J=0.0)
         assert validate_alpha(GdpaConfig(), consts, lambda_norm=10.0, r=5).ok
 
+    def test_alpha_unknown_constant_passes_with_nan_bound(self):
+        rep = validate_alpha(GdpaConfig(), ProblemConstants(L_f=2.0, L_J=0.0, U_J=0.0),
+                             lambda_norm=0.0, r=1)
+        assert rep.ok is True and math.isnan(rep.bound)
+
     def test_config_invariants(self):
         with pytest.raises(ValueError):
             GdpaConfig(tau=0.0)

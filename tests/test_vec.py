@@ -126,6 +126,16 @@ class TestProject:
         with pytest.raises(ValueError):
             ProjectionSpec.simplex_blocks(0)
 
+    @pytest.mark.parametrize("check, says", [
+        (lambda: ProjectionSpec.box([0.0, 0.0], [1.0]), "box bounds must have equal length"),
+        (lambda: ProjectionSpec.ball([0.0, 0.0], 1.0).check_dim(3),
+         "ball is 2-dimensional, vector is 3-dimensional"),
+    ], ids=["box-bounds", "ball-dim"])
+    def test_mismatched_lengths_are_refused(self, check, says):
+        with pytest.raises(DimensionMismatchError) as exc:
+            check()
+        assert exc.type is DimensionMismatchError and str(exc.value) == says
+
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
             project(ProjectionSpec.identity(), [np.nan, 0.0])
