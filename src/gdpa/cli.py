@@ -136,6 +136,8 @@ def load_config(path, seed: Optional[int] = None) -> SimpleNamespace:
     if seed is not None:  # checked as the file's seed is
         raw["seed"] = seed
     cfg = SimpleNamespace(**_section(raw, _TOP_KEYS, "config keys"))
+    if cfg.record_every is not None and cfg.record_every > 2 ** 62:  # as in a solver section
+        raise ConfigError(f"'record_every' must be at most 2**62, got {cfg.record_every}")
     if not all(isinstance(spec, dict) for spec in cfg.solvers or []):
         raise ConfigError("every entry of 'solvers' must be a JSON object")
     return cfg

@@ -128,7 +128,11 @@ class ConstrainedProblem:
     def first_order(self, x: np.ndarray):
         """f, checked g(x), grad f and J from one eval_first_order call (f, grad
         f and J unchecked, or None without one), for the caller to check as ``value``."""
-        f, g, grad, jac = self.eval_first_order(x) if self.eval_first_order else (None,) * 4
+        out = self.eval_first_order(x) if self.eval_first_order else (None,) * 4
+        try:
+            f, g, grad, jac = out
+        except (TypeError, ValueError) as exc:  # not 4 values: say whose output it was
+            raise TypeError(f"eval_first_order must return (f, g, grad f, J): {exc}") from None
         return f, self.g(x, g), grad, jac
 
 
@@ -185,7 +189,7 @@ def check_gradients(
                 fd_jac[:, i] = (problem.g(xp) - problem.g(xm)) / (2.0 * h)
             analytic_jac = problem.jacobian(x)
             if fused is not None:
-                f1, g1, grad1, jac1 = fused(x)
+                f1, g1, grad1, jac1 = problem.first_order(x)
                 fused_err = max(fused_err, _rel_error(problem.f(x), problem.f(x, f1)),
                                 _rel_error(problem.g(x), problem.g(x, g1)),
                                 _rel_error(analytic_grad, problem.grad_f(x, grad1)),

@@ -17,8 +17,8 @@ softmax Jacobian.
 Each callback evaluates all of its reward tables (one for f, m for g) under
 one policy: one softmax, one P_pi and one multi-RHS solve for the value
 functions. ``eval_f`` and ``eval_g`` stop there. ``eval_grad_f`` and
-``eval_jacobian`` add one occupancy solve, shared by every table, and one
-(S*A, S) @ (S, k) product for the Q-values of all k tables.
+``eval_jacobian`` add one occupancy solve on its LU factors, shared by every
+table, and one (S*A, S) @ (S, k) product for the Q-values of all k tables.
 ``eval_first_order`` makes that pass once over all 1 + m tables and returns
 f, g, grad f and J from it.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..problem import ConstrainedProblem
-from ..vec import all_finite
+from ..vec import all_finite, solve_pair
 
 _ROW_SUM_TOL = 1e-12
 
@@ -139,6 +139,7 @@ def build_cmdp(model: TabularCmdp) -> ConstrainedProblem:
     """Wrap the model as a smooth constrained problem over policy logits."""
     s, a, discount = model.num_states, model.num_actions, model.discount
     rho = np.full(s, 1.0 / s)
+    occupancy_rhs = (discount - 1.0) * rho  # -(1 - discount) rho, see loss_grads
     dim = s * a
     thresholds = model.thresholds.copy()
     rewards = model.rewards[None]
@@ -146,24 +147,24 @@ def build_cmdp(model: TabularCmdp) -> ConstrainedProblem:
     flat_transitions = model.transitions.reshape(dim, s)
 
     def values(theta, tables):
-        # One softmax, one P_pi and one multi-RHS solve for the (S, k) value
-        # functions of all k stacked reward tables (k, S, A).
+        # One softmax, one P_pi, and the system and right-hand sides of the (S, k)
+        # value functions of all k stacked reward tables (k, S, A).
         policy = softmax_policy(theta, s, a)
         system = (policy[:, None, :] @ model.transitions)[:, 0]
         system *= -discount  # I - discount * P_pi, in place
         system.flat[::s + 1] += 1.0
-        return policy, system, np.linalg.solve(system, np.einsum("sa,ksa->sk", policy, tables))
+        return policy, system, np.einsum("sa,ksa->sk", policy, tables)
 
     def returns(theta, tables):
-        return (1.0 - discount) * (rho @ values(theta, tables)[2])
+        return (1.0 - discount) * (rho @ np.linalg.solve(*values(theta, tables)[1:]))
 
     def loss_grads(theta, tables):  # v and the gradients of the negated returns
-        policy, system, v = values(theta, tables)
-        # Normalized discounted state-visitation measure, shared by every table;
-        # -d puts the minus sign into the product, so the gradients need no pass of their own.
-        d = (1.0 - discount) * np.linalg.solve(system.T, rho)
+        policy, system, r_pi = values(theta, tables)
+        # v and minus the normalized discounted state-visitation measure, shared by every
+        # table; its minus sign goes into the product, so the gradients need no pass of their own.
+        v, d = solve_pair(system, r_pi, occupancy_rhs)
         q = tables + discount * (flat_transitions @ v).T.reshape(tables.shape)
-        return v, ((-d)[:, None] * policy * (q - v.T[:, :, None])).reshape(len(tables), dim)
+        return v, (d[:, None] * policy * (q - v.T[:, :, None])).reshape(len(tables), dim)
 
     def eval_f(theta):
         return -float(returns(theta, rewards)[0])

@@ -1,13 +1,16 @@
-"""Dense float64 vector kernels and the Euclidean projection operators.
+"""Dense float64 vector kernels, the Euclidean projection operators and a paired solve.
 
 Everything here is a pure function of its inputs: arrays are never mutated,
 and any NaN/Inf encountered on input or produced on output raises
-:class:`NonFiniteError` immediately instead of propagating silently.
+:class:`NonFiniteError` at once (``solve_pair`` leaves that to its callers).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from glob import glob
 from typing import Optional
 
 import numpy as np
@@ -31,6 +34,37 @@ def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not all_finite(arr):
         raise NonFiniteError(f"{what} contains NaN or Inf")
     return arr
+
+
+@functools.cache
+def _lapack():
+    """dgesv and dgetrs (64-bit ints) of the OpenBLAS in numpy's wheels, or None without it."""
+    try:
+        lib = ctypes.CDLL(glob(np.__path__[0] + "/../numpy.libs/libscipy_openblas64_*")[0])
+        gesv, getrs = lib.scipy_dgesv_64_, lib.scipy_dgetrs_64_
+    except (IndexError, OSError, AttributeError):  # numpy built from source, macOS, ...
+        return None
+    gesv.argtypes, getrs.argtypes = [ctypes.c_void_p] * 8, [ctypes.c_char_p] + [ctypes.c_void_p] * 8
+    gesv.restype = getrs.restype = None
+    return gesv, getrs
+
+
+def solve_pair(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """(a^-1 b, a^-T c) for square ``a``, b (n,) or (n, k): np.linalg.solve's own dgesv (same
+    bits), then dgetrs on its LU factors; LinAlgError if singular. Else: two np.linalg.solve."""
+    n, lapack = len(a), _lapack()
+    if not (lapack and n and a.shape == (n, n) == (*b.shape[:1], *c.shape) and b.ndim <= 2):
+        return np.linalg.solve(a, b), np.linalg.solve(a.T, c)
+    lu, x, y = (np.array(v, np.float64, order="F") for v in (a, b, c))  # copies, overwritten
+    ints = np.zeros(n + 4, np.int64)  # n, k, 1, info, then the pivots
+    ints[:3] = n, b.size // n, 1
+    n_, k_, one_, info_, piv = range(p := ints.ctypes.data, p + 40, 8)
+    lu_, x_, y_ = (v.ctypes.data for v in (lu, x, y))  # each .ctypes costs about 1.4 us
+    lapack[0](n_, k_, lu_, n_, piv, x_, n_, info_)
+    if ints[3] > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    lapack[1](b"T", n_, one_, lu_, n_, piv, y_, n_, info_)
+    return np.ascontiguousarray(x), y
 
 
 def _float64(v, name: str) -> np.ndarray:

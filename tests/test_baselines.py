@@ -164,6 +164,18 @@ class TestFailure:
         assert (res.termination, res.iterations, res.trace) == ("numerical-failure", 0, [])
         assert res.failure_message == "initial evaluation: g(x) is not finite at x=array([0.])"
 
+    @pytest.mark.parametrize("out, says", [
+        ((1.0, np.zeros(1), np.zeros(1)), "not enough values to unpack (expected 4, got 3)"),
+        (None, "cannot unpack non-iterable NoneType object"),
+    ], ids=["three", "none"])
+    @pytest.mark.parametrize("kind", ["gdpa", "alm"])
+    def test_fused_oracle_of_another_arity_is_named(self, kind, out, says):
+        # the unpack's own ValueError or TypeError ended the run without naming the callback
+        p = dataclasses.replace(problem_a(), eval_first_order=lambda x: out)
+        with pytest.raises(TypeError) as info:
+            RUNS[kind](p)
+        assert str(info.value) == f"eval_first_order must return (f, g, grad f, J): {says}"
+
 
 class TestTrace:
     @pytest.mark.parametrize("kind, outer_iters, termination, iterations", [

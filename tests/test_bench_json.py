@@ -1,4 +1,5 @@
-"""scripts/bench_json.py, the driver that writes BENCH_<LABEL>.json around perfbench."""
+"""scripts/bench_json.py, which writes BENCH_<LABEL>.json around perfbench, and
+scripts/bench_pairs.py, which times two checkouts against each other."""
 
 import json
 import subprocess
@@ -8,13 +9,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def driver(*args):
-    cmd = [sys.executable, str(ROOT / "scripts" / "bench_json.py"), *map(str, args)]
+def run_script(*args, script="bench_json.py"):
+    cmd = [sys.executable, str(ROOT / "scripts" / script), *map(str, args)]
     return subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
 
 
 def test_smoke_run_writes_every_key_and_a_checkout_without_perfbench_exits_1(tmp_path):
-    proc = driver("smoke", "--smoke", "--out", tmp_path)
+    proc = run_script("smoke", "--smoke", "--out", tmp_path)
     assert proc.returncode == 0, proc.stderr
     out = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert sorted(out) == ["commit", "env", "flags", "label", "metrics", "runs"]
@@ -26,6 +27,25 @@ def test_smoke_run_writes_every_key_and_a_checkout_without_perfbench_exits_1(tmp
     for m in metrics.values():
         assert sorted(m) == ["median", "q1", "q3", "unit"] and m["q1"] <= m["median"] <= m["q3"]
 
-    proc = driver("none", "--root", tmp_path, "--out", tmp_path)
+    proc = run_script("none", "--root", tmp_path, "--out", tmp_path)
     assert proc.returncode == 1 and "has no perfbench/run.py" in proc.stderr
     assert not (tmp_path / "BENCH_none.json").exists()
+
+
+def test_pairs_smoke_run_alternates_the_order_and_a_failed_run_exits_1(tmp_path):
+    proc = run_script(ROOT, ROOT, "scaled-1d", "--smoke", script="bench_pairs.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("pair  1 (before first): before ")
+    assert lines[1].startswith("pair  2 (after first): before ")
+    out = json.loads(lines[-1])
+    assert sorted(out) == ["after", "after_wins", "before", "faster", "flags", "seed",
+                           "workload"]
+    assert (out["workload"], out["seed"]) == ("scaled-1d", 0) and out["faster"] in (True, False)
+    assert out["after_wins"] in (0, 1, 2) and "--smoke" in out["flags"]
+    for side in ("before", "after"):
+        s = out[side]
+        assert len(s["run_s"]) == 2 and s["q1"] <= s["median"] <= s["q3"]
+
+    proc = run_script(ROOT, tmp_path, "scaled-1d", "--smoke", script="bench_pairs.py")
+    assert proc.returncode == 1 and f"bench_pairs: {tmp_path}: exit 2" in proc.stderr

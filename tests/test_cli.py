@@ -179,11 +179,16 @@ class TestSolveCommand:
          "bad solver section (alm): dense_until must be an integer in [0, 2**62], got -1"),
         ("solve", {"problem": {**MNPC_SMALL, "source": "parquet"}},
          "unknown dataset source 'parquet'"),
+        ("solve", {"record_every": 2 ** 62 + 1},
+         "'record_every' must be at most 2**62, got 4611686018427387905"),
+        ("benchmark", {"record_every": 2 ** 62 + 1},
+         "'record_every' must be at most 2**62, got 4611686018427387905"),
     ])
     def test_malformed_section_exits_2(self, tmp_path, capsys, command, override, says):
         # each of these ended in a traceback (exit 1) before the section checks, but the
-        # last four: a gdpa section named only its first unknown key, in Python's words
-        # ("unexpected keyword argument"), and a baseline ran with a negative dense_until
+        # last six: a gdpa section named only its first unknown key, in Python's words
+        # ("unexpected keyword argument"), a baseline ran with a negative dense_until,
+        # and a top-level record_every above 2**62 was refused as a solver section's key
         config = {"problem": {"kind": "analytic", "id": "scaled-1d"},
                   "solver": {"kind": "gdpa", "max_iters": 10}}
         if command == "benchmark":

@@ -20,6 +20,7 @@ from gdpa.problems import (
     softmax_policy,
     TabularCmdp,
 )
+from gdpa import vec
 from gdpa.problems import mnpc, nn_budget
 from gdpa.problems.datasets import MnpcDataset
 
@@ -306,7 +307,7 @@ class TestCmdp:
         assert rep.passed(1e-5)
 
     @pytest.mark.parametrize("m", [0, 1, 3])
-    def test_batched_oracles_match_per_table_reference(self, m):
+    def test_batched_oracles_match_per_table_reference(self, m, monkeypatch):
         # Each oracle evaluates all of its reward tables in one pass; the
         # reference evaluates one table at a time with policy_evaluation and
         # the occupancy measure (1 - discount) (I - discount P_pi^T)^-1 rho.
@@ -340,6 +341,15 @@ class TestCmdp:
         assert len(fused) == 4 and isinstance(fused[0], float)
         for got, want in zip(fused, separate):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # without numpy's bundled LAPACK the occupancy takes a solve of its own: f and g
+        # keep their bits, grad f and J move in the last bits
+        monkeypatch.setattr(vec, "_lapack", lambda: None)
+        for fast, slow in ((fused, problem.eval_first_order(theta)),
+                           (separate, (problem.eval_f(theta), problem.eval_g(theta),
+                                       problem.eval_grad_f(theta), problem.eval_jacobian(theta)))):
+            assert fast[0] == slow[0] and np.array_equal(fast[1], slow[1])
+            for got, want in zip(fast[2:], slow[2:]):
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     def test_gamma_near_zero_reduces_to_immediate_reward(self):
         model = random_cmdp(12, 4, 3, 1, 1e-9, thresholds=[0.0])

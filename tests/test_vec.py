@@ -16,6 +16,7 @@ from gdpa.vec import (
     as_vector,
     positive_part,
     project,
+    solve_pair,
 )
 
 finite_vectors = arrays(
@@ -181,6 +182,22 @@ class TestKernels:
         # NaN, +-Inf, empty, 2-d and non-contiguous arrays
         v = {"whole": a, "strided": a[::2], "transposed": a.T}[view]
         assert all_finite(v) == np.isfinite(v).all()
+
+    @pytest.mark.parametrize("n", [6, 64, 100, 256])
+    def test_solve_pair_against_two_solves(self, n):
+        # a^-1 b comes from the dgesv np.linalg.solve calls, a^-T c from its LU factors
+        rng = np.random.default_rng(n)
+        p = rng.uniform(size=(n, n))
+        a = np.eye(n) - 0.9 * p / p.sum(axis=1, keepdims=True)
+        b, c = rng.uniform(size=(n, 4)), np.full(n, 1.0 / n)
+        for rhs in (b, b[:, 0]):
+            x, y = solve_pair(a, rhs, c)
+            assert x.flags.c_contiguous and np.array_equal(x, np.linalg.solve(a, rhs))
+            np.testing.assert_allclose(y, np.linalg.solve(a.T, c), rtol=1e-14, atol=0)
+        singular = a.copy()
+        singular[:, -1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            solve_pair(singular, b, c)
 
 
 def coerced(fn, v):
