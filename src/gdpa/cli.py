@@ -1,10 +1,9 @@
 """Command-line front end: run configuration, experiment orchestration, trace
-persistence, baseline comparison tables, and rate-fit reports.
+persistence, run summaries with their rate fits, and baseline comparison tables.
 
-Subcommands: ``solve``, ``benchmark``, ``rate-report``, ``check``. Configs are
-JSON; traces are CSV with a fixed schema so external plot tools can consume
-them directly. Exit codes: 0 success, 2 bad config/usage, 3 numerical
-failure, 4 insufficient data for a rate fit.
+Subcommands: ``solve``, ``benchmark``, ``check``. Configs are JSON; traces are
+CSV with a fixed schema so external plot tools can consume them directly.
+Exit codes: 0 success, 1 failed gradient check, 2 bad config/usage, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -288,28 +287,6 @@ def write_trace(path, records: Sequence[IterationRecord]) -> None:
             f"{rec.slackness!r},{rec.lambda_norm!r}\n" for rec in records)
 
 
-def read_trace(path) -> List[IterationRecord]:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ConfigError(f"{path}: not a trace file (bad header)")
-    out = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        parts = line.split(",")
-        try:
-            if len(parts) != 10:
-                raise ValueError(f"{len(parts)} fields, expected 10")
-            out.append(IterationRecord(int(parts[0]), *map(float, parts[1:])))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed trace row {line!r}: {exc}") from exc
-    return out
-
-
 def _null_non_finite(value, key: str, flagged: List[str]):
     """Copy of ``value`` with every non-finite float replaced by None, so it
     dumps as strict JSON; the key of each replaced value is appended to ``flagged``."""
@@ -322,6 +299,33 @@ def _null_non_finite(value, key: str, flagged: List[str]):
         flagged.append(key)
         return None
     return value
+
+
+# rates column -> (trace column, factor, slope ceiling). Squaring the feasibility
+# column doubles the slope and intercept of its envelope fit exactly, so the
+# squared-violation rate is reported directly. The ceilings sit above the
+# theoretical orders -2/3, -2/3 and -1/3.
+_RATE_COLUMNS = {"stationarity_sq": ("stationarity_sq", 1.0, -0.5),
+                 "feasibility_sq": ("feasibility", 2.0, -0.5),
+                 "slackness": ("slackness", 1.0, -0.25)}
+_RATE_WINDOW = (1e3, 1e5)
+
+
+def _rates(records: Sequence[IterationRecord]) -> dict:
+    """The log-log slope of each rates column's running-minimum envelope over
+    ``_RATE_WINDOW``, against its ceiling; a column with too few points is skipped."""
+    columns = {}
+    for column, (trace_column, factor, ceiling) in _RATE_COLUMNS.items():
+        try:
+            fit = fit_rate(records, trace_column, _RATE_WINDOW)
+        except InsufficientDataError as exc:
+            columns[column] = {"skipped": str(exc)}
+            continue
+        slope = factor * fit.slope
+        columns[column] = {"slope": slope, "intercept": factor * fit.intercept,
+                           "r_squared": fit.r_squared, "n_points": fit.n_points,
+                           "ceiling": ceiling, "pass": slope <= ceiling}
+    return {"window": list(_RATE_WINDOW), "columns": columns}
 
 
 def _summary(problem, result, kind, wall_seconds, alpha_last, theory) -> dict:
@@ -351,6 +355,7 @@ def _summary(problem, result, kind, wall_seconds, alpha_last, theory) -> dict:
         "us_per_iter": 1e6 * wall_seconds / result.iterations if result.iterations else None,
         "failure_message": result.failure_message,
         "theory": theory,
+        "rates": _rates(result.trace),
     }
     non_finite: List[str] = []
     return {**_null_non_finite(summary, "", non_finite), "non_finite": non_finite}
@@ -464,49 +469,6 @@ def cmd_benchmark(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# rate-report
-
-
-# report column -> (trace column, factor, slope ceiling). Squaring the feasibility
-# column doubles the slope and intercept of its envelope fit exactly, so the
-# squared-violation rate is reported directly. The ceilings sit above the
-# theoretical orders -2/3, -2/3 and -1/3.
-_RATE_COLUMNS = {"stationarity_sq": ("stationarity_sq", 1.0, -0.5),
-                 "feasibility_sq": ("feasibility", 2.0, -0.5),
-                 "slackness": ("slackness", 1.0, -0.25)}
-
-
-def cmd_rate_report(args) -> int:
-    records = read_trace(args.trace)
-    window = (args.window_lo, args.window_hi)
-    if not all(map(math.isfinite, window)):
-        raise ConfigError("the window bounds must be finite")
-    if window[0] > window[1]:
-        raise ConfigError(f"--window-lo {window[0]} lies above --window-hi {window[1]}")
-    try:
-        fits = [fit_rate(records, trace_column, window)
-                for trace_column, _, _ in _RATE_COLUMNS.values()]
-    except InsufficientDataError as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return 4
-    report = {}
-    for (column, (_, factor, ceiling)), fit in zip(_RATE_COLUMNS.items(), fits):
-        slope = factor * fit.slope
-        ok = slope <= ceiling
-        report[column] = {"slope": slope, "intercept": factor * fit.intercept,
-                          "r_squared": fit.r_squared, "n_points": fit.n_points,
-                          "ceiling": ceiling, "pass": ok}
-        print(f"{column}: slope={slope:.4f} (ceiling {ceiling}) "
-              f"r2={fit.r_squared:.4f} -> {'PASS' if ok else 'FAIL'}")
-    out_dir = Path(args.out) if args.out else Path(args.trace).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "rate.json", "w") as fh:
-        json.dump({"window": list(window), "columns": report}, fh, indent=2, allow_nan=False)
-        fh.write("\n")
-    return 0
-
-
-# --------------------------------------------------------------------------
 # check
 
 
@@ -549,16 +511,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, func, text in (
             ("solve", cmd_solve, "run one solver on one problem"),
             ("benchmark", cmd_benchmark, "compare solvers under a shared budget"),
-            ("rate-report", cmd_rate_report, "fit convergence-rate slopes from a trace"),
             ("check", cmd_check, "verify gradients and estimate regularity")):
         command = sub.add_parser(name, help=text)
         command.set_defaults(func=func)
-        if func is cmd_rate_report:
-            command.add_argument("trace")
-            command.add_argument("--window-lo", type=float, default=1e3)
-            command.add_argument("--window-hi", type=float, default=1e5)
-            command.add_argument("--out", default=None)
-            continue
         command.add_argument("--config", required=True)
         if func is not cmd_check:
             command.add_argument("--out", default=None)

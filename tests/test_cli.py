@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdpa import (cli, effective_constants, solve, solve_alm, solve_penalty, validate_alpha,
-                  validate_tau)
+from gdpa import (cli, effective_constants, fit_rate, solve, solve_alm, solve_penalty,
+                  validate_alpha, validate_tau)
 from gdpa.metrics import IterationRecord
 from gdpa.problems import build_analytic
 
@@ -51,6 +51,12 @@ MNPC_OVERFLOW = {"kind": "mnpc", "num_classes": 3, "d_in": 4, "per_class": 5,
 CMDP_NAN = {"kind": "cmdp", "num_states": 5, "num_actions": 3, "thresholds": [math.nan]}
 MNPC_SMALL = {"kind": "mnpc", "num_classes": 3, "d_in": 2, "per_class": 4,
               "thresholds": [1.0, 1.0]}
+
+
+def read_trace(path):
+    """The records of a trace that ``cli.write_trace`` wrote."""
+    rows = (line.split(",") for line in Path(path).read_text().splitlines()[1:])
+    return [IterationRecord(int(r), *map(float, values)) for r, *values in rows]
 
 
 def write_csv(tmp_path, bad=False):
@@ -124,7 +130,7 @@ class TestSolveCommand:
         out = tmp_path / "run"
         cfg = scaled_1d_config(tmp_path, out)
         assert cli.main(["solve", "--config", cfg]) == 0
-        records = cli.read_trace(out / "trace.csv")
+        records = read_trace(out / "trace.csv")
         assert all(isinstance(r, IterationRecord) for r in records)
         # writing the parsed records again reproduces the file byte for byte
         cli.write_trace(out / "trace2.csv", records)
@@ -292,7 +298,7 @@ class TestSolveCommand:
             "solver": {"kind": "gdpa", "preset": problem["kind"], "max_iters": 50},
             "out_dir": str(out)})
         assert cli.main(["solve", "--config", cfg]) == 0
-        assert len(cli.read_trace(out / "trace.csv")) == 50
+        assert len(read_trace(out / "trace.csv")) == 50
         # the decision variable is sized by the file: 3 classes, 2 features
         assert len(json.loads((out / "summary.json").read_text())["x_final"]) == dim
 
@@ -365,7 +371,7 @@ class TestSolveCommand:
             "seed": 1,
         })
         assert cli.main(["solve", "--config", cfg]) == 0
-        records = cli.read_trace(out / "trace.csv")
+        records = read_trace(out / "trace.csv")
         assert records and all(r.lambda_norm == 0.0 for r in records)
 
     def test_numerical_failure_exits_3_with_partial_trace(self, tmp_path, monkeypatch):
@@ -396,6 +402,8 @@ class TestSolveCommand:
         summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
         assert summary["non_finite"] == ["kkt_final.stationarity", "kkt_avg.stationarity"]
         assert summary["kkt_final"]["stationarity"] is None
+        assert summary["rates"]["columns"]["slackness"] == {
+            "skipped": "only 0 records in window [1000.0, 100000.0]; need at least 10"}
 
     def test_summary_kkt_values_recompute(self, tmp_path):
         from gdpa import kkt_residual
@@ -406,7 +414,7 @@ class TestSolveCommand:
         assert cli.main(["solve", "--config", cfg]) == 0
         summary = json.loads((out / "summary.json").read_text())
         problem = build_analytic("scaled-1d").problem
-        records = cli.read_trace(out / "trace.csv")
+        records = read_trace(out / "trace.csv")
         recomputed = kkt_residual(problem, np.array(summary["x_avg"]),
                                   np.array(summary["lambda_avg"]),
                                   alpha=records[-1].alpha)
@@ -427,6 +435,7 @@ class TestSolveCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["solver"] == "penalty"
         assert abs(summary["x_final"][0] - 1.0) <= 5e-2
+        assert summary["rates"]["columns"]["stationarity_sq"]["n_points"] > 0
 
     def test_output_directory_under_a_file_exits_2(self, tmp_path, capsys):
         # creating it raised NotADirectoryError: a traceback and exit 1
@@ -507,7 +516,7 @@ class TestBenchmarkCommand:
         })
         assert cli.main(["benchmark", "--config", cfg]) == 0
         for name in ("gdpa", "penalty"):
-            records = cli.read_trace(out / f"trace_{name}.csv")
+            records = read_trace(out / f"trace_{name}.csv")
             assert min(rec.feasibility for rec in records) <= 1e-3, name
 
     def test_numerical_failure_exits_3_and_lists_only_the_spent_budget(self, tmp_path, capsys):
@@ -529,8 +538,8 @@ class TestBenchmarkCommand:
         points = {name: [int(r[1]) for r in rows if r[0] == name] for name in ("gdpa", "alm")}
         assert points["gdpa"] and max(points["gdpa"]) <= 2 * 27  # 27 steps began
         assert max(points["alm"]) == 200
-        assert len(cli.read_trace(out / "trace_gdpa.csv")) == 26
-        assert cli.read_trace(out / "trace_alm.csv")
+        assert len(read_trace(out / "trace_gdpa.csv")) == 26
+        assert read_trace(out / "trace_alm.csv")
 
     @pytest.mark.parametrize("solvers, says", [
         ([{"name": "a", "kind": "gdpa"}, {"name": "a", "kind": "alm"}], "got 'a'"),
@@ -780,124 +789,56 @@ class TestConfigSchema:
                                     None if budget is None else max(1, budget // 2))
 
 
-class TestRateReportCommand:
-    def synthetic_trace(self, tmp_path, value_fn, n=2000):
-        records = [IterationRecord(r=r, alpha=1.0, beta=1.0, gamma=1.0,
-                                   f_value=0.0, F_beta_value=0.0,
-                                   stationarity_sq=value_fn(r),
-                                   feasibility=value_fn(r),
-                                   slackness=value_fn(r), lambda_norm=0.0)
-                   for r in range(1, n + 1)]
-        path = tmp_path / "trace.csv"
-        cli.write_trace(path, records)
-        return str(path)
+def synthetic_records(value_fn, n=2000):
+    """Rows r = 1..n whose three rate columns all read ``value_fn(r)``."""
+    return [IterationRecord(r=r, alpha=1.0, beta=1.0, gamma=1.0, f_value=0.0,
+                            F_beta_value=0.0, stationarity_sq=value_fn(r),
+                            feasibility=value_fn(r), slackness=value_fn(r), lambda_norm=0.0)
+            for r in range(1, n + 1)]
 
-    def test_power_law_passes(self, tmp_path, capsys):
-        trace = self.synthetic_trace(tmp_path, lambda r: r ** (-2.0 / 3.0))
-        code = cli.main(["rate-report", trace, "--window-lo", "10",
-                         "--window-hi", "2000"])
-        assert code == 0
-        rate = json.loads((tmp_path / "rate.json").read_text())
-        assert rate["columns"]["stationarity_sq"]["slope"] == pytest.approx(-2 / 3, abs=1e-3)
-        assert rate["columns"]["stationarity_sq"]["pass"] is True
-        # feasibility is squared for reporting: slope doubles
-        assert rate["columns"]["feasibility_sq"]["slope"] == pytest.approx(-4 / 3, abs=1e-3)
-        out = capsys.readouterr().out
-        assert "PASS" in out
 
-    def test_constant_trace_fails_ceiling(self, tmp_path, capsys):
-        trace = self.synthetic_trace(tmp_path, lambda r: 0.5)
-        code = cli.main(["rate-report", trace, "--window-lo", "10",
-                         "--window-hi", "2000"])
-        assert code == 0
-        rate = json.loads((tmp_path / "rate.json").read_text())
-        assert rate["columns"]["stationarity_sq"]["slope"] == pytest.approx(0.0, abs=1e-9)
-        assert rate["columns"]["stationarity_sq"]["pass"] is False
-        assert "FAIL" in capsys.readouterr().out
+class TestRates:
+    # (stationarity_sq, feasibility_sq, slackness) slopes and passes, or None when
+    # too few rows lie in the window; the squared feasibility doubles its slope
+    @pytest.mark.parametrize("value_fn, n, n_points, slopes, passes", [
+        (lambda r: r ** (-2 / 3), 2000, 1001, (-2 / 3, -4 / 3, -2 / 3), (True, True, True)),
+        (lambda r: 0.5, 2000, 1001, (0.0, 0.0, 0.0), (False, False, False)),
+        (lambda r: r ** -0.4, 2000, 1001, (-0.4, -0.8, -0.4), (False, True, True)),
+        # the inf row is left out of the fit, so no slope reads NaN
+        (lambda r: math.inf if r == 1000 else r ** -0.6, 2000, 1000, (-0.6, -1.2, -0.6),
+         (True, True, True)),
+        (lambda r: 1.0 / r, 1005, 6, None, None),
+    ], ids=["power-law", "constant", "ceilings", "inf-row", "too-few-points"])
+    def test_synthetic_trace(self, value_fn, n, n_points, slopes, passes):
+        rates = cli._rates(synthetic_records(value_fn, n))
+        json.dumps(rates, allow_nan=False)
+        assert rates["window"] == [1000.0, 100000.0]
+        columns = rates["columns"]
+        if slopes is None:
+            says = f"only {n_points} records in window [1000.0, 100000.0]; need at least 10"
+            assert columns == {column: {"skipped": says} for column in cli._RATE_COLUMNS}
+            return
+        assert {column: row["ceiling"] for column, row in columns.items()} == {
+            "stationarity_sq": -0.5, "feasibility_sq": -0.5, "slackness": -0.25}
+        assert [row["slope"] for row in columns.values()] == pytest.approx(slopes, abs=1e-9)
+        assert tuple(row["pass"] for row in columns.values()) == passes
+        assert all(row["n_points"] == n_points for row in columns.values())
 
-    def test_ceilings_are_fixed(self, tmp_path, capsys):
-        # the --max-slope-* flags that once set them are unrecognized arguments
-        trace = self.synthetic_trace(tmp_path, lambda r: r ** -0.4)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["rate-report", trace, "--max-slope-stationarity", "-0.4"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --max-slope-stationarity -0.4" in capsys.readouterr().err
-        assert cli.main(["rate-report", trace, "--window-lo", "10", "--window-hi", "2000"]) == 0
-        columns = json.loads((tmp_path / "rate.json").read_text())["columns"]
-        assert {column: (row["ceiling"], row["pass"]) for column, row in columns.items()} == {
-            "stationarity_sq": (-0.5, False), "feasibility_sq": (-0.5, True),
-            "slackness": (-0.25, True)}
-
-    def test_blank_line_is_skipped(self, tmp_path):
-        trace = Path(self.synthetic_trace(tmp_path, lambda r: r ** -0.5))
-        lines = trace.read_text().splitlines(keepends=True)
-        blank = tmp_path / "blank" / "trace.csv"
-        blank.parent.mkdir()
-        blank.write_text("".join(lines[:50] + ["\n"] + lines[50:]))
-        for path in (trace, blank):
-            assert cli.main(["rate-report", str(path), "--window-lo", "10",
-                             "--window-hi", "2000"]) == 0
-        assert (blank.parent / "rate.json").read_text() == (tmp_path / "rate.json").read_text()
-
-    def test_non_numeric_field_exits_2(self, tmp_path, capsys):
-        trace = tmp_path / "trace.csv"
-        trace.write_text(cli.TRACE_HEADER + "\n1,a,1,1,0,0,1,1,1,0\n")
-        assert cli.main(["rate-report", str(trace)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(trace) in err and "1,a,1" in err
-
-    @pytest.mark.parametrize("kind, says", [
-        ("directory", "config error: cannot read trace {}: "),
-        ("non-utf8", "config error: cannot read trace {}: "),
-        ("bad-header", "config error: {}: not a trace file (bad header)\n"),
-    ], ids=["directory", "non-utf8", "bad-header"])
-    def test_unreadable_trace_exits_2(self, tmp_path, capsys, kind, says):
-        trace = tmp_path / "trace.csv"
-        if kind == "directory":
-            trace.mkdir()
-        elif kind == "non-utf8":
-            trace.write_bytes(b"\xff\xfe\x00")
-        else:
-            trace.write_text(cli.TRACE_HEADER.replace("lambda_norm", "lam") + "\n")
-        assert cli.main(["rate-report", str(trace)]) == 2
-        assert_one_line_naming(capsys, says.format(trace))
-
-    def test_diverged_first_row_gives_strict_json(self, tmp_path):
-        # an Inf first row in the window used to give "slope": NaN
-        trace = self.synthetic_trace(tmp_path, lambda r: math.inf if r == 10 else r ** -0.5)
-        assert cli.main(["rate-report", trace, "--window-lo", "10",
-                         "--window-hi", "2000"]) == 0
-
-        def reject(token):
-            raise ValueError(f"rate.json is not strict JSON: {token}")
-
-        rate = json.loads((tmp_path / "rate.json").read_text(), parse_constant=reject)
-        assert rate["columns"]["stationarity_sq"]["slope"] == pytest.approx(-0.5, abs=1e-9)
-
-    def test_non_finite_window_exits_2(self, tmp_path, capsys):
-        trace = self.synthetic_trace(tmp_path, lambda r: r ** -0.5)
-        assert cli.main(["rate-report", trace, "--window-lo=-inf", "--window-hi=inf"]) == 2
-        assert capsys.readouterr().err.count("\n") == 1
-
-    def test_inverted_window_exits_2(self, tmp_path, capsys):
-        # this exited 4: "insufficient data: only 0 records in window [1000.0, 10.0]"
-        trace = self.synthetic_trace(tmp_path, lambda r: r ** -0.5)
-        assert cli.main(["rate-report", trace, "--window-lo", "1e3", "--window-hi", "10"]) == 2
-        assert_one_line_naming(capsys, "--window-lo 1000.0 lies above --window-hi 10.0")
-        assert not (tmp_path / "rate.json").exists()
-
-    def test_output_directory_under_a_file_exits_2(self, tmp_path, capsys):
-        trace = self.synthetic_trace(tmp_path, lambda r: r ** -0.5)
-        out = tmp_path / "file" / "out"
-        out.parent.write_text("")
-        assert cli.main(["rate-report", trace, "--window-lo", "10", "--window-hi", "2000",
-                         "--out", str(out)]) == 2
-        assert_one_line_naming(capsys, str(out))
-
-    def test_insufficient_points_exits_4(self, tmp_path):
-        trace = self.synthetic_trace(tmp_path, lambda r: 1.0 / r, n=5)
-        assert cli.main(["rate-report", trace, "--window-lo", "1",
-                         "--window-hi", "5"]) == 4
+    def test_solve_reports_the_rates_of_its_trace(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["solve", "--config", scaled_1d_config(tmp_path, out, 5000)]) == 0
+        records = read_trace(out / "trace.csv")
+        columns = {}
+        for column, trace_column, factor, ceiling in (
+                ("stationarity_sq", "stationarity_sq", 1.0, -0.5),
+                ("feasibility_sq", "feasibility", 2.0, -0.5),
+                ("slackness", "slackness", 1.0, -0.25)):
+            fit = fit_rate(records, trace_column, (1e3, 1e5))
+            columns[column] = {"slope": factor * fit.slope, "intercept": factor * fit.intercept,
+                               "r_squared": fit.r_squared, "n_points": fit.n_points,
+                               "ceiling": ceiling, "pass": factor * fit.slope <= ceiling}
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rates"] == {"window": [1000.0, 100000.0], "columns": columns}
 
 
 class TestCheckCommand:

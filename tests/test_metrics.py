@@ -212,6 +212,18 @@ class TestFitRate:
         fit = fit_rate(synthetic_records(vals), "feasibility", (1, 500))
         assert fit.slope <= -0.4
 
+    def test_r_squared_of_a_curved_envelope(self):
+        # the line misses this curve, so r_squared is below 1; checked against
+        # 1 - SS_res/SS_tot of numpy's own line fit
+        rs = np.arange(10, 2001)
+        vals = np.exp(-2.0 * np.sqrt(np.log(rs + 1.0)))
+        fit = fit_rate(synthetic_records(zip(rs.tolist(), vals.tolist())), "slackness",
+                       (10, 2000))
+        lx, ly = np.log(rs), np.log(vals)
+        res = ly - np.polyval(np.polyfit(lx, ly, 1), lx)
+        assert fit.r_squared == pytest.approx(1.0 - res @ res / np.sum((ly - ly.mean()) ** 2),
+                                              rel=1e-12)
+
     def test_insufficient_data(self):
         recs = synthetic_records((r, 1.0 / r) for r in range(1, 6))
         with pytest.raises(InsufficientDataError):

@@ -276,6 +276,13 @@ class TestValidation:
         consts = ProblemConstants(L_f=2.0, L_J=0.0, L_g=0.0, U_J=0.0)
         assert not validate_alpha(cfg, consts, lambda_norm=0.0, r=1).ok
 
+    def test_alpha_bound_weighs_each_constant(self):
+        # L_J != L_g: at r = 8, beta_r = 2 and 1 + 0.9*4*2 + 2*0.5*3 = 11.2
+        consts = ProblemConstants(L_f=1.0, L_J=2.0, L_g=3.0, U_J=0.5)
+        rep = validate_alpha(GdpaConfig(tau=0.1, beta0=1.0, alpha01=1.0), consts,
+                             lambda_norm=4.0, r=8)
+        assert rep.bound == pytest.approx(11.2, rel=1e-12) and not rep.ok
+
     def test_alpha_all_zero_constants_pass(self):
         consts = ProblemConstants(L_f=0.0, L_J=0.0, L_g=0.0, U_J=0.0)
         assert validate_alpha(GdpaConfig(), consts, lambda_norm=10.0, r=5).ok
