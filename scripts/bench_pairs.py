@@ -2,10 +2,11 @@
 python3 scripts/bench_pairs.py BEFORE AFTER WORKLOAD [--seed S] [--smoke]
 runs perfbench/run.py for 8 s (seed 0 by default) in checkout BEFORE and in checkout
 AFTER, 10 times each, switching from pair to pair which side runs first. It prints each
-pair's run_s, each side's median and quartiles, and the pairs AFTER won; the last line
-holds the same as one JSON object. By the rule for a gain under 1.3x, AFTER is faster
-when it wins at least 9 of 10 pairs and the medians differ by more than BEFORE's
-interquartile range. Exits 1 if a run fails or is wrong."""
+pair's run_s, each side's median and quartiles, the pairs AFTER won and the median's
+change (AFTER's median / BEFORE's - 1); the last line holds the same as one JSON object.
+By the rule for a gain under 1.3x, AFTER is faster when it wins at least 9 of 10 pairs
+and the medians differ by more than BEFORE's interquartile range. Exits 1 if a run fails
+or is wrong."""
 
 import argparse, json, statistics, subprocess, sys
 from pathlib import Path
@@ -49,10 +50,11 @@ def main(argv=None) -> int:
         out[side] = {"run_s": v, "median": med, "q1": q1, "q3": q3}
         print(f"{side}: median {med:.4f} s, quartiles {q1:.4f} and {q3:.4f} s")
     before, after = out["before"], out["after"]
+    out["change"] = after["median"] / before["median"] - 1
     out["faster"] = (out["after_wins"] >= 0.9 * len(before["run_s"])
                      and before["median"] - after["median"] > before["q3"] - before["q1"])
-    print(f"after won {out['after_wins']} of {len(before['run_s'])} pairs; faster by the rule: "
-          f"{out['faster']}")
+    print(f"after won {out['after_wins']} of {len(before['run_s'])} pairs, median change "
+          f"{out['change']:+.1%}; faster by the rule: {out['faster']}")
     print(json.dumps(out))
     return 0
 

@@ -10,7 +10,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .problem import ConstrainedProblem
-from .vec import ProjectionSpec, _project_raw, as_vector, check_length, require_finite
+from .vec import (ProjectionSpec, _concatenate, _project_raw, as_vector, check_length,
+                  require_finite)
 
 
 class InsufficientDataError(ValueError):
@@ -103,7 +104,7 @@ def _residual_step(x, lam, grad_fx, jac, alpha, projection: ProjectionSpec) -> n
 def _stationarity(x, proj, lam, shifted, alpha, beta):
     # Stacked proximal-gradient residual of the plain (unperturbed)
     # Lagrangian: grad_x L = grad f + J^T lam, grad_lam L = g.
-    stacked = np.concatenate([(x - proj) / alpha, (lam - shifted) / beta], axis=-1)
+    stacked = _concatenate([(x - proj) / alpha, (lam - shifted) / beta], axis=-1)
     return stacked, _sq_norms(stacked)
 
 

@@ -18,6 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .vec import (
+    _F64,
     DimensionMismatchError,
     NonFiniteError,
     ProjectionSpec,
@@ -94,7 +95,10 @@ class ConstrainedProblem:
     # ``value``: eval_first_order's output at x, checked in place of a new call
 
     def f(self, x: np.ndarray, value=None) -> float:
-        val = float(self.eval_f(x) if value is None else value)
+        val = self.eval_f(x) if value is None else value
+        if not isinstance(val, (float, int)):  # Python floats, ints and bools, numpy float64
+            val = self._checked(x, val, (), "f")
+        val = float(val)
         if not math.isfinite(val):
             raise NonFiniteError(f"f(x) is not finite at x={x!r}")
         return val
@@ -117,8 +121,14 @@ class ConstrainedProblem:
 
     @staticmethod
     def _checked(x: np.ndarray, out, shape: Tuple[int, ...], what: str) -> np.ndarray:
-        """``out`` as float64, checked for its shape first, then for finiteness."""
-        out = _float64(out, what)
+        """``out`` as float64 (bools as 0 and 1), checked for its kind, its shape, then for
+        finiteness; TypeError for text, bytes, objects, voids, dates, masked arrays, complex."""
+        if not (type(out) is np.ndarray and out.dtype is _F64):
+            arr = np.asarray(out)
+            if isinstance(out, np.ma.MaskedArray) or arr.dtype.kind not in "biufc":
+                raise TypeError(f"{what} must hold real numbers, got a {type(out).__name__} "
+                                f"of dtype {arr.dtype}")
+            out = _float64(arr, what)
         if out.shape != shape:
             raise DimensionMismatchError(f"{what} must have shape {shape}, got {out.shape}")
         if not all_finite(out):

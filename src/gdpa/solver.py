@@ -25,7 +25,7 @@ from .metrics import (_ZERO, IterationRecord, _block_steps, _const, _fill_rows, 
                       _shift_sum, _shifted, _stationarity, _violation_sq, _weighted_sum,
                       make_record)
 from .problem import ConstrainedProblem, ProblemConstants
-from .vec import (_F64, DimensionMismatchError, NonFiniteError, _project_raw, all_finite,
+from .vec import (_F64, DimensionMismatchError, NonFiniteError, _project_raw, _where, all_finite,
                   as_vector, check_length, project)
 
 TERM_FEASIBILITY = "feasibility-stop"
@@ -206,7 +206,7 @@ def dual_step(g_next, lam, mask, beta_r: float, tau: float) -> np.ndarray:
 
 
 def _dual_step_raw(g_next, damped, mask, beta_r, total=None):
-    return np.where(mask, _shifted(damped, g_next, beta_r, total), _ZERO)
+    return _where(mask, _shifted(damped, g_next, beta_r, total), _ZERO)
 
 
 def validate_tau(cfg: GdpaConfig, constants: ProblemConstants) -> ValidationReport:

@@ -17,6 +17,15 @@ import numpy as np
 
 _F64 = np.dtype(np.float64)
 
+try:
+    from numpy._core import _multiarray_umath as _C
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as _C
+# The C functions that np.count_nonzero, ndarray.clip (both bounds given), np.where and
+# np.concatenate end in, without their Python wrappers (same bits); the public ones if absent
+_count_nonzero, _clip, _where, _concatenate = (
+    getattr(_C, n, getattr(np, n)) for n in ("count_nonzero", "clip", "where", "concatenate"))
+
 
 class DimensionMismatchError(ValueError):
     """Operand shapes are incompatible with each other or with a ProjectionSpec."""
@@ -27,7 +36,7 @@ class NonFiniteError(ArithmeticError):
 
 
 def all_finite(arr: np.ndarray) -> bool:
-    return np.count_nonzero(np.isfinite(arr)) == arr.size  # .all() adds a Python-level call
+    return _count_nonzero(np.isfinite(arr)) == arr.size  # .all() adds a Python-level call
 
 
 def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -176,7 +185,7 @@ def _project_raw(spec: ProjectionSpec, x: np.ndarray) -> np.ndarray:
     if kind == "identity":
         return x
     if kind == "box":
-        return x.clip(spec.lower, spec.upper)  # np.clip's method, without its Python wrapper
+        return _clip(x, spec.lower, spec.upper)
     if kind == "ball":
         with np.errstate(over="ignore", invalid="ignore"):  # a far point's norm overflows
             diff = x - spec.center

@@ -39,8 +39,10 @@ def test_pairs_smoke_run_alternates_the_order_and_a_failed_run_exits_1(tmp_path)
     assert lines[0].startswith("pair  1 (before first): before ")
     assert lines[1].startswith("pair  2 (after first): before ")
     out = json.loads(lines[-1])
-    assert sorted(out) == ["after", "after_wins", "before", "faster", "flags", "seed",
+    assert sorted(out) == ["after", "after_wins", "before", "change", "faster", "flags", "seed",
                            "workload"]
+    assert out["change"] == out["after"]["median"] / out["before"]["median"] - 1
+    assert f"median change {out['change']:+.1%}; faster by the rule: " in lines[-2]
     assert (out["workload"], out["seed"]) == ("scaled-1d", 0) and out["faster"] in (True, False)
     assert out["after_wins"] in (0, 1, 2) and "--smoke" in out["flags"]
     for side in ("before", "after"):

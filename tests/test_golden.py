@@ -6,6 +6,10 @@ the numpy version and BLAS build of the file and of the run when they differ;
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,3 +61,25 @@ def test_changes_names_each_moved_field_and_each_new_case():
     assert changes(old, old) == ["0 cases moved"]
     new = {"a": {**same, "trace": "1", "T_eps": "1"}, "b": same, "c": same}
     assert changes(old, new) == ["moved: a trace", "moved: a T_eps", "new: c"]
+
+
+def test_the_public_numpy_functions_keep_a_golden_digest(recorded):
+    # vec.py binds the C count_nonzero, clip, where and concatenate of numpy's private
+    # module, or the public functions where it lacks them: those give the same bits
+    names = ("count_nonzero", "clip", "where", "concatenate")
+    code = (
+        "import json, tests, numpy as np\n"
+        "try:\n    from numpy._core import _multiarray_umath as C\n"
+        "except ImportError:\n    from numpy.core import _multiarray_umath as C\n"
+        f"for name in {names}:\n    delattr(C, name)\n"
+        "from gdpa import vec\n"
+        "bound = (vec._count_nonzero, vec._clip, vec._where, vec._concatenate)\n"
+        f"assert bound == tuple(getattr(np, name) for name in {names}), bound\n"
+        "from tests.record_golden import digests, run_case\n"
+        "print(json.dumps(digests(run_case('gdpa/qq-d4-m3'))))\n")
+    src = str(Path(gdpa.solver.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], cwd=GOLDEN.parent.parent,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == recorded["cases"]["gdpa/qq-d4-m3"]

@@ -26,11 +26,14 @@ def test_module_constants_are_read_only_0d_float64(const):
         np.add(const, 1.0, out=const)
 
 
-@pytest.mark.parametrize("lower, upper", [(-1.0, 1.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)])
+@pytest.mark.parametrize("lower, upper", [
+    (-1.0, 1.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), ([-0.0, 0.0] * 5, [0.0, -0.0] * 5)])
 def test_box_projection_equals_np_clip(lower, upper):
-    # the projection calls ndarray.clip, the method np.clip ends in
+    # the projection calls the clip ufunc that np.clip and ndarray.clip end in
     x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.5, -0.5, 3.0, -3.0, 5e-324])
     rng = np.random.default_rng(0)
     for v in (x, rng.permutation(x), np.repeat(x, 2)[::2], 10.0 * rng.standard_normal(10)):
-        spec = ProjectionSpec.box(np.full(10, lower), np.full(10, upper))
-        assert same(_project_raw(spec, v), np.clip(v, spec.lower, spec.upper))
+        spec = ProjectionSpec.box(np.resize(lower, 10), np.resize(upper, 10))
+        got = _project_raw(spec, v)
+        assert same(got, np.clip(v, spec.lower, spec.upper))
+        assert same(got, v.clip(spec.lower, spec.upper))

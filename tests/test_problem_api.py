@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from gdpa import (
     ConstrainedProblem,
+    DimensionMismatchError,
     GdpaConfig,
     NonFiniteError,
     ProblemConstants,
@@ -31,6 +33,17 @@ def scalar_problem(f, grad, g=None, jac=None, projection=None):
         eval_jacobian=(lambda x: np.array([[jac(x[0])]])) if jac else None,
         projection=projection or ProjectionSpec.identity(),
     )
+
+
+# a callback output of each kind an accessor refuses, in the shape of the real output v
+NOT_REAL = {
+    "str": lambda v: str(float(np.ravel(v)[0])), "bytes": lambda v: b"1.0",
+    "object": lambda v: np.asarray(v, dtype=object),
+    "void": lambda v: np.zeros(np.shape(v), dtype="V8"),
+    "datetime": lambda v: np.zeros(np.shape(v), dtype="M8[s]"),
+    "masked": lambda v: np.ma.masked_all(np.shape(v)),
+    "complex": lambda v: np.asarray(v) + 0j,
+}
 
 
 class TestCheckGradients:
@@ -224,6 +237,55 @@ class TestConstrainedProblemValidation:
             warnings.simplefilter("error")
             with pytest.raises(TypeError, match=f"^{what} must be real, got complex values$"):
                 solve(p, GdpaConfig(max_iters=5), np.ones(1))
+
+    @pytest.mark.parametrize("kind", sorted(NOT_REAL))
+    @pytest.mark.parametrize("callback, what", [
+        ("eval_f", "f"), ("eval_grad_f", "grad f"), ("eval_g", "g"), ("eval_jacobian", "jacobian"),
+        (0, "f"), (1, "g"), (2, "grad f"), (3, "jacobian")])  # eval_first_order's (f, g, grad, J)
+    def test_non_numeric_callback_output_raises_type_error_naming_it(self, callback, what, kind):
+        # text ran as its number or failed in numpy's words, objects and masked arrays ran on
+        # their data, and a complex f raised float()'s TypeError
+        parts = {"eval_f": lambda x: float(x[0] ** 2), "eval_grad_f": lambda x: 2.0 * x,
+                 "eval_g": lambda x: 1.0 - x, "eval_jacobian": lambda x: -np.ones((1, 1))}
+        real = dict(parts)
+        if isinstance(callback, str):
+            parts[callback] = lambda x: NOT_REAL[kind](real[callback](x))
+        else:
+            def fused(x):
+                out = [real[k](x) for k in ("eval_f", "eval_g", "eval_grad_f", "eval_jacobian")]
+                out[callback] = NOT_REAL[kind](out[callback])
+                return tuple(out)
+            parts["eval_first_order"] = fused
+        p = ConstrainedProblem(dim=1, num_constraints=1, **parts)
+        says = "must be real, got complex values" if kind == "complex" else "must hold real numbers"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError, match=f"^{what} {says}"):
+                solve(p, GdpaConfig(max_iters=5, record_every=1), np.ones(1))
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (1, 1)])
+    def test_f_must_be_a_scalar(self, shape):
+        # numpy raised "only 0-dimensional arrays can be converted to Python scalars"
+        p = scalar_problem(lambda x: x * x, lambda x: 2 * x)
+        p.eval_f = lambda x: np.full(shape, 1.0)
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^f must have shape \(\), got {re.escape(str(shape))}$"):
+            p.f(np.ones(1))
+
+    def test_bool_outputs_run_as_zero_and_one(self):
+        # each accessor casts a bool array (and f a bool) to 0.0 and 1.0, bit for bit
+        parts = {"eval_f": lambda x: bool(x[0] > 0.5), "eval_grad_f": lambda x: x > 0.5,
+                 "eval_g": lambda x: x > 1.0, "eval_jacobian": lambda x: np.ones((1, 1), bool)}
+        cast = {k: (lambda fn: lambda x: np.asarray(fn(x), dtype=np.float64))(fn)
+                for k, fn in parts.items()}
+        cast["eval_f"] = lambda x: float(parts["eval_f"](x))
+        runs = []
+        for callbacks in (parts, cast):
+            p = ConstrainedProblem(dim=1, num_constraints=1, **callbacks)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                runs.append(solve(p, GdpaConfig(max_iters=20, record_every=1), np.full(1, 3.0)))
+        assert runs[0].trace == runs[1].trace and np.array_equal(runs[0].x_final, runs[1].x_final)
 
     def test_constants_validation(self):
         with pytest.raises(ValueError):
