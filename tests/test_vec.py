@@ -174,15 +174,17 @@ class TestKernels:
         assert np.all(out >= 0)
         np.testing.assert_array_equal(positive_part(out), out)
 
-    @given(arrays(st.sampled_from([np.float64, np.bool_, np.int64]),
-                  array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)),
+    @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5),
+                  elements=st.floats()),
            st.sampled_from(["whole", "strided", "transposed"]))
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     def test_all_finite_agrees_with_isfinite_all(self, a, view):
-        # NaN, +-Inf, empty, 0-d, 2-d, bool, int and non-contiguous arrays, against the
-        # public count the C count_nonzero stands in for
-        v = {"whole": a, "strided": a[::2] if a.ndim else a, "transposed": a.T}[view]
-        assert all_finite(v) == np.isfinite(v).all() == (np.count_nonzero(np.isfinite(v)) == v.size)
+        # NaN, +-Inf, empty, 0-d, 2-d and non-contiguous arrays, as float64, bool and int64,
+        # against the public count that the C count_nonzero stands in for
+        for b in (a, a > 0, (a > 0).astype(np.int64)):
+            v = {"whole": b, "strided": b[::2] if b.ndim else b, "transposed": b.T}[view]
+            assert all_finite(v) == np.isfinite(v).all() == (
+                np.count_nonzero(np.isfinite(v)) == v.size)
 
     @pytest.mark.parametrize("n", [6, 64, 100, 256])
     def test_solve_pair_against_two_solves(self, n):
