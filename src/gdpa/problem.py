@@ -96,7 +96,7 @@ class ConstrainedProblem:
 
     def f(self, x: np.ndarray, value=None) -> float:
         val = self.eval_f(x) if value is None else value
-        if not isinstance(val, (float, int)):  # Python floats, ints and bools, numpy float64
+        if not isinstance(val, float):  # Python and numpy floats; anything else as a g entry
             val = self._checked(x, val, (), "f")
         val = float(val)
         if not math.isfinite(val):
@@ -297,7 +297,8 @@ def effective_constants(problem: ConstrainedProblem, seed: int) -> ProblemConsta
         sigma = None
     return ProblemConstants(
         L_f=pair_quotient(grads, np.linalg.norm), L_g=pair_quotient(gs, np.linalg.norm),
-        L_J=pair_quotient(jacs, lambda A: float(np.linalg.norm(A, 2))),
+        L_J=pair_quotient(jacs, lambda A: float(np.linalg.norm(A, 2)) if all_finite(A)
+                          else math.inf),  # an overflowing difference's 2-norm would be NaN
         U_J=_SAFETY * max(float(np.linalg.norm(J, 2)) for J in jacs), sigma=sigma)
 
 

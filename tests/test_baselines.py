@@ -6,13 +6,13 @@ import pytest
 
 from gdpa import (
     AlmConfig,
+    ConstrainedProblem,
     GdpaConfig,
     PenaltyConfig,
     solve,
     solve_alm,
     solve_penalty,
 )
-from gdpa.metrics import IterationRecord
 from gdpa.problems import build_analytic
 from tests.conftest import make_unconstrained
 
@@ -47,7 +47,6 @@ class TestPenalty:
 
     def test_feasible_stationary_start_is_fixed_point(self):
         # strictly feasible x0 with zero objective gradient: nothing moves
-        from gdpa import ConstrainedProblem
         p = ConstrainedProblem(
             dim=1, num_constraints=1,
             eval_f=lambda x: float((x[0] - 2.0) ** 2),
@@ -60,15 +59,6 @@ class TestPenalty:
         assert res.x_final[0] == 2.0
         assert res.termination == "feasibility-stop"
 
-    def test_trace_schema_matches(self):
-        cfg = PenaltyConfig(inner_iters=30, inner_step=1e-4, outer_iters=2,
-                            feas_tol=1e-8, record_every=5, dense_until=0)
-        res = solve_penalty(problem_a(), cfg, np.zeros(1))
-        assert all(isinstance(rec, IterationRecord) for rec in res.trace)
-        rs = [rec.r for rec in res.trace]
-        assert rs == sorted(rs)
-        assert all(rec.lambda_norm == 0.0 for rec in res.trace)
-
 
 class TestAlm:
     def test_problem_a_multiplier_converges(self):
@@ -79,7 +69,6 @@ class TestAlm:
         assert abs(res.x_final[0] - 1.0) <= 5e-2
 
     def test_large_dual_decays_on_strictly_feasible_problem(self):
-        from gdpa import ConstrainedProblem
         p = ConstrainedProblem(
             dim=1, num_constraints=1,
             eval_f=lambda x: float(x[0] ** 2),
@@ -100,39 +89,29 @@ class TestAlm:
         np.testing.assert_allclose(res.x_final, c, atol=1e-8)
         assert res.termination == "feasibility-stop"
 
+    def test_rho_grows_only_when_a_round_cuts_the_violation_by_less_than_a_tenth(self):
+        # x never moves (grad f = 0, J = 0), so each round's violation is scripted: 1 at
+        # the start, then 1.0, 0.89 (cut by 11%: rho stays), 0.85 (cut by 4.5%: it grows)
+        values = iter([1.0, 1.0, 0.89, 0.85, 0.5])
+        p = ConstrainedProblem(dim=1, num_constraints=1, eval_f=lambda x: 0.0,
+                               eval_grad_f=lambda x: np.zeros(1),
+                               eval_g=lambda x: np.array([next(values)]),
+                               eval_jacobian=lambda x: np.zeros((1, 1)))
+        res = solve_alm(p, AlmConfig(rho0=1.0, rho_growth=2.0, inner_iters=1, outer_iters=4,
+                                     feas_tol=1e-3, record_every=1), np.zeros(1))
+        assert [rec.beta for rec in res.trace] == [1.0, 1.0, 1.0, 2.0]
+
     def test_dual_always_nonnegative(self):
         cfg = AlmConfig(rho0=5.0, rho_growth=3.0, inner_iters=100,
                         inner_step=5e-3, outer_iters=6, feas_tol=1e-12)
         res = solve_alm(problem_a(), cfg, np.array([-2.0]))
         assert np.all(res.lambda_final >= 0.0)
 
-    def test_lambda0_validation(self):
-        with pytest.raises(ValueError):
-            solve_alm(problem_a(), AlmConfig(), np.zeros(1), lambda0=np.array([-1.0]))
-
 
 @pytest.mark.parametrize("cls, rho_growth", [(PenaltyConfig, 0.5), (AlmConfig, 1.0)])
 def test_rho_growth_must_exceed_1(cls, rho_growth):
     with pytest.raises(ValueError, match=r"^rho_growth must exceed 1$"):
         cls(rho_growth=rho_growth)
-
-
-class TestAgreement:
-    def test_three_solvers_agree_on_problem_a(self):
-        p = problem_a()
-        res_g = solve(p, GdpaConfig(max_iters=30_000, eps_feas=1e-14,
-                                    eps_stat=1e-14, record_every=5000),
-                      np.zeros(1))
-        res_p = solve_penalty(p, PenaltyConfig(rho0=1.0, rho_growth=10.0,
-                                               inner_iters=300, inner_step=9e-5,
-                                               outer_iters=5, feas_tol=1e-8),
-                              np.zeros(1))
-        res_a = solve_alm(p, AlmConfig(rho0=10.0, rho_growth=10.0,
-                                       inner_iters=2000, inner_step=1e-3,
-                                       outer_iters=5, feas_tol=1e-10),
-                          np.zeros(1))
-        for res in (res_g, res_p, res_a):
-            assert abs(res.x_final[0] - 1.0) <= 5e-2
 
 
 RUNS = {  # a baseline's second round begins at step 31

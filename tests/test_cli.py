@@ -126,27 +126,13 @@ class TestSolveCommand:
         assert summary["us_per_iter"] is None
         assert "us_per_iter" not in summary["non_finite"]
 
-    def test_trace_round_trips_losslessly(self, tmp_path):
-        out = tmp_path / "run"
-        cfg = scaled_1d_config(tmp_path, out)
-        assert cli.main(["solve", "--config", cfg]) == 0
-        records = read_trace(out / "trace.csv")
-        assert all(isinstance(r, IterationRecord) for r in records)
-        # writing the parsed records again reproduces the file byte for byte
-        cli.write_trace(out / "trace2.csv", records)
-        assert (out / "trace.csv").read_bytes() == (out / "trace2.csv").read_bytes()
-
-    def test_malformed_json_exits_2(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert cli.main(["solve", "--config", str(bad)]) == 2
-
     @pytest.mark.parametrize("content, says", [
         (b'{"seed": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
         (b'{"seed": \xff\xfe 0}', "can't decode byte 0xff"),
         (b"[" * 200_000, "maximum recursion depth exceeded"),
         (None, "config error: cannot read config "),
-    ], ids=["4300-digit-int", "non-utf-8", "deep-nesting", "directory"])
+        (b"{not json", "Expecting property name enclosed in double quotes"),
+    ], ids=["4300-digit-int", "non-utf-8", "deep-nesting", "directory", "not-json"])
     def test_malformed_json_exits_2_in_one_line(self, tmp_path, capsys, content, says):
         # the first three ended in a traceback with exit 1; None makes the path a directory
         bad = tmp_path / "bad.json"
@@ -156,11 +142,6 @@ class TestSolveCommand:
             bad.write_bytes(content)
         assert cli.main(["solve", "--config", str(bad)]) == 2
         assert_one_line_naming(capsys, says)
-
-    def test_unknown_key_exits_2(self, tmp_path):
-        cfg = write_config(tmp_path, {"problem": {"kind": "analytic", "id": "scaled-1d"},
-                                      "sover": {}})
-        assert cli.main(["solve", "--config", cfg]) == 2
 
     @pytest.mark.parametrize("command, override, says", [
         ("solve", {"problem": {"kind": "analytic", "id": "scaled-1d", "x0": ["a"]}},
@@ -189,6 +170,9 @@ class TestSolveCommand:
          "'record_every' must be at most 2**62, got 4611686018427387905"),
         ("benchmark", {"record_every": 2 ** 62 + 1},
          "'record_every' must be at most 2**62, got 4611686018427387905"),
+        ("solve", {"sover": {}}, "unknown config keys: ['sover']"),
+        ("benchmark", {"solvers": [{"kind": "gdpa"}]},
+         "benchmark requires at least two entries in 'solvers'"),
     ])
     def test_malformed_section_exits_2(self, tmp_path, capsys, command, override, says):
         # each of these ended in a traceback (exit 1) before the section checks, but the
@@ -232,10 +216,13 @@ class TestSolveCommand:
         {"kind": "mnpc", "num_classes": 10 ** 300, "d_in": 2, "thresholds": [1.0]},
         {"kind": "nn", "num_classes": 2, "d_in": 2, "hidden": 10 ** 300, "budgets": [1.0]},
         {"kind": "cmdp", "num_states": 100_000, "num_actions": 100_000},
-    ], ids=["mnpc-classes", "nn-hidden", "cmdp-states"])
+        {"kind": "nn", "source": "csv", "hidden": 10 ** 300, "budgets": [1.0, 1.0]},
+    ], ids=["mnpc-classes", "nn-hidden", "cmdp-states", "nn-csv-hidden"])
     def test_oversized_problem_exits_2_before_allocating(self, tmp_path, capsys, problem):
         # without the size cap the dataset generator loops without bound, or
         # numpy fails (or the machine runs out of memory) allocating the arrays
+        if problem.get("source") == "csv":
+            problem = {**problem, "path": write_csv(tmp_path)}
         cfg = write_config(tmp_path, {"problem": problem})
         tracemalloc.start()
         t0 = time.perf_counter()
@@ -316,19 +303,6 @@ class TestSolveCommand:
         assert code == 2 and time.perf_counter() - start < 1.0
         assert_one_line_naming(capsys, "class 2 has no samples")
 
-    def test_oversized_net_on_a_csv_dataset_exits_2_before_allocating(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"problem": {
-            "kind": "nn", "source": "csv", "path": write_csv(tmp_path),
-            "hidden": 10 ** 300, "budgets": [1.0, 1.0]}})
-        tracemalloc.start()
-        try:
-            code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 2 and peak < 2 ** 20
-        assert_one_line_naming(capsys, "more than 100,000,000 float64 entries")
-
     def test_overflowing_constant_estimate_leaks_no_warning(self, tmp_path, capsys):
         # the sampled constant estimate overflows; it used to print numpy's
         # RuntimeWarning ahead of the one-line failure
@@ -360,19 +334,6 @@ class TestSolveCommand:
         assert summary["kkt_final"] == {"stationarity": None, "feasibility": None,
                                         "slackness": None}
         assert "kkt_final.stationarity" in summary["non_finite"]
-
-    def test_unconstrained_problem_has_zero_lambda_column(self, tmp_path):
-        out = tmp_path / "run"
-        cfg = write_config(tmp_path, {
-            "problem": {"kind": "cmdp", "num_states": 3, "num_actions": 2,
-                        "num_constraints": 0, "discount": 0.8, "dataset_seed": 5},
-            "solver": {"kind": "gdpa", "preset": "cmdp", "max_iters": 50},
-            "out_dir": str(out),
-            "seed": 1,
-        })
-        assert cli.main(["solve", "--config", cfg]) == 0
-        records = read_trace(out / "trace.csv")
-        assert records and all(r.lambda_norm == 0.0 for r in records)
 
     def test_numerical_failure_exits_3_with_partial_trace(self, tmp_path, monkeypatch):
         from gdpa import ConstrainedProblem
@@ -626,8 +587,8 @@ class TestBenchmarkCommand:
         assert_one_line_naming(capsys, says)
         assert not list(out.glob("trace_*.csv"))
 
-    @pytest.mark.parametrize("budget", [2 ** 62 + 1, 10 ** 30])
-    def test_budget_above_2_62_exits_2(self, tmp_path, capsys, budget):
+    @pytest.mark.parametrize("budget", [0, 2 ** 62 + 1, 10 ** 30])
+    def test_budget_outside_1_to_2_62_exits_2(self, tmp_path, capsys, budget):
         # 10**30 overflowed the grid's int cast with a RuntimeWarning, then ran
         # GDPA with max_iters = 5e29
         out = tmp_path / "bench"
@@ -635,19 +596,6 @@ class TestBenchmarkCommand:
         assert cli.main(["benchmark", "--config", cfg]) == 2
         assert_one_line_naming(capsys, "'budget_grad_evals' in [1, 2**62]")
         assert not list(out.glob("trace_*.csv"))
-
-    def test_zero_budget_exits_2(self, tmp_path):
-        out = tmp_path / "bench"
-        cfg = self.benchmark_config(tmp_path, out, budget=0)
-        assert cli.main(["benchmark", "--config", cfg]) == 2
-
-    def test_single_solver_exits_2(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "problem": {"kind": "analytic", "id": "scaled-1d"},
-            "solvers": [{"kind": "gdpa"}],
-            "budget_grad_evals": 100,
-        })
-        assert cli.main(["benchmark", "--config", cfg]) == 2
 
 
 # one valid problem section per kind and dataset source of the key tables

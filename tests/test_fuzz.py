@@ -1,24 +1,35 @@
-"""Hypothesis fuzz of the CLI's input contract.
+"""Hypothesis fuzz of the CLI's input contract and of the callback contract.
 
-Each example is a small valid config file with up to two values replaced by
+A config example is a small valid config file with up to two values replaced by
 junk (a wrong type, NaN, Inf, an extreme or negative number, an
 unknown key). The CLI must end in a documented exit code with a one-line
 message on stderr, never in a traceback, and every JSON file it writes must
-be strict JSON. Sizes stay tiny (at most 40 iterations or gradient
-evaluations per solver) and the examples are derandomized, so the suite sees
-the same inputs on every run.
+be strict JSON. A callback example gives one callback, or one part of a fused
+oracle, a malformed output from a drawn call on; the run must equal the run
+with that output converted to float64, or end with a message naming the
+callback. Sizes stay tiny (at most 50 iterations or gradient evaluations per
+solver) and the examples are derandomized, so the suite sees the same inputs
+on every run.
 """
 
 import copy
+import dataclasses
 import functools
+import itertools
 import json
 import math
+import operator
+import re
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gdpa import cli
+from gdpa import (AlmConfig, ConstrainedProblem, GdpaConfig, IterationRecord, cli, solve,
+                  solve_alm)
+from gdpa.problems import build_analytic
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture,
@@ -210,3 +221,100 @@ def test_check_config_fuzz(tmp_path_factory, capsys, config, seed):
     code = run_cli(capsys, ["check", "--config", str(work / "config.json"), *seed],
                    silent=(0, 1))
     assert code in {0, 1, 2, 3}
+
+
+# a malformed output, made from the good one (f's is a float, the others' arrays)
+MALFORMED = {
+    "list": lambda v: np.asarray(v).tolist(), "int": lambda v: np.round(v).astype(int),
+    "float32": lambda v: np.asarray(v, dtype=np.float32), "bool": lambda v: np.asarray(v) > 0.5,
+    "nan": lambda v: np.full(np.shape(v), math.nan),
+    "-inf": lambda v: np.full(np.shape(v), -math.inf),
+    "1e308": lambda v: np.full(np.shape(v), 1e308), "str": lambda v: str(np.asarray(v).tolist()),
+    "object": lambda v: np.asarray(v, dtype=object), "complex": lambda v: np.asarray(v) + 1j,
+    "masked": lambda v: np.ma.masked_all(np.shape(v)), "None": lambda v: None,
+    "huge int": lambda v: np.full(np.shape(v), 10 ** 400).tolist(),
+    "longer": lambda v: np.append(v, 0.0), "2-d": lambda v: np.atleast_2d(v)[None]}
+PARTS = {"eval_f": "f", "eval_g": "g", "eval_grad_f": "grad f", "eval_jacobian": "jacobian"}
+ARITY = {"short": lambda out: out[:3], "None": lambda out: None, "list": list}
+
+
+def malformed_from(call, bad, real):
+    """``real``, whose output from its ``call``-th call on is ``bad`` of the good one."""
+    calls = itertools.count(1)
+    return lambda x: bad(real(x)) if next(calls) >= call else real(x)
+
+
+def run_with(solver, callback, bad, call):
+    """``solver`` on halfspace-quadratic from (2, -1), fused or not, ``callback`` (a
+    name, a part index of the fused oracle, or the fused oracle itself) malformed."""
+    parts = {name: getattr(build_analytic("halfspace-quadratic").problem, name)
+             for name in PARTS}
+    fused = None
+    if not isinstance(callback, str):
+        fused = lambda x: tuple(parts[name](x) for name in PARTS)  # noqa: E731
+        if callback is None:
+            fused = malformed_from(call, bad, fused)
+        else:
+            part = list(PARTS)[callback]
+            parts[part] = malformed_from(call, bad, parts[part])
+    else:
+        parts[callback] = malformed_from(call, bad, parts[callback])
+    problem = ConstrainedProblem(dim=2, num_constraints=1, eval_first_order=fused, **parts)
+    if solver == "gdpa":
+        return solve(problem, GdpaConfig(max_iters=50, record_every=1), np.array([2.0, -1.0]))
+    return solve_alm(problem, AlmConfig(inner_iters=10, outer_iters=5, inner_step=0.1,
+                                        record_every=1), np.array([2.0, -1.0]))
+
+
+def as_float64(v):
+    """``v`` as float64, or NaN where it has no float64 form: the run never checked it."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.asarray(v, dtype=np.float64)
+    except (TypeError, ValueError, RuntimeWarning):
+        return np.nan
+
+
+ROW = operator.attrgetter(*(field.name for field in dataclasses.fields(IterationRecord)))
+
+
+def bits(res):
+    arrays = (res.x_final, res.lambda_final, res.x_avg, res.lambda_avg,
+              np.array([ROW(rec) for rec in res.trace], dtype=float))
+    return ([a.tobytes() for a in arrays], res.termination, res.T_eps, res.iterations,
+            res.failure_message)
+
+
+def test_malformed_callback_output_runs_as_float64_or_is_named():
+    # under -W error; every output kind reaches every callback at least once
+    seen = set()
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(solver=st.sampled_from(["gdpa", "alm"]),
+           callback=st.sampled_from([*PARTS, 0, 1, 2, 3, None]),
+           kind=st.sampled_from(sorted(MALFORMED)), arity=st.sampled_from(sorted(ARITY)),
+           call=st.integers(1, 60))
+    def check(solver, callback, kind, arity, call):
+        # the name an error gives the malformed output
+        name = "eval_first_order" if callback is None else PARTS[
+            callback if isinstance(callback, str) else list(PARTS)[callback]]
+        seen.add((name, arity if callback is None else kind))
+        bad = ARITY[arity] if callback is None else MALFORMED[kind]
+        said = re.compile(rf"(^|: ){re.escape(name)}(\(x\) is not finite| must )")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                res = run_with(solver, callback, bad, call)
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                assert said.search(str(exc)), (type(exc), str(exc))
+                return
+            if res.termination == "numerical-failure" and said.search(res.failure_message):
+                return
+            convert = tuple if callback is None else as_float64
+            want = run_with(solver, callback, lambda out: convert(bad(out)), call)
+        assert bits(res) == bits(want)
+
+    check()
+    assert seen == {(name, kind) for name in PARTS.values() for kind in MALFORMED} | {
+        ("eval_first_order", arity) for arity in ARITY}

@@ -3,8 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gdpa import GdpaConfig, check_gradients, kkt_residual, solve
-from gdpa.problem import seeded_check_points
+from gdpa import kkt_residual
 from gdpa.problems import (
     ANALYTIC_IDS,
     DatasetError,
@@ -39,16 +38,6 @@ class TestAnalytic:
             np.testing.assert_allclose(inst.lambda_star, ls)
             res = kkt_residual(inst.problem, inst.x_star, inst.lambda_star)
             assert res.max() <= 1e-10, aid
-
-    def test_unknown_id(self):
-        with pytest.raises(ValueError):
-            build_analytic("nope")
-
-    def test_gradients(self):
-        for aid in ANALYTIC_IDS:
-            inst = build_analytic(aid)
-            rep = check_gradients(inst.problem, seeded_check_points(inst.problem, 20, 1))
-            assert rep.passed(1e-5), aid
 
 
 class TestSyntheticDataset:
@@ -96,34 +85,6 @@ class TestCsvLoader:
         assert d.num_classes == 2
         np.testing.assert_array_equal(d.features, [[1.0, 2.0], [3.0, 4.0]])
 
-    def test_ragged_row_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("class,f1,f2\n0,1.0,2.0\n1,3.0\n")
-        with pytest.raises(DatasetError, match="line 3"):
-            load_csv_dataset(path)
-
-    def test_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("class,f1\n")
-        with pytest.raises(DatasetError, match="no data rows"):
-            load_csv_dataset(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DatasetError, match="not found"):
-            load_csv_dataset(tmp_path / "absent.csv")
-
-    def test_non_numeric(self, tmp_path):
-        path = tmp_path / "nan.csv"
-        path.write_text("class,f1\n0,abc\n")
-        with pytest.raises(DatasetError, match="line 2"):
-            load_csv_dataset(path)
-
-    def test_non_finite_feature_rejected(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("class,f1\n0,1.0\n1,nan\n")
-        with pytest.raises(DatasetError, match="features must be finite"):
-            load_csv_dataset(path)
-
 
 class TestMnpc:
     def setup_method(self):
@@ -136,28 +97,6 @@ class TestMnpc:
         x = np.zeros(p.dim)
         assert p.f(x) == pytest.approx(0.5 * 2)
         np.testing.assert_allclose(p.g(x), 0.5 * 2 - r, atol=1e-15)
-
-    def test_regularizer_gradient(self):
-        p = build_mnpc(self.data, reg_lambda=0.7, thresholds=[10.0, 10.0])
-        # far from data influence: huge thresholds don't matter for grad f;
-        # compare against reg part + sample part via finite differences instead
-        rep = check_gradients(p, [np.full(p.dim, 0.3)], h=1e-6)
-        assert rep.passed(1e-5)
-
-    def test_gradcheck_synthetic(self):
-        p = build_mnpc(self.data, reg_lambda=1.0, thresholds=[0.6, 0.6])
-        rep = check_gradients(p, seeded_check_points(p, 10, 5), h=1e-6)
-        assert rep.passed(1e-5)
-
-    def test_empty_class_rejected(self):
-        bad = generate_synthetic_mnpc(7, 3, 5, 10, 0.5)
-        bad.labels[bad.labels == 2] = 1  # class 2 now empty
-        with pytest.raises(ValueError, match="class 2"):
-            build_mnpc(bad, 1.0, [0.1, 0.1])
-
-    def test_threshold_length_checked(self):
-        with pytest.raises(ValueError):
-            build_mnpc(self.data, 1.0, [0.1])
 
     @pytest.mark.parametrize("reg_lambda", [np.inf, np.nan, -1.0])
     def test_reg_lambda_must_be_finite_and_nonnegative(self, reg_lambda):
@@ -218,24 +157,6 @@ class TestNnBudget:
         x = np.zeros(p.dim)
         assert p.f(x) == pytest.approx(0.25)
         np.testing.assert_allclose(p.g(x), 0.25 - 1.0, atol=1e-15)
-
-    def test_gradcheck(self):
-        p = build_nn_budget(self.data, hidden=4, budgets=[0.3, 0.3])
-        rep = check_gradients(p, seeded_check_points(p, 10, 6), h=1e-6)
-        assert rep.passed(1e-5)
-
-    def test_empty_class_rejected(self):
-        bad = generate_synthetic_mnpc(8, 3, 6, 8, 0.5)
-        bad.labels[bad.labels == 1] = 2  # class 1 now empty
-        with pytest.raises(ValueError, match="class 1 has no samples"):
-            build_nn_budget(bad, hidden=4, budgets=[1.0, 1.0])
-
-    def test_infinite_budgets_keep_dual_zero(self):
-        p = build_nn_budget(self.data, hidden=4, budgets=[1e9, 1e9])
-        cfg = GdpaConfig(alpha01=0.5, max_iters=300, eps_feas=1e-30, eps_stat=1e-30)
-        res = solve(p, cfg, 0.1 * np.random.default_rng(0).standard_normal(p.dim))
-        assert np.all(res.lambda_final == 0.0)
-        assert all(rec.lambda_norm == 0.0 for rec in res.trace)
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -300,12 +221,6 @@ class TestCmdp:
         np.testing.assert_allclose(policy.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(policy >= 0)
 
-    def test_gradcheck(self):
-        model = random_cmdp(9, 10, 4, 2, 0.9, thresholds=[0.3, 0.3])
-        problem = build_cmdp(model)
-        rep = check_gradients(problem, seeded_check_points(problem, 10, 7), h=1e-6)
-        assert rep.passed(1e-5)
-
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_batched_oracles_match_per_table_reference(self, m, monkeypatch):
         # Each oracle evaluates all of its reward tables in one pass; the
@@ -358,17 +273,6 @@ class TestCmdp:
         value = discounted_return(model, theta, model.rewards)
         immediate = float(np.mean((policy * model.rewards).sum(axis=1)))
         assert value == pytest.approx(immediate, abs=1e-7)
-
-    def test_invalid_transitions_rejected(self):
-        p = np.ones((2, 2, 2))  # rows sum to 2
-        with pytest.raises(ValueError):
-            TabularCmdp(p, np.zeros((2, 2)), np.zeros((0, 2, 2)), 0.9, np.zeros(0))
-
-    def test_invalid_discount_rejected(self):
-        model = random_cmdp(1, 2, 2, 0, 0.9)
-        with pytest.raises(ValueError):
-            TabularCmdp(model.transitions, model.rewards,
-                        model.constraint_rewards, 1.0, model.thresholds)
 
     @pytest.mark.parametrize("field, index, says", [
         ("transitions", (0, 1, 0), "must sum to 1"),
@@ -424,10 +328,27 @@ def _csv(text):
     (_csv("class,f1\n-1,0.5\n0,0.2\n"), DatasetError, "{}: negative class id"),
     (lambda _: build_nn_budget(generate_synthetic_mnpc(0, 2, 2, 3, 0.5), 0, [1.0]),
      ValueError, "hidden must be positive"),
+    (lambda _: build_analytic("nope"), ValueError, "unknown analytic instance 'nope'; choose "
+     "one of ('scaled-1d', 'halfspace-quadratic', 'circle-exterior')"),
+    (lambda _: build_mnpc(generate_synthetic_mnpc(7, 3, 5, 10, 0.5), 1.0, [0.1]),
+     vec.DimensionMismatchError, "thresholds must have length 2"),
+    (lambda _: TabularCmdp(np.ones((2, 2, 2)), np.zeros((2, 2)), np.zeros((0, 2, 2)), 0.9),
+     ValueError, "each transitions[s, a, :] must sum to 1"),
+    (lambda _: TabularCmdp(HALVES, np.zeros((2, 2)), np.zeros((0, 2, 2)), 1.0), ValueError,
+     "discount must lie strictly between 0 and 1"),
+    (_csv("class,f1,f2\n0,1.0,2.0\n1,3.0\n"), DatasetError,
+     "{}: line 3: expected 2 features, got 1"),
+    (_csv("class,f1\n"), DatasetError, "{}: no data rows after the header"),
+    (_csv("class,f1\n0,abc\n"), DatasetError,
+     "{}: line 2: could not convert string to float: 'abc'"),
+    (_csv("class,f1\n0,1.0\n1,nan\n"), DatasetError, "features must be finite"),
+    (load_csv_dataset, DatasetError, "dataset file not found: {}"),
 ], ids=["cmdp-transitions-shape", "cmdp-constraint-shape", "cmdp-negative-probability",
         "cmdp-threshold-length", "mnpc-1d-features", "mnpc-misaligned-labels",
         "mnpc-one-class", "mnpc-class-id-out-of-range", "synthetic-d_in-0", "csv-empty-file",
-        "csv-one-column", "csv-negative-class", "nn-hidden-0"])
+        "csv-one-column", "csv-negative-class", "nn-hidden-0", "analytic-unknown-id",
+        "mnpc-threshold-length", "cmdp-row-sum", "cmdp-discount", "csv-ragged-row",
+        "csv-header-only", "csv-non-numeric", "csv-non-finite", "csv-missing-file"])
 def test_bad_problem_data_is_refused(tmp_path, build, error, says):
     path = tmp_path / "data.csv"
     with pytest.raises(error) as exc:

@@ -28,17 +28,12 @@ from gdpa import (
 from gdpa.metrics import _violation_sq, make_record
 from gdpa.solver import NumericalFailure, _Run
 from gdpa.problems import build_analytic, build_cmdp, random_cmdp
-from gdpa.vec import NonFiniteError, project
+from gdpa.vec import project
 from tests.conftest import make_unconstrained, random_quadratic_problem
 from tests.test_acceptance import _counting
 
 
 class TestSchedule:
-    def test_beta_cube_root(self):
-        cfg = GdpaConfig(beta0=2.0)
-        _, beta, _ = schedule(cfg, 8)
-        assert beta == pytest.approx(4.0)
-
     def test_gamma_is_tau_over_beta(self):
         cfg = GdpaConfig(tau=0.5, beta0=2.0)
         _, beta, gamma = schedule(cfg, 8)
@@ -83,19 +78,6 @@ class TestActiveSet:
     def test_boundary_is_inactive(self):
         mask = active_set(np.zeros(1), np.zeros(1), beta_r=1.0, tau=0.5)
         assert mask.tolist() == [False]
-
-    # the inputs are checked as dual_step checks them
-    def test_shorter_multiplier_rejected(self):
-        with pytest.raises(ValueError, match=r"^lambda must have length 2$"):
-            active_set(np.array([0.5, -1.0]), np.array([1.0]), 1.0, 0.5)
-
-    def test_list_multiplier_taken(self):
-        mask = active_set(np.array([0.5, -1.0]), [1.0, 0.0], 1.0, 0.5)
-        assert mask.tolist() == [True, False]
-
-    def test_nan_constraint_value_rejected(self):
-        with pytest.raises(NonFiniteError, match="g_x contains NaN or Inf"):
-            active_set(np.array([np.nan, -1.0]), np.zeros(2), 1.0, 0.5)
 
 
 class TestPrimalStep:
@@ -155,26 +137,7 @@ class TestStepChecks:
     # the public step functions take beta_r > 0 and tau in (0, 1), as GdpaConfig does
     G, LAM, MASK = np.array([0.5]), np.array([1.0]), np.array([True])
 
-    def test_dual_step_rejects_nan_beta(self):
-        with pytest.raises(ValueError, match="beta_r must be positive"):
-            dual_step(self.G, self.LAM, self.MASK, float("nan"), 0.1)
-
-    def test_dual_step_rejects_negative_beta(self):
-        with pytest.raises(ValueError, match="beta_r must be positive"):
-            dual_step(self.G, self.LAM, self.MASK, -1.0, 0.1)
-
-    def test_active_set_rejects_zero_beta_without_a_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="beta_r must be positive"):
-                active_set(self.G, self.LAM, 0.0, 0.1)
-
-    def test_primal_step_rejects_tau_above_one(self):
-        p = _untouchable(build_analytic("scaled-1d").problem)
-        with pytest.raises(ValueError, match="tau must lie strictly between 0 and 1"):
-            primal_step(p, np.zeros(1), self.LAM, 0.1, 1.0, 5.0)
-
-    @pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, 5.0, float("nan")])
     def test_every_step_function_rejects_tau_outside_the_open_interval(self, tau):
         p = _untouchable(build_analytic("scaled-1d").problem)
         for call in (lambda: active_set(self.G, self.LAM, 1.0, tau),
@@ -259,17 +222,24 @@ class TestValidation:
         rep = validate_tau(GdpaConfig(tau=0.1), consts)
         assert not rep.ok
 
+    def test_tau_at_the_bound_fails(self):
+        # sqrt(66*2^2 + 65^2) = 67 exactly: the bound is 1 - 65/67, and the condition is strict
+        consts = ProblemConstants(sigma=65.0, U_J=2.0)
+        rep = validate_tau(GdpaConfig(tau=1.0 - 65.0 / 67.0), consts)
+        assert rep.bound == 1.0 - 65.0 / 67.0 and not rep.ok
+        assert validate_tau(GdpaConfig(tau=math.nextafter(rep.bound, 1.0)), consts).ok
+
     def test_tau_bound_with_infinite_sigma(self):
         rep = validate_tau(GdpaConfig(tau=0.05),
                            ProblemConstants(sigma=math.inf, U_J=3.0))
         assert rep.ok and rep.bound == pytest.approx(0.0)
 
-    def test_alpha_condition_passes(self):
-        # alpha_1 = 0.8/(1+1) = 0.4; 1/0.4 = 2.5 >= L_f = 2
-        cfg = GdpaConfig(alpha01=0.8, alpha02=1.0, alpha03=1.0)
-        consts = ProblemConstants(L_f=2.0, L_J=0.0, L_g=0.0, U_J=0.0)
+    def test_alpha_condition_holds_at_equality(self):
+        # alpha_1 = 0.5/(1+1) = 0.25; 1/0.25 = 4 = L_f, and the condition is not strict
+        cfg = GdpaConfig(alpha01=0.5, alpha02=1.0, alpha03=1.0)
+        consts = ProblemConstants(L_f=4.0, L_J=0.0, L_g=0.0, U_J=0.0)
         rep = validate_alpha(cfg, consts, lambda_norm=0.0, r=1)
-        assert rep.ok and rep.bound == pytest.approx(2.0)
+        assert rep.ok and rep.bound == 4.0
 
     def test_alpha_condition_warns(self):
         cfg = GdpaConfig(alpha01=2.0, alpha02=1.0, alpha03=1.0)  # alpha_1 = 1
@@ -317,14 +287,6 @@ def dual_update_check(tau):
 
 
 class TestSolve:
-    def test_problem_a_with_defaults(self):
-        inst = build_analytic("scaled-1d")
-        cfg = GdpaConfig(max_iters=30_000, eps_feas=1e-14, eps_stat=1e-14,
-                         record_every=1000, dense_until=0)
-        res = solve(inst.problem, cfg, np.zeros(1))
-        assert abs(res.x_final[0] - 1.0) <= 1e-2
-        assert abs(res.lambda_final[0] - 2.0) <= 5e-2
-
     def test_unconstrained_converges_and_dual_stays_empty(self):
         c = np.array([0.7, -0.3])
         res = solve(make_unconstrained(c), GdpaConfig(max_iters=5000, eps_stat=1e-10),
@@ -364,20 +326,6 @@ class TestSolve:
         res = solve(inst.problem, cfg, np.zeros(1))
         assert res.T_eps == 1
         assert res.termination == "budget-exhausted"  # stationarity never met
-
-    def test_feasibility_stop_needs_both_thresholds(self):
-        inst = build_analytic("scaled-1d")
-        cfg = GdpaConfig(max_iters=50_000, eps_feas=1e-2, eps_stat=1.0)
-        res = solve(inst.problem, cfg, np.zeros(1))
-        assert res.termination == "feasibility-stop"
-        assert res.T_eps is not None
-
-    def test_x0_projected_first(self):
-        p = make_unconstrained([0.0, 0.0])
-        p.projection = ProjectionSpec.box(-np.ones(2), np.ones(2))
-        res = solve(p, GdpaConfig(max_iters=1), np.array([5.0, -7.0]),
-                    capture_iterates=True)
-        np.testing.assert_array_equal(res.iterates[0][0], [1.0, -1.0])
 
     def test_lambda0_validation(self):
         inst = build_analytic("scaled-1d")

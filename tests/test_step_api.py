@@ -194,9 +194,3 @@ def test_active_set_overflows_where_the_dual_step_does():
         got = active_set(np.array([1e300, 1.0]), np.array([1e300, 0.0]), 1e-300, 0.25)
     assert got.tolist() == [True, True]
 
-
-def test_dual_step_refuses_a_2d_mask():
-    # the mask broadcast against the two vectors and gave a 2x2 result
-    with pytest.raises(DimensionMismatchError, match=r"^mask must be 1-d, got shape \(2, 1\)$"):
-        dual_step(np.array([0.5, -1.0]), np.array([1.0, 2.0]), np.array([[True], [False]]),
-                  1.0, 0.5)
