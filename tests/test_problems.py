@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gdpa import kkt_residual
+from gdpa import GdpaConfig, check_gradients, kkt_residual, solve
+from gdpa.problem import seeded_check_points
 from gdpa.problems import (
     ANALYTIC_IDS,
     DatasetError,
@@ -152,6 +153,13 @@ class TestNnBudget:
             tracemalloc.stop()
         assert peak < num_classes * num_classes * 8
 
+    def test_infinite_budgets_keep_dual_zero(self):
+        p = build_nn_budget(self.data, hidden=4, budgets=[1e9, 1e9])
+        cfg = GdpaConfig(alpha01=0.5, max_iters=300, eps_feas=1e-30, eps_stat=1e-30)
+        res = solve(p, cfg, 0.1 * np.random.default_rng(0).standard_normal(p.dim))
+        assert np.all(res.lambda_final == 0.0)
+        assert all(rec.lambda_norm == 0.0 for rec in res.trace)
+
     def test_zero_weights_loss_is_quarter(self):
         p = build_nn_budget(self.data, hidden=4, budgets=[1.0, 1.0])
         x = np.zeros(p.dim)
@@ -189,6 +197,29 @@ def test_each_constraint_row_belongs_to_its_class(kind, m):
         np.testing.assert_array_equal(jac[j], grads[j + 1])
     assert p.eval_f(x) == 0.5 * reg * float(x @ x) + losses[0]
     np.testing.assert_array_equal(p.eval_grad_f(x), reg * x + grads[0])
+
+
+# (problem, check points) for each bundled family; finite differences use h = 1e-6
+_GRADIENT_CASES = {
+    **{aid: (lambda aid=aid: build_analytic(aid).problem, 20, 1) for aid in ANALYTIC_IDS},
+    # far from the data's influence the regularizer dominates grad f
+    "mnpc-regularizer": (lambda: build_mnpc(generate_synthetic_mnpc(7, 3, 5, 10, 0.5), 0.7,
+                                            [10.0, 10.0]), None, None),
+    "mnpc": (lambda: build_mnpc(generate_synthetic_mnpc(7, 3, 5, 10, 0.5), 1.0, [0.6, 0.6]),
+             10, 5),
+    "nn": (lambda: build_nn_budget(generate_synthetic_mnpc(8, 3, 6, 8, 0.5), hidden=4,
+                                   budgets=[0.3, 0.3]), 10, 6),
+    "cmdp": (lambda: build_cmdp(random_cmdp(9, 10, 4, 2, 0.9, thresholds=[0.3, 0.3])), 10, 7),
+}
+
+
+@pytest.mark.parametrize("case", list(_GRADIENT_CASES))
+def test_bundled_gradients_match_finite_differences(case):
+    build, count, seed = _GRADIENT_CASES[case]
+    p = build()
+    points = ([np.full(p.dim, 0.3)] if count is None
+              else seeded_check_points(p, count, seed))
+    assert check_gradients(p, points, h=1e-6).passed(1e-5)
 
 
 class TestCmdp:
@@ -295,6 +326,12 @@ class TestCmdp:
 HALVES = np.full((2, 2, 2), 0.5)  # a valid 2-state, 2-action transition tensor
 
 
+def _without_class(seed, label, into):
+    data = generate_synthetic_mnpc(seed, 3, 6, 8, 0.5)
+    data.labels[data.labels == label] = into
+    return data
+
+
 def _csv(text):
     def load(path):
         path.write_text(text)
@@ -343,12 +380,17 @@ def _csv(text):
      "{}: line 2: could not convert string to float: 'abc'"),
     (_csv("class,f1\n0,1.0\n1,nan\n"), DatasetError, "features must be finite"),
     (load_csv_dataset, DatasetError, "dataset file not found: {}"),
+    (lambda _: build_mnpc(_without_class(7, 2, 1), 1.0, [0.1, 0.1]), ValueError,
+     "class 2 has no samples"),
+    (lambda _: build_nn_budget(_without_class(8, 1, 2), hidden=4, budgets=[1.0, 1.0]),
+     ValueError, "class 1 has no samples"),
 ], ids=["cmdp-transitions-shape", "cmdp-constraint-shape", "cmdp-negative-probability",
         "cmdp-threshold-length", "mnpc-1d-features", "mnpc-misaligned-labels",
         "mnpc-one-class", "mnpc-class-id-out-of-range", "synthetic-d_in-0", "csv-empty-file",
         "csv-one-column", "csv-negative-class", "nn-hidden-0", "analytic-unknown-id",
         "mnpc-threshold-length", "cmdp-row-sum", "cmdp-discount", "csv-ragged-row",
-        "csv-header-only", "csv-non-numeric", "csv-non-finite", "csv-missing-file"])
+        "csv-header-only", "csv-non-numeric", "csv-non-finite", "csv-missing-file",
+        "mnpc-empty-class", "nn-empty-class"])
 def test_bad_problem_data_is_refused(tmp_path, build, error, says):
     path = tmp_path / "data.csv"
     with pytest.raises(error) as exc:

@@ -28,7 +28,7 @@ from gdpa import (
 from gdpa.metrics import _violation_sq, make_record
 from gdpa.solver import NumericalFailure, _Run
 from gdpa.problems import build_analytic, build_cmdp, random_cmdp
-from gdpa.vec import project
+from gdpa.vec import DimensionMismatchError, NonFiniteError, project
 from tests.conftest import make_unconstrained, random_quadratic_problem
 from tests.test_acceptance import _counting
 
@@ -39,6 +39,11 @@ class TestSchedule:
         _, beta, gamma = schedule(cfg, 8)
         assert beta == pytest.approx(4.0)
         assert gamma == pytest.approx(0.125)
+
+    def test_beta_cube_root(self):
+        cfg = GdpaConfig(beta0=2.0)
+        _, beta, _ = schedule(cfg, 8)
+        assert beta == pytest.approx(4.0)
 
     def test_alpha_form(self):
         cfg = GdpaConfig(alpha01=1.0, alpha02=1.0, alpha03=1.0)
@@ -78,6 +83,10 @@ class TestActiveSet:
     def test_boundary_is_inactive(self):
         mask = active_set(np.zeros(1), np.zeros(1), beta_r=1.0, tau=0.5)
         assert mask.tolist() == [False]
+
+    def test_list_multiplier_taken(self):
+        mask = active_set(np.array([0.5, -1.0]), [1.0, 0.0], 1.0, 0.5)
+        assert mask.tolist() == [True, False]
 
 
 class TestPrimalStep:
@@ -159,6 +168,30 @@ class TestStepChecks:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=rf"^{says} must be positive and finite$"):
                     call()
+
+    @pytest.mark.parametrize("call, error, says", [
+        (lambda: active_set(np.array([0.5, -1.0]), np.array([1.0]), 1.0, 0.5),
+         DimensionMismatchError, "lambda must have length 2"),
+        (lambda: active_set(np.array([np.nan, -1.0]), np.zeros(2), 1.0, 0.5),
+         NonFiniteError, "g_x contains NaN or Inf"),
+        (lambda: active_set(np.array([0.5]), np.array([1.0]), 0.0, 0.1), ValueError,
+         "beta_r must be positive and finite"),
+        (lambda: dual_step(np.array([0.5]), np.array([1.0]), np.array([True]), math.nan, 0.1),
+         ValueError, "beta_r must be positive and finite"),
+        (lambda: dual_step(np.array([0.5]), np.array([1.0]), np.array([True]), -1.0, 0.1),
+         ValueError, "beta_r must be positive and finite"),
+        # the mask broadcast against the two vectors and gave a 2x2 result
+        (lambda: dual_step(np.array([0.5, -1.0]), np.array([1.0, 2.0]),
+                           np.array([[True], [False]]), 1.0, 0.5),
+         DimensionMismatchError, "mask must be 1-d, got shape (2, 1)"),
+    ], ids=["short-multiplier", "nan-constraint-value", "active-set-zero-beta",
+            "dual-step-nan-beta", "dual-step-negative-beta", "dual-step-2d-mask"])
+    def test_bad_step_input_is_refused_without_a_warning(self, call, error, says):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as exc:
+                call()
+        assert exc.type is error and str(exc.value) == says
 
     @pytest.mark.parametrize("config, field", [
         (GdpaConfig, "beta0"), (GdpaConfig, "alpha01"), (GdpaConfig, "eps_stat"),
@@ -326,6 +359,13 @@ class TestSolve:
         res = solve(inst.problem, cfg, np.zeros(1))
         assert res.T_eps == 1
         assert res.termination == "budget-exhausted"  # stationarity never met
+
+    def test_x0_projected_first(self):
+        p = make_unconstrained([0.0, 0.0])
+        p.projection = ProjectionSpec.box(-np.ones(2), np.ones(2))
+        res = solve(p, GdpaConfig(max_iters=1), np.array([5.0, -7.0]),
+                    capture_iterates=True)
+        np.testing.assert_array_equal(res.iterates[0][0], [1.0, -1.0])
 
     def test_lambda0_validation(self):
         inst = build_analytic("scaled-1d")

@@ -39,6 +39,15 @@ class TestProject:
         np.testing.assert_array_equal(
             project(ProjectionSpec.identity(), [2.0, -3.0]), [2.0, -3.0])
 
+    def test_box_clamp(self):
+        spec = ProjectionSpec.box([-1.0, -1.0], [1.0, 1.0])
+        np.testing.assert_array_equal(project(spec, [2.0, -3.0]), [1.0, -1.0])
+
+    def test_ball_shrinks_to_radius(self):
+        spec = ProjectionSpec.ball([0.0, 0.0], 1.0)
+        out = project(spec, [3.0, 4.0])
+        np.testing.assert_allclose(out, [0.6, 0.8], atol=1e-15)
+
     def test_simplex_pair(self):
         # Two-point simplex: shift both coordinates by theta = (sum-1)/2.
         spec = ProjectionSpec.simplex_blocks(2)
