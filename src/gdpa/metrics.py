@@ -194,7 +194,8 @@ def fit_rate(
     Raw per-iteration metrics oscillate; the monotone envelope tracks the
     best-so-far behavior the convergence guarantees bound. Only records with
     ``window[0] <= r <= window[1]``, a positive ``r`` and a positive, finite
-    envelope value are used, and at least 10 such points are required.
+    envelope value are used, and at least 10 such points, at 2 or more distinct
+    ``r``, are required.
     """
     if column not in _FIT_COLUMNS:
         raise ValueError(f"column must be one of {_FIT_COLUMNS}, got {column!r}")
@@ -215,6 +216,9 @@ def fit_rate(
             f"only {int(keep.sum())} positive finite envelope points in window; need at least 10")
     lx = np.log(rs[keep])
     ly = np.log(env[keep])
+    if lx.min() == lx.max():  # no spread in r: any slope fits as well as any other
+        raise InsufficientDataError(f"all {lx.size} envelope points share r = {rs[keep][0]:g}; "
+                                    "need at least 2 distinct r")
     design = np.column_stack([lx, np.ones_like(lx)])
     (slope, intercept), res, _, _ = np.linalg.lstsq(design, ly, rcond=None)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))

@@ -138,7 +138,9 @@ class ConstrainedProblem:
     def first_order(self, x: np.ndarray):
         """f, checked g(x), grad f and J from one eval_first_order call (f, grad
         f and J unchecked, or None without one), for the caller to check as ``value``."""
-        out = self.eval_first_order(x) if self.eval_first_order else (None,) * 4
+        if not self.eval_first_order:
+            return None, self.g(x), None, None
+        out = self.eval_first_order(x)
         try:
             f, g, grad, jac = out
         except (TypeError, ValueError) as exc:  # not 4 values: say whose output it was
@@ -251,9 +253,11 @@ def estimate_sigma(problem: ConstrainedProblem, sample_points: Sequence[np.ndarr
     for k, p in enumerate(sample_points):
         x = project(problem.projection, as_vector(p, f"sample {k}"))
         gp = positive_part(problem.g(x))
-        viol = float(np.linalg.norm(gp))
-        if viol == 0.0:
+        top = float(gp.max())
+        if top == 0.0:
             continue
+        gp = gp / top  # the ratio is homogeneous in g+: at unit scale g+ overflows neither part
+        viol = float(np.linalg.norm(gp))
         w = problem.jacobian(x).T @ gp
         ratio = _dist_to_negative_normal_cone(w, problem.projection, x) / viol
         best = min(best, ratio)

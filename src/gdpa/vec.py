@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from dataclasses import dataclass
 from glob import glob
 from typing import Optional
@@ -36,6 +37,8 @@ class NonFiniteError(ArithmeticError):
 
 
 def all_finite(arr: np.ndarray) -> bool:
+    if arr.size == 1 and arr.dtype is _F64:  # item() rounds wider floats, raises on size 0
+        return math.isfinite(arr.item())
     return _count_nonzero(np.isfinite(arr)) == arr.size  # .all() adds a Python-level call
 
 

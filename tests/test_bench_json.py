@@ -45,9 +45,13 @@ def test_pairs_smoke_run_alternates_the_order_and_a_failed_run_exits_1(tmp_path)
     assert f"median change {out['change']:+.1%}; faster by the rule: " in lines[-2]
     assert (out["workload"], out["seed"]) == ("scaled-1d", 0) and out["faster"] in (True, False)
     assert out["after_wins"] in (0, 1, 2) and "--smoke" in out["flags"]
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     for side in ("before", "after"):
         s = out[side]
+        assert sorted(s) == ["median", "medians", "q1", "q3", "run_s"]
         assert len(s["run_s"]) == 2 and s["q1"] <= s["median"] <= s["q3"]
+        assert list(s["medians"]) == names and s["medians"]["run_s"] == s["median"]
+        assert s["medians"]["success_ratio"] == 1.0 and s["medians"]["peak_rss_mb"] > 0
 
     proc = run_script(ROOT, tmp_path, "scaled-1d", "--smoke", script="bench_pairs.py")
     assert proc.returncode == 1 and f"bench_pairs: {tmp_path}: exit 2" in proc.stderr

@@ -772,6 +772,13 @@ class TestRates:
         assert tuple(row["pass"] for row in columns.values()) == passes
         assert all(row["n_points"] == n_points for row in columns.values())
 
+    def test_rows_at_one_r_are_skipped(self):
+        rows = [dataclasses.replace(row, r=1000)
+                for row in synthetic_records(lambda r: 1.0 / r, 10)]
+        says = "all 10 envelope points share r = 1000; need at least 2 distinct r"
+        assert cli._rates(rows)["columns"] == {column: {"skipped": says}
+                                               for column in cli._RATE_COLUMNS}
+
     def test_solve_reports_the_rates_of_its_trace(self, tmp_path):
         out = tmp_path / "run"
         assert cli.main(["solve", "--config", scaled_1d_config(tmp_path, out, 5000)]) == 0

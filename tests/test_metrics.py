@@ -209,10 +209,16 @@ class TestFitRate:
         assert fit.r_squared == pytest.approx(1.0 - res @ res / np.sum((ly - ly.mean()) ** 2),
                                               rel=1e-12)
 
-    def test_records_at_one_r_explain_nothing(self):
-        # one log r for all 10 points: the line is the mean of log value, r_squared 0
+    def test_records_at_one_r_are_refused(self):
+        # one log r for all 10 points: lstsq returned its minimum-norm slope, which means nothing
         recs = synthetic_records((5, 2.0 ** -k) for k in range(10))
-        assert fit_rate(recs, "slackness", (1, 10)).r_squared == pytest.approx(0.0, abs=1e-12)
+        says = "^all 10 envelope points share r = 5; need at least 2 distinct r$"
+        with pytest.raises(InsufficientDataError, match=says):
+            fit_rate(recs, "slackness", (1, 10))
+        # one point at a second r is enough: the line through (log 5, mean) and (log 6, -10 log 2)
+        fit = fit_rate(recs + synthetic_records([(6, 2.0 ** -10)]), "slackness", (1, 10))
+        assert fit.n_points == 11
+        assert fit.slope == pytest.approx((-10 + 4.5) * math.log(2.0) / math.log(1.2), rel=1e-12)
 
     def test_ten_points_are_the_least(self):
         recs = synthetic_records((r, 1.0 / r) for r in range(1, 11))

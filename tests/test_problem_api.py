@@ -124,16 +124,27 @@ class TestEstimateSigma:
         val = estimate_sigma(p, [np.array([2.0]), np.array([0.5])])
         assert val == pytest.approx(0.5)
 
-    def test_sample_whose_ratio_overflows_to_nan_is_skipped(self):
-        # at x = 0, J^T g+ = 1e200*1e200 - 5e199*1e200 is inf - inf; at x = 1 the ratio is
-        # |2*1 - 1*1| / ||(1, 1)|| = 1/sqrt(2), and the NaN sample after it does not count
+    def test_sample_whose_product_overflowed_is_not_the_minimum(self):
+        # at x = 0, J^T g+ = 1e200*1e200 - 5e199*1e200 was inf - inf, a NaN sample; at unit
+        # scale it is 5e199, whose squared norm still overflows, so that ratio reads inf; at
+        # x = 1 the ratio is |2*1 - 1*1| / ||(1, 1)|| = 1/sqrt(2)
         p = ConstrainedProblem(
             dim=1, num_constraints=2, eval_f=lambda x: 0.0, eval_grad_f=lambda x: np.zeros(1),
             eval_g=lambda x: np.full(2, 1.0 if x[0] else 1e200),
             eval_jacobian=lambda x: (2.0 if x[0] else 1e200) * np.array([[1.0], [-0.5]]))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             sigma = estimate_sigma(p, [np.ones(1), np.zeros(1)])
         assert sigma == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+
+    def test_huge_violation_with_a_cancelling_jacobian_gives_zero(self):
+        # J^T g+ = 1e200*1e200 - 1e200*1e200 is 0 at unit scale; the NaN sample was skipped (inf)
+        p = ConstrainedProblem(
+            dim=1, num_constraints=2, eval_f=lambda x: 0.0, eval_grad_f=lambda x: np.zeros(1),
+            eval_g=lambda x: np.full(2, 1e200),
+            eval_jacobian=lambda x: 1e200 * np.array([[1.0], [-1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimate_sigma(p, [np.zeros(1)]) == 0.0
 
     def test_box_zeroes_outward_components(self):
         # At the active upper bound, a negative J^T g+ component lies inside
@@ -202,6 +213,25 @@ class TestEffectiveConstants:
         assert consts.L_J == 0.0 and consts.U_J == 1.5
         given = ProblemConstants(L_J=np.float64(2.0), U_J=3)
         assert (type(given.L_J), type(given.U_J), given.U_J) == (float, float, 3.0)
+
+
+class TestFirstOrder:
+    def test_without_a_fused_oracle_it_is_one_checked_g_call(self):
+        calls, g_out = [], [np.array([0.5])]
+
+        def counted(name, fn):
+            return lambda x: calls.append(name) or fn(x)
+        p = ConstrainedProblem(
+            dim=1, num_constraints=1, eval_f=counted("f", lambda x: 0.0),
+            eval_grad_f=counted("grad f", lambda x: np.zeros(1)),
+            eval_g=counted("g", lambda x: g_out[0]),
+            eval_jacobian=counted("jacobian", lambda x: np.ones((1, 1))))
+        f, g, grad, jac = p.first_order(np.zeros(1))
+        assert (f, grad, jac) == (None, None, None) and g is g_out[0] and calls == ["g"]
+        g_out[0] = np.array([math.nan])
+        with pytest.raises(NonFiniteError, match=r"^g\(x\) is not finite at x=array\(\[0\.\]\)$"):
+            p.first_order(np.zeros(1))
+        assert calls == ["g", "g"]
 
 
 class TestConstrainedProblemValidation:

@@ -184,6 +184,24 @@ class TestKernels:
             assert all_finite(v) == np.isfinite(v).all() == (
                 np.count_nonzero(np.isfinite(v)) == v.size)
 
+    @pytest.mark.parametrize("dtype", [np.float64, ">f8", np.float32, np.bool_, np.int64])
+    def test_all_finite_of_one_entry(self, dtype):
+        # float64 takes the math.isfinite path; the rest, and big-endian float64, the count
+        for shape in ((), (1,), (1, 1)):
+            for value in (0.0, -0.0, 5e-324, 1.8e308, np.nan, np.inf, -np.inf):
+                with np.errstate(over="ignore", invalid="ignore"):  # float32 and int64 casts
+                    v = np.full(shape, value).astype(dtype)
+                assert all_finite(v) == np.isfinite(v).all(), (shape, value)
+
+    def test_all_finite_of_a_wide_float_and_of_nothing(self):
+        # 1e4000 is finite in an 80-bit or 128-bit long double and rounds to inf as a Python
+        # float; an empty array (an m = 0 problem's g) has no item() to take
+        big = np.full((1,), np.longdouble("1e4000"))
+        assert all_finite(big) == np.isfinite(big).all()
+        if np.finfo(np.longdouble).maxexp > 1024:
+            assert all_finite(big)
+        assert all_finite(np.zeros(0)) and all_finite(np.zeros((0, 3)))
+
     @pytest.mark.parametrize("n", [6, 64, 100, 256])
     def test_solve_pair_against_two_solves(self, n):
         # a^-1 b comes from the dgesv np.linalg.solve calls, a^-T c from its LU factors
