@@ -256,7 +256,7 @@ def estimate_sigma(problem: ConstrainedProblem, sample_points: Sequence[np.ndarr
         top = float(gp.max())
         if top == 0.0:
             continue
-        gp = gp / top  # the ratio is homogeneous in g+: at unit scale g+ overflows neither part
+        gp = gp / top  # the ratio is homogeneous in g+; at unit scale g+ alone overflows nothing
         viol = float(np.linalg.norm(gp))
         w = problem.jacobian(x).T @ gp
         ratio = _dist_to_negative_normal_cone(w, problem.projection, x) / viol
