@@ -27,10 +27,13 @@ SUITE = ["tests/", "--deselect", "tests/test_mutants.py",
 # scope's stride, so the paper-facing diagnostics get the denser sample
 STRIDES = {"problem.": 8, "metrics.fit_rate": 6, "solver.validate_": 4, "cli._theory": 1,
            "cli._summary": 1, "": 70}
-ALWAYS = (  # the hand-written mutants that came first
+ALWAYS = (  # the hand-written mutants that came first, then the constants' one rule
     "solver.py:solver.validate_tau: > -> >=", "solver.py:solver.validate_tau: 66.0 -> 64.0",
     "problem.py:problem: 1.5 -> 1.46", "cli.py:cli: 10_000 -> 10001",
-    "problem.py:problem._dist_to_negative_normal_cone: >= -> >")
+    "problem.py:problem._dist_to_negative_normal_cone: >= -> >",
+    "solver.py:solver.validate_tau: == -> !=", "solver.py:solver.validate_alpha: in -> not in",
+    "problem.py:problem.ProblemConstants.__post_init__: == -> !=",
+    "problem.py:problem.estimate_sigma: not in -> in", "vec.py:vec.check_integer: <= -> <")
 SWAPS = {ast.Gt: (">", ">="), ast.GtE: (">=", ">"), ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"),
          ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="), ast.Is: ("is", "is not"),
          ast.IsNot: ("is not", "is"), ast.In: ("in", "not in"), ast.NotIn: ("not in", "in"),

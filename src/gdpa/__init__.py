@@ -15,7 +15,6 @@ from .problem import (
     ConstrainedProblem,
     GradientCheckReport,
     ProblemConstants,
-    UnsupportedProjectionError,
     check_gradients,
     effective_constants,
     estimate_sigma,

@@ -237,9 +237,9 @@ _NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz012
 
 
 def build_solver_config(spec: dict, record_every: Optional[int], steps: Optional[int] = None):
-    """Parse a solver section into (kind, config object). ``steps`` budgets a
-    benchmark run, which spends it all (no early stopping); the budgeted config
-    is built anew, so it passes its class's checks."""
+    """Parse a solver section into (kind, config object). ``steps`` budgets a benchmark
+    run; its stop tolerances fall to 1e-300, so a baseline round ending at ||g+|| = 0 still
+    stops it early. The budgeted config is built anew, so it passes its class's checks."""
     kind = spec.get("kind", "gdpa")
     if not isinstance(kind, str) or kind not in _SOLVERS:
         raise ConfigError(f"unknown solver kind {kind!r}")
@@ -372,7 +372,7 @@ def _theory(problem, cfg: GdpaConfig, seed: int) -> dict:
             constants = effective_constants(problem, seed)
             tau, alpha = (validate_tau(cfg, constants),
                           validate_alpha(cfg, constants, lambda_norm=0.0, r=1))
-    except (ArithmeticError, ValueError) as exc:  # a non-finite sample, a zero sigma estimate
+    except (ArithmeticError, ValueError) as exc:  # a non-finite or misshapen sample
         return {"skipped": str(exc)}
     return {"tau_bound": tau.bound, "tau_ok": tau.ok,
             "alpha_1_required": alpha.bound, "alpha_1_ok": alpha.ok}

@@ -25,40 +25,37 @@ from .vec import (
     _float64,
     all_finite,
     as_vector,
+    check_integer,
     positive_part,
     project,
 )
 
 
-class UnsupportedProjectionError(NotImplementedError):
-    """The requested operation is not implemented for this feasible-set kind."""
-
-
 @dataclass
 class ProblemConstants:
-    """Smoothness / boundedness constants; ``None`` marks an unknown value.
+    """Smoothness / boundedness constants, each a nonnegative float (inf allowed).
 
     L_f: gradient-Lipschitz constant of f.
     L_g: function-Lipschitz constant of g; L_J: Jacobian-Lipschitz constant.
     U_J: bound on the Jacobian spectral norm.
     sigma: regularity constant relating violation to its Jacobian-weighted
-    direction; may be ``math.inf`` when no sampled point was infeasible.
+    direction; ``math.inf`` when no sampled point was infeasible, ``None`` when unknown.
     """
 
-    L_f: Optional[float] = None
-    L_g: Optional[float] = None
-    L_J: Optional[float] = None
-    U_J: Optional[float] = None
+    L_f: float
+    L_g: float
+    L_J: float
+    U_J: float
     sigma: Optional[float] = None
 
     def __post_init__(self):
         for name in (f.name for f in fields(self)):
             val = getattr(self, name)
-            if val is not None:  # kept as a Python float; `not val >= 0` refuses a NaN
-                if not (val > 0 if name == "sigma" else val >= 0):
-                    raise ValueError(f"{name} must be " + (
-                        "strictly positive when supplied" if name == "sigma" else "nonnegative"))
-                setattr(self, name, float(val))
+            if val is None and name == "sigma":  # the one constant that may be unknown
+                continue
+            if val is None or not val >= 0:  # `not val >= 0` refuses a NaN
+                raise ValueError(f"{name} must be a nonnegative number, got {val!r}")
+            setattr(self, name, float(val))  # kept as a Python float
 
 
 @dataclass
@@ -83,10 +80,8 @@ class ConstrainedProblem:
     eval_first_order: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if self.num_constraints < 0:
-            raise ValueError("num_constraints must be nonnegative")
+        check_integer(self.dim, "dim", 1)
+        check_integer(self.num_constraints, "num_constraints", 0)
         if self.num_constraints > 0 and (self.eval_g is None or self.eval_jacobian is None):
             raise ValueError("eval_g and eval_jacobian are required when num_constraints > 0")
         self.projection.check_dim(self.dim)
@@ -235,20 +230,19 @@ def _dist_to_negative_normal_cone(w: np.ndarray, spec: ProjectionSpec, x: np.nda
     return float(np.linalg.norm(resid))
 
 
-def estimate_sigma(problem: ConstrainedProblem, sample_points: Sequence[np.ndarray]) -> float:
+def estimate_sigma(problem: ConstrainedProblem,
+                   sample_points: Sequence[np.ndarray]) -> Optional[float]:
     """Sampled lower estimate of the regularity constant.
 
     Returns ``min over infeasible samples of dist(J(x)^T g_+(x), -N_X(x)) /
-    ||g_+(x)||``, or ``math.inf`` when no sample violates any constraint.
-    This is a heuristic stand-in for a constant the theory assumes known;
-    treat the value as indicative, not certified.
+    ||g_+(x)||``, ``math.inf`` when no sample violates a constraint (always when
+    m = 0), or ``None`` (unknown) on a ball, orthant or simplex. A heuristic stand-in
+    for a constant the theory assumes known; treat the value as indicative, not certified.
     """
-    if problem.projection.kind not in ("identity", "box"):
-        raise UnsupportedProjectionError(
-            f"estimate_sigma supports identity and box feasible sets, not "
-            f"{problem.projection.kind!r}")
     if problem.num_constraints == 0:
         return math.inf
+    if problem.projection.kind not in ("identity", "box"):
+        return None
     best = math.inf
     for k, p in enumerate(sample_points):
         x = project(problem.projection, as_vector(p, f"sample {k}"))
@@ -275,8 +269,7 @@ def effective_constants(problem: ConstrainedProblem, seed: int) -> ProblemConsta
     projected into the feasible set, inflated by a safety factor of 1.5. The
     regularity constant is the one exception: the sampled minimum can only
     overestimate the true infimum, so it is deflated by the same factor
-    instead. For feasible-set kinds without normal-cone support sigma is left
-    unknown.
+    instead, and left unknown where ``estimate_sigma`` gives ``None``.
     """
     pts = seeded_check_points(problem, _SAMPLES, seed)
     grads = [problem.grad_f(x) for x in pts]
@@ -290,20 +283,15 @@ def effective_constants(problem: ConstrainedProblem, seed: int) -> ProblemConsta
             best = max(best, norm(values[a + 1] - values[a]) / gap)
         return _SAFETY * best
 
-    if not problem.num_constraints:
-        return ProblemConstants(pair_quotient(grads, np.linalg.norm), 0.0, 0.0, 0.0, math.inf)
     gs = [problem.g(x) for x in pts]
     jacs = [problem.jacobian(x) for x in pts]
-    try:
-        sigma = estimate_sigma(problem, pts)
-        sigma = sigma if math.isinf(sigma) else sigma / _SAFETY
-    except UnsupportedProjectionError:
-        sigma = None
+    sigma = estimate_sigma(problem, pts)
     return ProblemConstants(
         L_f=pair_quotient(grads, np.linalg.norm), L_g=pair_quotient(gs, np.linalg.norm),
         L_J=pair_quotient(jacs, lambda A: float(np.linalg.norm(A, 2)) if all_finite(A)
                           else math.inf),  # an overflowing difference's 2-norm would be NaN
-        U_J=_SAFETY * max(float(np.linalg.norm(J, 2)) for J in jacs), sigma=sigma)
+        U_J=_SAFETY * max(float(np.linalg.norm(J, 2)) for J in jacs),
+        sigma=None if sigma is None else sigma / _SAFETY)  # inf / 1.5 stays inf
 
 
 def seeded_check_points(problem: ConstrainedProblem, count: int, seed: int) -> List[np.ndarray]:

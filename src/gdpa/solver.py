@@ -26,7 +26,7 @@ from .metrics import (_ZERO, IterationRecord, _block_steps, _const, _fill_rows, 
                       make_record)
 from .problem import ConstrainedProblem, ProblemConstants
 from .vec import (_F64, DimensionMismatchError, NonFiniteError, _project_raw, _where, all_finite,
-                  as_vector, check_length, project)
+                  as_vector, check_integer, check_length, project)
 
 TERM_FEASIBILITY = "feasibility-stop"
 TERM_BUDGET = "budget-exhausted"
@@ -79,10 +79,7 @@ def _check_types(cfg) -> None:
     for name, field in cfg.__dataclass_fields__.items():
         val = getattr(cfg, name)
         if type(field.default) is int:
-            least = 0 if name == "dense_until" else 1
-            if isinstance(val, bool) or not (isinstance(val, (int, np.integer))
-                                             and least <= val <= 2 ** 62):
-                raise ValueError(f"{name} must be an integer in [{least}, 2**62], got {val!r}")
+            check_integer(val, name, 0 if name == "dense_until" else 1)
         elif isinstance(val, bool) or not isinstance(val, (int, float, np.integer, np.floating)):
             raise ValueError(f"{name} must be a number, got {val!r}")
         elif isinstance(val, int) and abs(val) > sys.float_info.max:
@@ -214,25 +211,25 @@ def validate_tau(cfg: GdpaConfig, constants: ProblemConstants) -> ValidationRepo
 
     A violation voids the convergence guarantee, not the run: the bound needs
     the regularity constant, which is rarely known exactly, and small tau
-    values often work well in practice. Unknown constants pass with a NaN bound.
+    values often work well in practice. An unknown sigma passes with a NaN bound.
     """
     sigma, u_j = constants.sigma, constants.U_J
-    if sigma is None or u_j is None:
+    if sigma is None:
         return ValidationReport(True, float("nan"))
-    bound = 0.0 if math.isinf(sigma) else 1.0 - sigma / math.sqrt(66.0 * u_j ** 2 + sigma ** 2)
+    bound = (1.0 - sigma / math.sqrt(66.0 * u_j ** 2 + sigma ** 2) if 0.0 < sigma < math.inf
+             else float(sigma == 0.0))  # its limits: 1 at s = 0, even where U_J = 0 reads 0/0
     return ValidationReport(cfg.tau > bound, bound)
 
 
 def validate_alpha(cfg: GdpaConfig, constants: ProblemConstants,
                    lambda_norm: float, r: int) -> ValidationReport:
-    """Check the descent condition 1/alpha_r >= L_f + (1-tau)|lam|L_J + beta_r*U_J*L_g;
-    unknown constants pass with a NaN bound."""
-    needed = (constants.L_f, constants.L_J, constants.L_g, constants.U_J)
-    if any(c is None for c in needed):
-        return ValidationReport(True, float("nan"))
+    """Check the descent condition 1/alpha_r >= L_f + (1-tau)|lam|L_J + beta_r*U_J*L_g,
+    where a product with a zero factor is 0: an infinite L_J adds nothing at lam = 0."""
     alpha_r, beta_r, _ = schedule(cfg, r)
-    required = (constants.L_f + (1.0 - cfg.tau) * lambda_norm * constants.L_J
-                + beta_r * constants.U_J * constants.L_g)
+    required = constants.L_f
+    for term in ((1.0 - cfg.tau, lambda_norm, constants.L_J),
+                 (beta_r, constants.U_J, constants.L_g)):
+        required += 0.0 if 0.0 in term else math.prod(term)  # left to right, as a * b * c
     return ValidationReport(1.0 / alpha_r >= required, required)
 
 

@@ -98,6 +98,14 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def check_integer(val, name: str, least: int) -> int:
+    """``val`` as an int: an integer (numpy's too), never a bool, in [least, 2**62]."""
+    if isinstance(val, bool) or not (isinstance(val, (int, np.integer))
+                                     and least <= val <= 2 ** 62):
+        raise ValueError(f"{name} must be an integer in [{least}, 2**62], got {val!r}")
+    return int(val)
+
+
 def check_length(v: np.ndarray, n: int, name: str) -> np.ndarray:
     if v.size != n:
         raise DimensionMismatchError(f"{name} must have length {n}")
@@ -148,9 +156,7 @@ class ProjectionSpec:
 
     @staticmethod
     def simplex_blocks(block_size: int) -> "ProjectionSpec":
-        if block_size < 1:
-            raise ValueError("simplex block size must be >= 1")
-        return ProjectionSpec(kind="simplex", block_size=int(block_size))
+        return ProjectionSpec(kind="simplex", block_size=check_integer(block_size, "block_size", 1))
 
     def check_dim(self, d: int) -> None:
         """Raise if a vector of length ``d`` is incompatible with this set."""

@@ -335,6 +335,31 @@ class TestSolveCommand:
                                         "slackness": None}
         assert "kkt_final.stationarity" in summary["non_finite"]
 
+    @pytest.mark.parametrize("d, g, jac", [
+        (2, [1.0], [[0.0, 0.0]]),  # g = 1 everywhere and J = 0
+        (1, [1.0, 1.0], [[1.0], [-1.0]]),  # J^T g+ = 1 - 1 = 0
+    ], ids=["zero-jacobian", "cancelling-rows"])
+    def test_a_zero_sigma_estimate_gives_tau_bound_1(self, tmp_path, monkeypatch, d, g, jac):
+        # the theory block read {"skipped": "sigma must be strictly positive when supplied"}
+        from gdpa import ConstrainedProblem
+
+        def zero_sigma_problem(spec, seed):
+            p = ConstrainedProblem(dim=d, num_constraints=len(g), eval_f=lambda x: 0.0,
+                                   eval_grad_f=lambda x: np.zeros(d),
+                                   eval_g=lambda x: np.array(g),
+                                   eval_jacobian=lambda x: np.array(jac))
+            return p, np.zeros(d)
+
+        monkeypatch.setattr(cli, "build_problem", zero_sigma_problem)
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, {"problem": {"kind": "analytic", "id": "scaled-1d"},
+                                      "solver": {"kind": "gdpa", "max_iters": 20},
+                                      "out_dir": str(out)})
+        assert cli.main(["solve", "--config", cfg]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["theory"]["tau_bound"] == 1.0 and summary["theory"]["tau_ok"] is False
+        assert not [key for key in summary["non_finite"] if key.startswith("theory")]
+
     def test_numerical_failure_exits_3_with_partial_trace(self, tmp_path, monkeypatch):
         from gdpa import ConstrainedProblem
 

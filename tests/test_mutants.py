@@ -1,5 +1,6 @@
 """Smoke run of ``scripts/mutants.py``: one killed and one equivalent mutant, each
-against a few tests, in a temporary copy that leaves no trace in the checkout."""
+against a few tests, in a temporary copy that leaves no trace in the checkout; and a
+check that every killer ``MUTANTS.json`` names is still in the suite."""
 
 import json
 import os
@@ -37,3 +38,19 @@ def test_mutants_smoke_run(tmp_path):
                                 "timeout": 0}
     assert git_status() == before
     assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def test_every_killer_in_the_matrix_is_collected():
+    # a renamed test left kill lists naming an id the suite no longer has; a killer may
+    # also be a test file, whose collection the mutant broke
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q", "-p",
+                           "no:cacheprovider", "tests/"], cwd=ROOT, capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    collected = {line for line in proc.stdout.splitlines() if line.startswith("tests/")}
+    collected |= {node.split("::", 1)[0] for node in collected}
+    matrix = json.loads((ROOT / "MUTANTS.json").read_text())["matrix"]
+    named = {test for kills in matrix.values() if isinstance(kills, list) for test in kills}
+    assert named and sorted(named - collected) == []

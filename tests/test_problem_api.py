@@ -12,13 +12,20 @@ from gdpa import (
     NonFiniteError,
     ProblemConstants,
     ProjectionSpec,
-    UnsupportedProjectionError,
     check_gradients,
     effective_constants,
     estimate_sigma,
+    seeded_check_points,
     solve,
     validate_tau,
 )
+
+
+def sized(dim=1, num_constraints=0):
+    """A problem with the given sizes and callbacks that only the sizes matter to."""
+    return ConstrainedProblem(dim=dim, num_constraints=num_constraints, eval_f=lambda x: 0.0,
+                              eval_grad_f=np.zeros_like, eval_g=lambda x: np.zeros(num_constraints),
+                              eval_jacobian=lambda x: np.zeros((num_constraints, x.size)))
 
 
 def scalar_problem(f, grad, g=None, jac=None, projection=None):
@@ -136,6 +143,18 @@ class TestEstimateSigma:
             sigma = estimate_sigma(p, [np.ones(1), np.zeros(1)])
         assert sigma == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
 
+    def test_a_nan_sample_after_the_minimum_does_not_replace_it(self):
+        # +-1e308 alternating over 16 rows: a SIMD dot product's partial sums reach +inf and
+        # -inf, so J^T g+ reads NaN on some BLAS builds (inf on others); the sample at x = 1,
+        # ratio |2| / ||1_16|| = 0.5, stays the minimum either way
+        p = ConstrainedProblem(
+            dim=1, num_constraints=16, eval_f=lambda x: 0.0, eval_grad_f=lambda x: np.zeros(1),
+            eval_g=lambda x: np.ones(16),
+            eval_jacobian=lambda x: 2.0 * np.eye(16, 1) if x[0] else np.resize([1e308, -1e308],
+                                                                               (16, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert estimate_sigma(p, [np.ones(1), np.zeros(1)]) == 0.5
+
     def test_huge_violation_with_a_cancelling_jacobian_gives_zero(self):
         # J^T g+ = 1e200*1e200 - 1e200*1e200 is 0 at unit scale; the NaN sample was skipped (inf)
         p = ConstrainedProblem(
@@ -156,12 +175,15 @@ class TestEstimateSigma:
         # In the interior the full component counts.
         assert estimate_sigma(p, [np.array([0.0])]) == pytest.approx(3.0)
 
-    def test_unsupported_projection(self):
+    def test_ball_gives_none_unless_there_is_no_constraint(self):
+        # a ball's normal cone is not measured: sigma is unknown, but with m = 0 it is inf
+        # before the set is looked at; a ball raised UnsupportedProjectionError for either
+        ball = ProjectionSpec.ball([0.0], 1.0)
         p = scalar_problem(lambda x: 0.0, lambda x: 0.0,
-                           g=lambda x: 1.0, jac=lambda x: 1.0,
-                           projection=ProjectionSpec.ball([0.0], 1.0))
-        with pytest.raises(UnsupportedProjectionError):
-            estimate_sigma(p, [np.array([0.0])])
+                           g=lambda x: 1.0, jac=lambda x: 1.0, projection=ball)
+        assert estimate_sigma(p, [np.array([0.0])]) is None
+        p = scalar_problem(lambda x: 0.0, lambda x: 0.0, projection=ball)
+        assert estimate_sigma(p, [np.array([0.0])]) == math.inf
 
 
 class TestEffectiveConstants:
@@ -172,7 +194,7 @@ class TestEffectiveConstants:
         assert 2.0 <= consts.L_f <= 3.0
 
     def test_ball_leaves_sigma_unknown(self):
-        # estimate_sigma refuses a ball; the unknown sigma passes validate_tau
+        # estimate_sigma gives None on a ball; the unknown sigma passes validate_tau
         p = scalar_problem(lambda x: x * x, lambda x: 2 * x, g=lambda x: 1.0,
                            jac=lambda x: 1.0, projection=ProjectionSpec.ball([0.0], 1.0))
         consts = effective_constants(p, seed=0)
@@ -211,8 +233,39 @@ class TestEffectiveConstants:
         values = [consts.L_f, consts.L_g, consts.L_J, consts.U_J, consts.sigma]
         assert [type(v) for v in values] == [float] * 5, values
         assert consts.L_J == 0.0 and consts.U_J == 1.5
-        given = ProblemConstants(L_J=np.float64(2.0), U_J=3)
-        assert (type(given.L_J), type(given.U_J), given.U_J) == (float, float, 3.0)
+        given = ProblemConstants(L_f=0.0, L_g=0.0, L_J=np.float64(2.0), U_J=3, sigma=0)
+        assert [type(v) for v in vars(given).values()] == [float] * 5
+        assert (given.U_J, given.sigma) == (3.0, 0.0)
+
+    @pytest.mark.parametrize("d, m, g, jac, u_j", [
+        (2, 1, [1.0], [[0.0, 0.0]], 0.0),  # g = 1 everywhere and J = 0
+        (1, 2, [1.0, 1.0], [[1.0], [-1.0]], 1.5 * math.sqrt(2.0)),  # J^T g+ = 1 - 1 = 0
+    ], ids=["zero-jacobian", "cancelling-rows"])
+    def test_a_zero_sigma_estimate_is_measured_and_gives_tau_bound_1(self, d, m, g, jac, u_j):
+        # "sigma must be strictly positive when supplied" refused the library's own estimate
+        p = ConstrainedProblem(dim=d, num_constraints=m, eval_f=lambda x: 0.0,
+                               eval_grad_f=lambda x: np.zeros(d),
+                               eval_g=lambda x: np.array(g), eval_jacobian=lambda x: np.array(jac))
+        consts = effective_constants(p, seed=0)
+        assert (consts.L_f, consts.L_g, consts.L_J, consts.sigma) == (0.0, 0.0, 0.0, 0.0)
+        assert consts.U_J == pytest.approx(u_j, rel=1e-15)
+        report = validate_tau(GdpaConfig(tau=0.99), consts)
+        assert (report.ok, report.bound) == (False, 1.0)
+
+    @pytest.mark.parametrize("projection", [
+        ProjectionSpec.identity(), ProjectionSpec.box([-1.0, 0.0, -2.0], [1.0, 0.5, 2.0]),
+        ProjectionSpec.ball([0.0, 1.0, 0.0], 1.5)], ids=["identity", "box", "ball"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_no_constraint_gives_zero_constraint_constants_and_infinite_sigma(self, projection,
+                                                                              seed):
+        # the m = 0 shortcut's constants, now from the general path: 1.5 times the largest
+        # quotient of successive samples' grad f, zero for g and J, and sigma inf
+        p = ConstrainedProblem(dim=3, num_constraints=0, eval_f=lambda x: float(np.sin(x).sum()),
+                               eval_grad_f=np.cos, projection=projection)
+        pts = seeded_check_points(p, 8, seed)
+        l_f = 1.5 * max(float(np.linalg.norm(np.cos(b) - np.cos(a)) / np.linalg.norm(b - a))
+                        for a, b in zip(pts, pts[1:]))
+        assert effective_constants(p, seed) == ProblemConstants(l_f, 0.0, 0.0, 0.0, math.inf)
 
 
 class TestFirstOrder:
@@ -236,21 +289,29 @@ class TestFirstOrder:
 
 class TestConstrainedProblemValidation:
     @pytest.mark.parametrize("build, says", [
-        (lambda: ConstrainedProblem(dim=0, num_constraints=0, eval_f=lambda x: 0.0,
-                                    eval_grad_f=lambda x: x), "dim must be positive"),
-        (lambda: ConstrainedProblem(dim=1, num_constraints=-1, eval_f=lambda x: 0.0,
-                                    eval_grad_f=lambda x: x),
-         "num_constraints must be nonnegative"),
+        (lambda: sized(dim=0), "dim must be an integer in [1, 2**62], got 0"),
+        (lambda: sized(num_constraints=-1),
+         "num_constraints must be an integer in [0, 2**62], got -1"),
+        # a float or bool size was accepted: dim=2.5 sized nothing, True read as 1
+        (lambda: sized(dim=2.5), "dim must be an integer in [1, 2**62], got 2.5"),
+        (lambda: sized(dim=True), "dim must be an integer in [1, 2**62], got True"),
+        (lambda: sized(num_constraints=1.5),
+         "num_constraints must be an integer in [0, 2**62], got 1.5"),
         (lambda: check_gradients(scalar_problem(lambda x: x * x, lambda x: 2 * x), []),
          "need at least one check point"),
         (lambda: ConstrainedProblem(dim=1, num_constraints=1, eval_f=lambda x: 0.0,
                                     eval_grad_f=lambda x: np.zeros(1)),
          "eval_g and eval_jacobian are required when num_constraints > 0"),
-    ], ids=["dim-0", "negative-constraint-count", "no-check-points", "no-constraint-callbacks"])
+    ], ids=["dim-0", "negative-constraint-count", "fractional-dim", "bool-dim",
+            "fractional-constraint-count", "no-check-points", "no-constraint-callbacks"])
     def test_bad_input_is_refused(self, build, says):
         with pytest.raises(ValueError) as exc:
             build()
         assert exc.type is ValueError and str(exc.value) == says
+
+    def test_numpy_integer_sizes_pass(self):
+        p = sized(dim=np.int64(2), num_constraints=np.uint8(0))
+        assert (p.dim, p.num_constraints) == (2, 0) and p.g(np.zeros(2)).shape == (0,)
 
     @pytest.mark.parametrize("kind", sorted(NOT_REAL))
     @pytest.mark.parametrize("callback, what", [
@@ -288,9 +349,13 @@ class TestConstrainedProblemValidation:
 
     @pytest.mark.parametrize("name, bad", [
         *((name, math.nan) for name in ("L_f", "L_g", "L_J", "U_J", "sigma")),
-        ("L_f", -1.0), ("sigma", 0.0)])
+        ("L_f", -1.0), ("L_g", None)])
     def test_nan_constant_is_refused_and_inf_allowed(self, name, bad):
-        # nan < 0 is False, so ProblemConstants(L_f=nan) was accepted
-        with pytest.raises(ValueError, match=f"^{name} must be "):
-            ProblemConstants(**{name: bad})
-        assert ProblemConstants(**{name: math.inf}) == ProblemConstants(**{name: math.inf})
+        # nan < 0 is False, so ProblemConstants(L_f=nan) was accepted; one rule for all five:
+        # a nonnegative float, inf and 0 allowed, and None for sigma alone (unknown)
+        zero = dict(L_f=0.0, L_g=0.0, L_J=0.0, U_J=0.0)
+        with pytest.raises(ValueError, match=f"^{name} must be a nonnegative number, got "):
+            ProblemConstants(**{**zero, name: bad})
+        assert getattr(ProblemConstants(**{**zero, name: math.inf}), name) == math.inf
+        assert getattr(ProblemConstants(**{**zero, name: 0}), name) == 0.0
+        assert ProblemConstants(**zero).sigma is None

@@ -242,13 +242,23 @@ class TestLengthChecks:
             kkt_residual(p, np.zeros(2), np.zeros(2))
 
 
+def constants(L_f=0.0, L_g=0.0, L_J=0.0, U_J=0.0, sigma=None):
+    return ProblemConstants(L_f, L_g, L_J, U_J, sigma)
+
+
 class TestValidation:
     def test_tau_bound_vanishes_without_constraints(self):
-        rep = validate_tau(GdpaConfig(tau=0.01), ProblemConstants(sigma=1.0, U_J=0.0))
+        rep = validate_tau(GdpaConfig(tau=0.01), constants(sigma=1.0, U_J=0.0))
         assert rep.ok and rep.bound == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("u_j", [0.0, 3.0, math.inf])
+    def test_tau_bound_is_1_at_a_zero_sigma(self, u_j):
+        # at U_J = 0 the formula reads 1 - 0/0; sigma = 0 was refused as a constant
+        rep = validate_tau(GdpaConfig(tau=0.99), constants(sigma=0.0, U_J=u_j))
+        assert (rep.ok, rep.bound) == (False, 1.0)
+
     def test_tau_bound_arithmetic(self):
-        consts = ProblemConstants(sigma=1.0, U_J=1.0)
+        consts = constants(sigma=1.0, U_J=1.0)
         bound = 1.0 - 1.0 / math.sqrt(67.0)
         rep = validate_tau(GdpaConfig(tau=0.9), consts)
         assert rep.ok and rep.bound == pytest.approx(bound, abs=1e-12)
@@ -257,43 +267,49 @@ class TestValidation:
 
     def test_tau_at_the_bound_fails(self):
         # sqrt(66*2^2 + 65^2) = 67 exactly: the bound is 1 - 65/67, and the condition is strict
-        consts = ProblemConstants(sigma=65.0, U_J=2.0)
+        consts = constants(sigma=65.0, U_J=2.0)
         rep = validate_tau(GdpaConfig(tau=1.0 - 65.0 / 67.0), consts)
         assert rep.bound == 1.0 - 65.0 / 67.0 and not rep.ok
         assert validate_tau(GdpaConfig(tau=math.nextafter(rep.bound, 1.0)), consts).ok
 
     def test_tau_bound_with_infinite_sigma(self):
-        rep = validate_tau(GdpaConfig(tau=0.05),
-                           ProblemConstants(sigma=math.inf, U_J=3.0))
+        rep = validate_tau(GdpaConfig(tau=0.05), constants(sigma=math.inf, U_J=3.0))
         assert rep.ok and rep.bound == pytest.approx(0.0)
 
     def test_alpha_condition_holds_at_equality(self):
         # alpha_1 = 0.5/(1+1) = 0.25; 1/0.25 = 4 = L_f, and the condition is not strict
         cfg = GdpaConfig(alpha01=0.5, alpha02=1.0, alpha03=1.0)
-        consts = ProblemConstants(L_f=4.0, L_J=0.0, L_g=0.0, U_J=0.0)
+        consts = constants(L_f=4.0)
         rep = validate_alpha(cfg, consts, lambda_norm=0.0, r=1)
         assert rep.ok and rep.bound == 4.0
 
     def test_alpha_condition_warns(self):
         cfg = GdpaConfig(alpha01=2.0, alpha02=1.0, alpha03=1.0)  # alpha_1 = 1
-        consts = ProblemConstants(L_f=2.0, L_J=0.0, L_g=0.0, U_J=0.0)
+        consts = constants(L_f=2.0)
         assert not validate_alpha(cfg, consts, lambda_norm=0.0, r=1).ok
 
     def test_alpha_bound_weighs_each_constant(self):
         # L_J != L_g: at r = 8, beta_r = 2 and 1 + 0.9*4*2 + 2*0.5*3 = 11.2
-        consts = ProblemConstants(L_f=1.0, L_J=2.0, L_g=3.0, U_J=0.5)
+        consts = constants(L_f=1.0, L_J=2.0, L_g=3.0, U_J=0.5)
         rep = validate_alpha(GdpaConfig(tau=0.1, beta0=1.0, alpha01=1.0), consts,
                              lambda_norm=4.0, r=8)
         assert rep.bound == pytest.approx(11.2, rel=1e-12) and not rep.ok
 
     def test_alpha_all_zero_constants_pass(self):
-        consts = ProblemConstants(L_f=0.0, L_J=0.0, L_g=0.0, U_J=0.0)
-        assert validate_alpha(GdpaConfig(), consts, lambda_norm=10.0, r=5).ok
+        assert validate_alpha(GdpaConfig(), constants(), lambda_norm=10.0, r=5).ok
 
-    def test_alpha_unknown_constant_passes_with_nan_bound(self):
-        rep = validate_alpha(GdpaConfig(), ProblemConstants(L_f=2.0, L_J=0.0, U_J=0.0),
-                             lambda_norm=0.0, r=1)
-        assert rep.ok is True and math.isnan(rep.bound)
+    def test_alpha_product_with_a_zero_factor_is_zero(self):
+        # 0 * inf made the bound NaN and ok False at a zero multiplier, the theory block's
+        # case; an overflowing Jacobian difference reads L_J = inf
+        cfg = GdpaConfig(tau=0.1, beta0=1.0, alpha01=1.0)
+        finite = validate_alpha(cfg, constants(L_f=1.0, L_g=1.0, L_J=5.0, U_J=1.0), 0.0, r=1)
+        assert (finite.ok, finite.bound) == (True, 2.0)
+        assert validate_alpha(cfg, constants(L_f=1.0, L_g=1.0, L_J=math.inf, U_J=1.0),
+                              0.0, r=1) == finite
+        rep = validate_alpha(cfg, constants(L_f=1.0, L_g=1.0, L_J=math.inf, U_J=1.0), 0.5, r=1)
+        assert (rep.ok, rep.bound) == (False, math.inf)
+        # beta_r*U_J*L_g with L_g = 0 and U_J = inf adds nothing either
+        assert validate_alpha(cfg, constants(L_f=1.0, U_J=math.inf), 0.0, r=1).bound == 1.0
 
     def test_config_invariants(self):
         with pytest.raises(ValueError):

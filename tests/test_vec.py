@@ -118,8 +118,18 @@ class TestProject:
             ProjectionSpec.ball([0.0], 0.0)
         with pytest.raises(ValueError):
             ProjectionSpec.box([1.0], [0.0])
-        with pytest.raises(ValueError):
-            ProjectionSpec.simplex_blocks(0)
+
+    @pytest.mark.parametrize("size", [0, -1, 2.5, True, "2"])
+    def test_simplex_block_size_must_be_a_positive_integer(self, size):
+        # 2.5 built blocks of 2 and True blocks of 1
+        with pytest.raises(ValueError) as exc:
+            ProjectionSpec.simplex_blocks(size)
+        assert str(exc.value) == f"block_size must be an integer in [1, 2**62], got {size!r}"
+
+    def test_simplex_block_size_may_be_a_numpy_integer(self):
+        spec = ProjectionSpec.simplex_blocks(np.int32(2))
+        assert type(spec.block_size) is int and spec.block_size == 2
+        assert project(spec, [1.0, 0.0, 3.0, 3.0]).tolist() == [1.0, 0.0, 0.5, 0.5]
 
     @pytest.mark.parametrize("check, says", [
         (lambda: ProjectionSpec.box([0.0, 0.0], [1.0]), "box bounds must have equal length"),
