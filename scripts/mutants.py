@@ -11,8 +11,9 @@ temporary copy of the checkout, never in the working tree, and pytest runs once 
 ``-x``, so every failing test id is recorded. A run past ``TIMEOUT`` seconds has its
 process group killed and reads "timeout", which counts as no kill. The matrix maps each
 mutant id to its failing test ids, "survived" or "timeout"; ``EQUIVALENT`` lists by hand
-the mutants no test can kill, each with its reason. ``--only`` runs the given mutants,
-which may be any site's, and ``--tests`` the given node ids in place of the suite.
+the mutants no test can kill, each with its reason, and ``BLAS_DEPENDENT`` the kills that
+hold only where the dot product's summation order yields a NaN. ``--only`` runs the given
+mutants, which may be any site's, and ``--tests`` the given node ids in place of the suite.
 """
 
 import argparse, ast, json, os, shutil, signal, subprocess, sys, tempfile, zlib
@@ -49,6 +50,13 @@ EQUIVALENT = {  # mutant id -> why no test can kill it
     "/ gap -> norm(values[a + 1] - values[a]) / gap, best":
         "max() reads its arguments alike but for a NaN or zeros of two signs, and no quotient "
         "is either: a norm over a finite gap is +0.0, finite or inf (L_J's inf for an overflow)",
+}
+BLAS_DEPENDENT = {  # mutant id -> why its kill holds only on some BLAS builds
+    "problem.py:problem.estimate_sigma: best, ratio -> ratio, best": (
+        "min() reads its arguments alike but for a NaN ratio, which finite J and g+ give only "
+        "where J^T g+ is summed in split partial sums that overflow to +inf and -inf "
+        "(OpenBLAS 0.3.31, Haswell kernel); summed in order, the killer's sample reads "
+        "8e307 and the mutant survives"),
 }
 
 
@@ -218,7 +226,8 @@ def write(out: Path, matrix: dict) -> dict:
         kind = ("killed" if isinstance(result, list) else result if result == "timeout"
                 else "equivalent" if mid in EQUIVALENT else "survived")
         counts[kind] += 1
-    out.write_text(json.dumps({"counts": counts, "equivalent": EQUIVALENT, "matrix": matrix},
+    out.write_text(json.dumps({"counts": counts, "equivalent": EQUIVALENT,
+                               "blas_dependent": BLAS_DEPENDENT, "matrix": matrix},
                               indent=1) + "\n")
     return counts
 

@@ -80,8 +80,8 @@ class ConstrainedProblem:
     eval_first_order: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
-        check_integer(self.dim, "dim", 1)
-        check_integer(self.num_constraints, "num_constraints", 0)
+        self.dim = check_integer(self.dim, "dim", 1)
+        self.num_constraints = check_integer(self.num_constraints, "num_constraints", 0)
         if self.num_constraints > 0 and (self.eval_g is None or self.eval_jacobian is None):
             raise ValueError("eval_g and eval_jacobian are required when num_constraints > 0")
         self.projection.check_dim(self.dim)
@@ -283,14 +283,15 @@ def effective_constants(problem: ConstrainedProblem, seed: int) -> ProblemConsta
             best = max(best, norm(values[a + 1] - values[a]) / gap)
         return _SAFETY * best
 
+    def spectral(A):  # inf where an overflowing difference reads NaN; numpy 1.x raises at m = 0
+        return (float(np.linalg.norm(A, 2)) if A.size else 0.0) if all_finite(A) else math.inf
+
     gs = [problem.g(x) for x in pts]
     jacs = [problem.jacobian(x) for x in pts]
     sigma = estimate_sigma(problem, pts)
     return ProblemConstants(
         L_f=pair_quotient(grads, np.linalg.norm), L_g=pair_quotient(gs, np.linalg.norm),
-        L_J=pair_quotient(jacs, lambda A: float(np.linalg.norm(A, 2)) if all_finite(A)
-                          else math.inf),  # an overflowing difference's 2-norm would be NaN
-        U_J=_SAFETY * max(float(np.linalg.norm(J, 2)) for J in jacs),
+        L_J=pair_quotient(jacs, spectral), U_J=_SAFETY * max(spectral(J) for J in jacs),
         sigma=None if sigma is None else sigma / _SAFETY)  # inf / 1.5 stays inf
 
 

@@ -79,7 +79,7 @@ def _check_types(cfg) -> None:
     for name, field in cfg.__dataclass_fields__.items():
         val = getattr(cfg, name)
         if type(field.default) is int:
-            check_integer(val, name, 0 if name == "dense_until" else 1)
+            setattr(cfg, name, check_integer(val, name, 0 if name == "dense_until" else 1))
         elif isinstance(val, bool) or not isinstance(val, (int, float, np.integer, np.floating)):
             raise ValueError(f"{name} must be a number, got {val!r}")
         elif isinstance(val, int) and abs(val) > sys.float_info.max:

@@ -144,13 +144,15 @@ class TestEstimateSigma:
         assert sigma == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
 
     def test_a_nan_sample_after_the_minimum_does_not_replace_it(self):
-        # +-1e308 alternating over 16 rows: a SIMD dot product's partial sums reach +inf and
-        # -inf, so J^T g+ reads NaN on some BLAS builds (inf on others); the sample at x = 1,
-        # ratio |2| / ||1_16|| = 0.5, stays the minimum either way
+        # 1e308 and -0.9e308 alternating over 16 rows: J^T g+ is 8e307 summed in order, but a
+        # dot product that keeps split partial sums (OpenBLAS 0.3.31's Haswell kernel) reaches
+        # +inf and -inf and reads NaN; the sample at x = 1, ratio |2| / ||1_16|| = 0.5, stays
+        # the minimum on every BLAS, and the test tells min(best, ratio) from min(ratio, best)
+        # only where the sum reads NaN
         p = ConstrainedProblem(
             dim=1, num_constraints=16, eval_f=lambda x: 0.0, eval_grad_f=lambda x: np.zeros(1),
             eval_g=lambda x: np.ones(16),
-            eval_jacobian=lambda x: 2.0 * np.eye(16, 1) if x[0] else np.resize([1e308, -1e308],
+            eval_jacobian=lambda x: 2.0 * np.eye(16, 1) if x[0] else np.resize([1e308, -0.9e308],
                                                                                (16, 1)))
         with np.errstate(over="ignore", invalid="ignore"):
             assert estimate_sigma(p, [np.ones(1), np.zeros(1)]) == 0.5
@@ -257,9 +259,17 @@ class TestEffectiveConstants:
         ProjectionSpec.ball([0.0, 1.0, 0.0], 1.5)], ids=["identity", "box", "ball"])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_no_constraint_gives_zero_constraint_constants_and_infinite_sigma(self, projection,
-                                                                              seed):
+                                                                              seed, monkeypatch):
         # the m = 0 shortcut's constants, now from the general path: 1.5 times the largest
-        # quotient of successive samples' grad f, zero for g and J, and sigma inf
+        # quotient of successive samples' grad f, zero for g and J, and sigma inf; the 2-norm
+        # of the empty (0, 3) Jacobian raises here as on numpy 1.x (amax of no singular value)
+        norm = np.linalg.norm
+
+        def norm_of_numpy_1(a, ord=None, *args, **kwargs):
+            if ord == 2 and np.size(a) == 0:
+                raise ValueError("zero-size array to reduction operation maximum")
+            return norm(a, ord, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "norm", norm_of_numpy_1)
         p = ConstrainedProblem(dim=3, num_constraints=0, eval_f=lambda x: float(np.sin(x).sum()),
                                eval_grad_f=np.cos, projection=projection)
         pts = seeded_check_points(p, 8, seed)
@@ -309,9 +319,11 @@ class TestConstrainedProblemValidation:
             build()
         assert exc.type is ValueError and str(exc.value) == says
 
-    def test_numpy_integer_sizes_pass(self):
-        p = sized(dim=np.int64(2), num_constraints=np.uint8(0))
-        assert (p.dim, p.num_constraints) == (2, 0) and p.g(np.zeros(2)).shape == (0,)
+    def test_numpy_integer_sizes_pass_and_are_stored_as_int(self):
+        # a stored uint8 size would wrap around in later size arithmetic (200 + 100 is 44)
+        p = sized(dim=np.uint8(200), num_constraints=np.int64(0))
+        assert (p.dim, p.num_constraints) == (200, 0) and p.g(np.zeros(200)).shape == (0,)
+        assert type(p.dim) is int and type(p.num_constraints) is int
 
     @pytest.mark.parametrize("kind", sorted(NOT_REAL))
     @pytest.mark.parametrize("callback, what", [

@@ -204,6 +204,12 @@ class TestStepChecks:
                            match=rf"^{field} must be a finite positive number, got {value!r}$"):
             config(**{field: value})
 
+    @pytest.mark.parametrize("config", [GdpaConfig, PenaltyConfig, AlmConfig])
+    def test_numpy_integer_fields_are_stored_as_int(self, config):
+        cfg = config(record_every=np.uint8(200), dense_until=np.int64(0))
+        assert (cfg.record_every, cfg.dense_until) == (200, 0)
+        assert type(cfg.record_every) is int and type(cfg.dense_until) is int
+
 
 class TestLengthChecks:
     # a wrong-length point or multiplier is named before any callback runs
